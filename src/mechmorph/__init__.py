@@ -21,7 +21,6 @@ from .bifurcation import (
     SweepResult,
     continue_branch,
     critical_kappas,
-    detect_folds,
     predictor_from_normal_form,
     sweep,
 )

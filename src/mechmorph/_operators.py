@@ -1,5 +1,6 @@
-"""Shared field-level operators: reaction density, PDE right-hand side,
-trigonometric Galerkin bases and dense operator assembly.
+"""Shared field-level operators: reaction density, free energy, PDE
+right-hand side, even projection, trigonometric Galerkin bases and the
+Galerkin assembly of the linearization.
 
 Everything here works on raw value arrays so that the public modules can
 expose their own domain types without import cycles.  All quadratures are
@@ -43,6 +44,20 @@ def log_mean_exp(values: np.ndarray) -> float:
     return m + float(np.log(np.mean(np.exp(values - m))))
 
 
+def free_energy(u_hat: np.ndarray, values: np.ndarray, grid: Grid, params: ModelParams) -> float:
+    """J(u) = (D/2) int u_x^2 + (1/2) int u^2 - kappa log(int e^u).
+
+    u_hat is the forward-normalized rfft of the grid values; the gradient
+    term comes from it by Parseval, int u^2 is the grid mean of values^2.
+    """
+    w = np.full(u_hat.size, 2.0)
+    w[0] = 1.0
+    w[-1] = 1.0  # Nyquist coefficient appears once for even n
+    grad_sq = float(np.sum(w * grid.laplacian_eigenvalues * np.abs(u_hat) ** 2))
+    mean_sq = float(np.mean(values**2))
+    return 0.5 * params.D * grad_sq + 0.5 * mean_sq - params.kappa * log_mean_exp(values)
+
+
 def evolution_rhs(values: np.ndarray, grid: Grid, params: ModelParams) -> np.ndarray:
     """D u_xx - u + kappa p(u); also the stationary residual."""
     uxx = np.fft.irfft(
@@ -63,6 +78,20 @@ def residual_floor(values: np.ndarray, grid: Grid, params: ModelParams) -> float
     return eps * (1.0 + params.D * grid.laplacian_eigenvalues[-1]) * max(
         1.0, float(np.max(np.abs(values)))
     )
+
+
+def even_part(values: np.ndarray) -> np.ndarray:
+    """Even (cosine) part (u(x) + u(-x)) / 2 of a periodic sample about node 0."""
+    coef = np.fft.rfft(values, norm="forward")
+    return np.fft.irfft(coef.real.astype(complex), values.size, norm="forward")
+
+
+def even_noise(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Zero-mean even part of n standard normal samples, scaled to max |.| = 1."""
+    even = even_part(rng.standard_normal(n))
+    even -= even.mean()
+    peak = np.max(np.abs(even))
+    return even / peak if peak > 0 else even
 
 
 def trig_basis(grid: Grid, n_modes: int, kind: str = "full") -> tuple[np.ndarray, np.ndarray]:
@@ -92,36 +121,29 @@ def trig_basis(grid: Grid, n_modes: int, kind: str = "full") -> tuple[np.ndarray
     return np.vstack(rows), mu
 
 
-def hessian_dense(
+def linearization_parts(
     values: np.ndarray, grid: Grid, params: ModelParams, basis: np.ndarray, mu: np.ndarray
-) -> np.ndarray:
-    """Second variation of the energy in the given eigenbasis.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Galerkin parts of the linearization L h = D h_xx + A h - M C int(C h).
 
-    Entries (1 + D mu_i) delta_ij - kappa (int f_i f_j p - int f_i p int f_j p)
-    with the probability density p = e^u / int e^u.
+    A = kappa e^U / int e^U - 1, C = e^U, M = kappa / (int e^U)^2.  Returns
+    the local block diag(-D mu) + int A f_i f_j, the coupling vector
+    int C f_i and M, all with the exponential shifted by max(U): C and M
+    then stand for e^(U - max U) and kappa / (int e^(U - max U))^2, which
+    leaves the rank-one term M C(x) C(y) unchanged and cannot overflow.
     """
+    check_exp_range(values)
     n = grid.n_points
-    p = density(values)
-    w = (basis * p) @ basis.T / n
-    v = basis @ p / n
-    return np.diag(1.0 + params.D * mu) - params.kappa * (w - np.outer(v, v))
+    shifted = np.exp(values - values.max())
+    mean_c = shifted.mean()
+    a = params.kappa * shifted / mean_c - 1.0
+    local = np.diag(-params.D * mu) + (basis * a) @ basis.T / n
+    return local, basis @ shifted / n, params.kappa / mean_c**2
 
 
 def linearization_dense(
     values: np.ndarray, grid: Grid, params: ModelParams, basis: np.ndarray, mu: np.ndarray
 ) -> np.ndarray:
-    """Galerkin matrix of the linearization L h = D h_xx + A h - M C int(C h).
-
-    A = kappa e^U / int e^U - 1, C = e^U, M = kappa / (int e^U)^2.  The
-    exponential is shifted by max(U) before assembly; the combination
-    M * C(x) C(y) is invariant under that shift.
-    """
-    check_exp_range(values)
-    n = grid.n_points
-    shifted = np.exp(values - values.max())  # C up to the constant e^max
-    mean_c = shifted.mean()
-    a = params.kappa * shifted / mean_c - 1.0
-    m_coef = params.kappa / mean_c**2
-    w_a = (basis * a) @ basis.T / n
-    c_vec = basis @ shifted / n
-    return np.diag(-params.D * mu) + w_a - m_coef * np.outer(c_vec, c_vec)
+    """Galerkin matrix of the linearization L in the given basis."""
+    local, c_vec, m_coef = linearization_parts(values, grid, params, basis, mu)
+    return local - m_coef * np.outer(c_vec, c_vec)

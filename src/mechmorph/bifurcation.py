@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._operators import evolution_rhs, density, linearization_dense, trig_basis
+from ._operators import evolution_rhs, density, even_noise, linearization_dense, trig_basis
 from .energy import bounds
 from .errors import ConfigurationError, ConvergenceError, MechmorphError, SingularJacobianError
 from .grid import Field, Grid, make_grid
@@ -49,7 +49,6 @@ __all__ = [
     "critical_kappas",
     "predictor_from_normal_form",
     "continue_branch",
-    "detect_folds",
     "sweep",
 ]
 
@@ -306,6 +305,8 @@ def continue_branch(
 
 
 def _detect_folds(svals, kappas) -> list[tuple[int, float]]:
+    """Sign changes of dkappa/ds with the fold kappa refined by a local
+    quadratic fit of kappa(s)."""
     if len(svals) < 3:
         return []
     s = np.asarray(svals, dtype=float)
@@ -321,12 +322,6 @@ def _detect_folds(svals, kappas) -> list[tuple[int, float]]:
             kappa_f = float(c - b**2 / (4.0 * a)) if a != 0.0 else float(k[i + 1])
             folds.append((i + 1, kappa_f))
     return folds
-
-
-def detect_folds(branch: Branch) -> list[tuple[int, float]]:
-    """Sign changes of dkappa/ds with the fold kappa refined by a local
-    quadratic fit of kappa(s)."""
-    return _detect_folds([p.s for p in branch.points], [p.kappa for p in branch.points])
 
 
 @dataclass(frozen=True)
@@ -346,15 +341,6 @@ class SweepResult:
     overlays: dict
 
 
-def _even_noise(rng: np.random.Generator, n: int) -> np.ndarray:
-    noise = rng.standard_normal(n)
-    coef = np.fft.rfft(noise, norm="forward")
-    even = np.fft.irfft(coef.real.astype(complex), n, norm="forward")
-    even -= even.mean()
-    peak = np.max(np.abs(even))
-    return even / peak if peak > 0 else even
-
-
 def _classify_cell(args) -> SweepCell:
     (d_val, kappa, trials, child_seed, n_points, dt, t_end, handoff_tol, amplitude) = args
     grid = make_grid(n_points)
@@ -364,7 +350,7 @@ def _classify_cell(args) -> SweepCell:
     bump = np.exp(np.cos(2.0 * np.pi * x))
     seeds = [kappa * bump / bump.mean()]
     for _ in range(trials):
-        seeds.append(kappa * (1.0 + amplitude * _even_noise(rng, n_points)))
+        seeds.append(kappa * (1.0 + amplitude * even_noise(rng, n_points)))
     outcomes = set()
     for u0 in seeds:
         try:

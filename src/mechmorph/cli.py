@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._operators import even_noise
 from .bifurcation import continue_branch, critical_kappas, sweep
 from .dynamics import simulate
 from .errors import ConfigurationError, MechmorphError
@@ -113,12 +114,7 @@ def _initial_field(cfg: dict, grid, rng) -> Field:
     if cfg.get("init", "cosine") == "cosine":
         vals = kappa * (1.0 + cfg["perturb"] * np.cos(2.0 * np.pi * grid.nodes))
     elif cfg["init"] == "random":
-        noise = rng.standard_normal(grid.n_points)
-        coef = np.fft.rfft(noise, norm="forward")
-        even = np.fft.irfft(coef.real.astype(complex), grid.n_points, norm="forward")
-        even -= even.mean()
-        even /= max(np.max(np.abs(even)), 1e-300)
-        vals = kappa * (1.0 + cfg["perturb"] * even)
+        vals = kappa * (1.0 + cfg["perturb"] * even_noise(rng, grid.n_points))
     elif cfg["init"] == "bump":
         bump = np.exp(np.cos(2.0 * np.pi * grid.nodes))
         vals = kappa * bump / bump.mean()
@@ -251,53 +247,34 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str)
         p.add_argument("--config", type=str)
 
-    p = sub.add_parser("simulate", help="integrate the evolution equation")
-    common(p)
-    p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--record-every", type=int, dest="record_every")
-    p.add_argument("--perturb", type=float)
-    p.add_argument("--steady-tol", type=float, dest="steady_tol")
-    p.add_argument("--init", choices=["cosine", "random", "bump"])
+    choices = {"init": ["cosine", "random", "bump"], "kind": list(FIGURE_KINDS)}
 
-    p = sub.add_parser("steady", help="relax and polish a stationary solution")
-    common(p)
-    p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--perturb", type=float)
-    p.add_argument("--init", choices=["cosine", "random", "bump"])
+    def options(p, *keys):
+        # one flag per config key, typed as the config file casts it
+        for key in keys:
+            flag = "--" + key.replace("_", "-")
+            if key in choices:
+                p.add_argument(flag, choices=choices[key])
+            else:
+                p.add_argument(flag, type=_CASTS[key], dest=key)
 
-    p = sub.add_parser("spectrum", help="stability spectrum with cross-check")
-    common(p)
-    p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--perturb", type=float)
-    p.add_argument("--init", choices=["cosine", "random", "bump"])
-    p.add_argument("--n-modes", type=int, dest="n_modes")
-
-    p = sub.add_parser("branch", help="pseudo-arclength branch continuation")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--step", type=float)
-    p.add_argument("--max-points", type=int, dest="max_points")
-    p.add_argument("--kappa-min", type=float, dest="kappa_min")
-    p.add_argument("--kappa-max", type=float, dest="kappa_max")
-
-    p = sub.add_parser("sweep", help="classify (D, kappa) cells by relaxation")
-    common(p)
-    p.add_argument("--D-values", type=str, dest="D_values")
-    p.add_argument("--kappa-values", type=str, dest="kappa_values")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--workers", type=int)
-
-    p = sub.add_parser("bounds", help="variational diffusivity bounds")
-    common(p)
-
-    p = sub.add_parser("figure", help="emit the data set for a named figure")
-    common(p)
-    p.add_argument("--kind", choices=list(FIGURE_KINDS))
-    p.add_argument("--workers", type=int)
+    subcommands = (
+        ("simulate", "integrate the evolution equation",
+         ("t_end", "dt", "record_every", "perturb", "steady_tol", "init")),
+        ("steady", "relax and polish a stationary solution", ("t_end", "dt", "perturb", "init")),
+        ("spectrum", "stability spectrum with cross-check",
+         ("t_end", "dt", "perturb", "init", "n_modes")),
+        ("branch", "pseudo-arclength branch continuation",
+         ("n", "step", "max_points", "kappa_min", "kappa_max")),
+        ("sweep", "classify (D, kappa) cells by relaxation",
+         ("D_values", "kappa_values", "trials", "t_end", "workers")),
+        ("bounds", "variational diffusivity bounds", ()),
+        ("figure", "emit the data set for a named figure", ("kind", "workers")),
+    )
+    for name, help_text, keys in subcommands:
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        options(p, *keys)
     return parser
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._operators import density, log_mean_exp
+from ._operators import density, free_energy
 from .errors import ConfigurationError, DivergenceError
 from .grid import Field, Grid
 from .model import ModelParams
@@ -63,18 +63,6 @@ class _Stepper:
         u_hat = self.factor * u_hat + self.weight * np.fft.rfft(reaction, norm="forward")
         return u_hat, np.fft.irfft(u_hat, self.grid.n_points, norm="forward")
 
-    def energy_parts(self, u_hat: np.ndarray, values: np.ndarray) -> float:
-        w = np.full(u_hat.size, 2.0)
-        w[0] = 1.0
-        w[-1] = 1.0
-        grad_sq = np.sum(w * self.grid.laplacian_eigenvalues * np.abs(u_hat) ** 2)
-        mean_sq = np.sum(w * np.abs(u_hat) ** 2)
-        return float(
-            0.5 * self.params.D * grad_sq
-            + 0.5 * mean_sq
-            - self.params.kappa * log_mean_exp(values)
-        )
-
 
 def step_imex(u: Field, dt: float, params: ModelParams) -> Field:
     """Advance one semi-implicit step of length dt."""
@@ -111,7 +99,7 @@ def simulate(
     u_hat = np.fft.rfft(values, norm="forward")
     times = [0.0]
     masses = [float(values.mean())]
-    energies = [stepper.energy_parts(u_hat, values)]
+    energies = [free_energy(u_hat, values, u0.grid, params)]
     max_values = [float(values.max())]
     min_values = [float(values.min())]
     prev_energy = energies[0]
@@ -136,7 +124,7 @@ def simulate(
                 last_state=Field(u0.grid, last_finite),
                 t=step * dt,
             )
-        e = stepper.energy_parts(u_hat, new_values)
+        e = free_energy(u_hat, new_values, u0.grid, params)
         max_increment = max(max_increment, e - prev_energy)
         prev_energy = e
         rate = float(np.max(np.abs(new_values - values))) / dt

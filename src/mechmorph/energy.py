@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._operators import evolution_rhs, log_mean_exp, hessian_dense, trig_basis
+from ._operators import evolution_rhs, free_energy, linearization_dense, trig_basis
 from .errors import ConfigurationError
 from .grid import Field, to_spectral
 from .model import ModelParams
@@ -28,11 +28,7 @@ MU_1 = 4.0 * np.pi**2
 
 def energy(u: Field, params: ModelParams) -> float:
     """Evaluate J(u); the derivative term is computed spectrally."""
-    s = to_spectral(u)
-    w = s.parseval_weights
-    grad_sq = float(np.sum(w * u.grid.laplacian_eigenvalues * np.abs(s.coefficients) ** 2))
-    mean_sq = float(np.mean(u.values**2))
-    return 0.5 * params.D * grad_sq + 0.5 * mean_sq - params.kappa * log_mean_exp(u.values)
+    return free_energy(to_spectral(u).coefficients, u.values, u.grid, params)
 
 
 def first_variation(u: Field, params: ModelParams) -> Field:
@@ -49,15 +45,17 @@ def hessian_matrix(u: Field, params: ModelParams, n_modes: int) -> np.ndarray:
 
     Basis ordering: index 0 is the constant, then alternating
     (sqrt2 cos(2 pi k x), sqrt2 sin(2 pi k x)) for k = 1 .. n_modes, giving a
-    symmetric (2 n_modes + 1) square matrix.  Row and column 0 reduce to
-    (1, 0, ..., 0) because the density p integrates to one.
+    symmetric (2 n_modes + 1) square matrix.  It is -L, the negative of the
+    Galerkin matrix of the linearization, because the evolution equation is
+    the gradient flow of J.  Row and column 0 reduce to (1, 0, ..., 0)
+    because the density e^u / int e^u integrates to one.
     """
     if n_modes < 1 or n_modes > u.grid.n_points // 4:
         raise ConfigurationError(
             f"n_modes must be in [1, n_points/4], got {n_modes} at n_points={u.grid.n_points}"
         )
     basis, mu = trig_basis(u.grid, n_modes, kind="full")
-    return hessian_dense(u.values, u.grid, params, basis, mu)
+    return -linearization_dense(u.values, u.grid, params, basis, mu)
 
 
 @dataclass(frozen=True)

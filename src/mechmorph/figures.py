@@ -10,6 +10,8 @@ figure captions fix only D = 1e-3 and kappa = 3 respectively).
 from __future__ import annotations
 
 import os
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,11 +21,11 @@ from .errors import ConfigurationError
 from .grid import Field, make_grid
 from .io import (
     ensure_dir,
-    fmt,
     write_branch_csv,
     write_overlays_csv,
     write_profiles_csv,
     write_sweep_csv,
+    write_trajectory_csv,
 )
 from .model import ModelParams
 from .steady import relax_to_steady
@@ -65,19 +67,18 @@ def _fig1_left(out: str) -> list[str]:
     for t in SNAPSHOT_TIMES:
         piece = simulate(u, params, t_end=t - t_prev, dt=1e-3, record_every=100,
                          steady_tol=0.0)
-        pieces.append((t_prev, piece))
+        pieces.append(replace(piece, times=t_prev + piece.times))
         u = piece.final_state
         profiles[f"t_{t:g}"] = u.values
         t_prev = t
+    # each piece after the first starts with the previous piece's last record
+    starts = [0] + [1] * (len(pieces) - 1)
+    trajectory = SimpleNamespace(**{
+        name: np.concatenate([getattr(p, name)[i:] for p, i in zip(pieces, starts)])
+        for name in ("times", "masses", "energies", "max_values", "min_values")
+    })
     traj_path = os.path.join(out, "fig1_left_trajectory.csv")
-    with open(traj_path, "w") as fh:
-        fh.write("t,mass,energy,max_u,min_u\n")
-        for offset, piece in pieces:
-            start = 1 if offset > 0 else 0  # endpoints overlap between pieces
-            for i in range(start, piece.times.size):
-                fh.write(",".join(fmt(v) for v in (
-                    offset + piece.times[i], piece.masses[i], piece.energies[i],
-                    piece.max_values[i], piece.min_values[i])) + "\n")
+    write_trajectory_csv(traj_path, trajectory)
     prof_path = os.path.join(out, "fig1_left_profiles.csv")
     write_profiles_csv(prof_path, grid, profiles)
     return [traj_path, prof_path]

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._operators import check_exp_range, linearization_dense, trig_basis
+from ._operators import linearization_dense, linearization_parts, trig_basis
 from .errors import BracketError, ConfigurationError, ResolutionError
 from .grid import Field, first_derivative, from_spectral, to_spectral
 from .steady import SteadyState
@@ -121,18 +121,6 @@ def _count_sign_changes(values: np.ndarray, floor: float = 0.0) -> int:
     return int(np.sum(signs != np.roll(signs, 1)))
 
 
-def _local_matrix(state: SteadyState, n_modes: int):
-    grid = state.field.grid
-    basis, mu = trig_basis(grid, n_modes, kind="full")
-    values = state.field.values
-    check_exp_range(values)
-    shifted = np.exp(values - values.max())
-    mean_c = shifted.mean()
-    a = state.params.kappa * shifted / mean_c - 1.0
-    mat = np.diag(-state.params.D * mu) + (basis * a) @ basis.T / grid.n_points
-    return basis, mu, mat, shifted, mean_c
-
-
 def _check_modes(state: SteadyState, n_modes: int | None) -> int:
     n = state.field.grid.n_points
     if n_modes is None:
@@ -157,19 +145,18 @@ def assemble_linearization(state: SteadyState, n_modes: int | None = None) -> np
     return linearization_dense(state.field.values, grid, state.params, basis, mu)
 
 
-def local_spectrum(
-    state: SteadyState, n_modes: int | None = None, n_verify: int = 5
-) -> LocalSpectrum:
-    """Eigen-decomposition of the local problem, sorted decreasing.
+def _local_parts(state: SteadyState, n_modes: int):
+    """The full basis, then the local block, coupling vector and M (shifted)."""
+    grid = state.field.grid
+    basis, mu = trig_basis(grid, n_modes, kind="full")
+    return (basis,) + linearization_parts(state.field.values, grid, state.params, basis, mu)
 
-    The leading ``n_verify`` eigenfunctions are checked against the
-    oscillation pattern (the 0th does not vanish; the pair 2j+1, 2j+2 has
-    2j+2 zeros per period) and the ordering chain; a mismatch raises
-    :class:`ResolutionError`.
-    """
-    n_modes = _check_modes(state, n_modes)
-    basis, _mu, mat, _shifted, _mean_c = _local_matrix(state, n_modes)
-    eigvals, eigvecs = np.linalg.eigh(mat)
+
+def _decompose_local(
+    state: SteadyState, basis: np.ndarray, local: np.ndarray, n_modes: int, n_verify: int = 5
+) -> tuple[LocalSpectrum, np.ndarray]:
+    """Checked local spectrum of the local block, plus its eigenvectors."""
+    eigvals, eigvecs = np.linalg.eigh(local)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
@@ -205,19 +192,22 @@ def local_spectrum(
             raise ResolutionError(
                 f"local eigenfunction {i} has {counts[i]} sign changes, expected {expected}"
             )
-    return LocalSpectrum(lambdas=eigvals, eigenfunctions=functions, zero_counts=counts)
+    return LocalSpectrum(lambdas=eigvals, eigenfunctions=functions, zero_counts=counts), eigvecs
 
 
-def _coupling(state: SteadyState, local: LocalSpectrum) -> tuple[np.ndarray, float]:
-    """True coupling data beta_n = int e^U psi_n and M = kappa / (int e^U)^2."""
-    values = state.field.values
-    check_exp_range(values)
-    c = np.exp(values)
-    mean_c = c.mean()
-    if not np.isfinite(mean_c) or mean_c > 1e150:
-        raise ConfigurationError("state too large to form the nonlocal coupling data")
-    betas = np.array([float(np.mean(c * f.values)) for f in local.eigenfunctions])
-    return betas, state.params.kappa / mean_c**2
+def local_spectrum(
+    state: SteadyState, n_modes: int | None = None, n_verify: int = 5
+) -> LocalSpectrum:
+    """Eigen-decomposition of the local problem, sorted decreasing.
+
+    The leading ``n_verify`` eigenfunctions are checked against the
+    oscillation pattern (the 0th does not vanish; the pair 2j+1, 2j+2 has
+    2j+2 zeros per period) and the ordering chain; a mismatch raises
+    :class:`ResolutionError`.
+    """
+    n_modes = _check_modes(state, n_modes)
+    basis, local, _c_vec, _m_coef = _local_parts(state, n_modes)
+    return _decompose_local(state, basis, local, n_modes, n_verify)[0]
 
 
 def _verdict(max_nu: float) -> str:
@@ -236,13 +226,16 @@ def nonlocal_spectrum(state: SteadyState, n_modes: int | None = None) -> EigenRe
     ``leading_nu`` (but not from the verdict thresholds).
     """
     n_modes = _check_modes(state, n_modes)
-    local = local_spectrum(state, n_modes)
-    betas, m_coef = _coupling(state, local)
+    basis, local_block, c_vec, m_shifted = _local_parts(state, n_modes)
+    local, local_vecs = _decompose_local(state, basis, local_block, n_modes)
+    # undo the max(U) shift: beta_n = int e^U psi_n, M = kappa / (int e^U)^2
+    u_max = float(state.field.values.max())
+    betas = np.exp(u_max) * (local_vecs.T @ c_vec)
+    m_coef = m_shifted * np.exp(-2.0 * u_max)
+    if m_coef < np.finfo(float).tiny:
+        raise ConfigurationError("state too large to represent the coupling constant M")
 
-    grid = state.field.grid
-    basis, mu = trig_basis(grid, n_modes, kind="full")
-    dense = linearization_dense(state.field.values, grid, state.params, basis, mu)
-    eigvals, eigvecs = np.linalg.eigh(dense)
+    eigvals, eigvecs = np.linalg.eigh(local_block - m_shifted * np.outer(c_vec, c_vec))
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]

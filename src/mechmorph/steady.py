@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._operators import evolution_rhs, linearization_dense, residual_floor, trig_basis
+from ._operators import even_part, evolution_rhs, linearization_dense, residual_floor, trig_basis
 from .dynamics import simulate
 from .energy import energy
 from .errors import ConfigurationError, ConvergenceError, ResolutionError, SingularJacobianError
@@ -136,11 +136,9 @@ def count_modes(u: Field) -> int:
     return sum(kinds)
 
 
-def _even_project(values: np.ndarray, n: int) -> np.ndarray:
+def _even_project(values: np.ndarray) -> np.ndarray:
     # center the max at node 0, then keep the cosine (even) part
-    centered = np.roll(values, -int(np.argmax(values)))
-    coef = np.fft.rfft(centered, norm="forward")
-    return np.fft.irfft(coef.real.astype(complex), n, norm="forward")
+    return even_part(np.roll(values, -int(np.argmax(values))))
 
 
 def newton_steady(
@@ -170,7 +168,7 @@ def newton_steady(
         raise ConfigurationError(f"n_modes must be in [1, n_points/2 - 1], got {n_modes}")
 
     basis, mu = trig_basis(grid, n_modes, kind="even")
-    values = _even_project(guess.values, n)
+    values = _even_project(guess.values)
 
     def residual_pair(vals):
         r = evolution_rhs(vals, grid, params)
@@ -235,7 +233,7 @@ def relax_to_steady(
         )
     state = newton_steady(summary.final_state, params, tol=newton_tol, n_modes=n_modes)
     # compare against the recentered even projection Newton actually started from
-    baseline = _even_project(summary.final_state.values, u0.grid.n_points)
+    baseline = _even_project(summary.final_state.values)
     moved = float(np.max(np.abs(state.field.values - baseline)))
     if moved > 0.05 * max(1.0, float(np.max(np.abs(baseline)))):
         raise ConvergenceError(

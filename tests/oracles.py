@@ -60,3 +60,32 @@ def random_smooth_field(grid, rng, amplitude=1.0, n_modes=8, mean=0.0):
     if peak > 0:
         values *= amplitude / peak
     return mm.Field(grid, mean + values)
+
+
+def density_form_hessian(u, params, n_modes):
+    """Energy Hessian over the full trigonometric basis, in density form.
+
+    Entries (1 + D mu_i) delta_ij - kappa (int f_i f_j p - int f_i p int f_j p)
+    with p = e^u / int e^u, basis ordered as in ``mm.hessian_matrix``
+    (constant, then sqrt2 cos / sqrt2 sin pairs).  The package assembles the
+    same matrix as -L from A, C and M instead.
+    """
+    x = u.grid.nodes
+    rows, mu = [np.ones_like(x)], [0.0]
+    for k in range(1, n_modes + 1):
+        phase = 2.0 * np.pi * k * x
+        rows += [np.sqrt(2.0) * np.cos(phase), np.sqrt(2.0) * np.sin(phase)]
+        mu += [(2.0 * np.pi * k) ** 2] * 2
+    basis = np.array(rows)
+    p = np.exp(u.values - u.values.max())
+    p /= p.mean()
+    w = (basis * p) @ basis.T / x.size
+    v = basis @ p / x.size
+    return np.diag(1.0 + params.D * np.array(mu)) - params.kappa * (w - np.outer(v, v))
+
+
+def unshifted_coupling(state, local):
+    """beta_n = int e^U psi_n over the local eigenfunctions, and M = kappa / (int e^U)^2."""
+    c = np.exp(state.field.values)
+    betas = np.array([np.mean(c * f.values) for f in local.eigenfunctions])
+    return betas, state.params.kappa / np.mean(c) ** 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mechmorph as mm
+from mechmorph.bifurcation import _detect_folds
 from mechmorph.errors import ConfigurationError
 
 DEGENERATE_D = 1.0 / (8.0 * np.pi**2)
@@ -184,37 +185,19 @@ def test_branches_of_distinct_modes_stay_apart(grid256):
     assert gaps > 1e-3
 
 
-def test_detect_folds_on_synthetic_parabola(grid256):
+def test_detect_folds_on_synthetic_parabola():
     # kappa(s) = 1 - (s - 1)^2 folds at s = 1 with kappa_f = 1
-    dummy = mm.Field(grid256, np.zeros(256))
-    points = [
-        mm.BranchPoint(
-            s=s, kappa=1.0 - (s - 1.0) ** 2, field=dummy, amplitude=s,
-            stable=False, leading_nu=0.0, energy=0.0,
-        )
-        for s in np.linspace(0.4, 1.6, 13)
-    ]
-    branch = mm.Branch(
-        origin=mm.critical_kappas(0.005, 1)[0], points=points, folds=[], terminated_by="step_limit"
-    )
-    folds = mm.detect_folds(branch)
+    s = np.linspace(0.4, 1.6, 13)
+    folds = _detect_folds(s, 1.0 - (s - 1.0) ** 2)
     assert len(folds) == 1
     index, kappa_f = folds[0]
     assert kappa_f == pytest.approx(1.0, abs=1e-12)
-    assert abs(points[index].s - 1.0) < 0.2
+    assert abs(s[index] - 1.0) < 0.2
 
 
-def test_detect_folds_needs_no_folds_for_monotone(grid256):
-    dummy = mm.Field(grid256, np.zeros(256))
-    points = [
-        mm.BranchPoint(s=s, kappa=1.0 + s, field=dummy, amplitude=s, stable=True,
-                       leading_nu=-1.0, energy=0.0)
-        for s in np.linspace(0.1, 1.0, 10)
-    ]
-    branch = mm.Branch(
-        origin=mm.critical_kappas(0.02, 1)[0], points=points, folds=[], terminated_by="step_limit"
-    )
-    assert mm.detect_folds(branch) == []
+def test_detect_folds_needs_no_folds_for_monotone():
+    s = np.linspace(0.1, 1.0, 10)
+    assert _detect_folds(s, 1.0 + s) == []
 
 
 def test_continue_branch_validates_inputs(grid256):

@@ -4,6 +4,7 @@ import pytest
 import mechmorph as mm
 from mechmorph.errors import ConfigurationError
 from mechmorph.stability import _secular_solve
+from oracles import density_form_hessian, unshifted_coupling
 
 MU_1 = 4.0 * np.pi**2
 
@@ -31,13 +32,13 @@ def test_linearization_is_symmetric(unimodal_16):
 def test_linearization_is_negative_hessian(unimodal_16):
     # assembled from A, C, M; the energy Hessian from the density formulas
     dense = mm.assemble_linearization(unimodal_16, 16)
-    hess = mm.hessian_matrix(unimodal_16.field, unimodal_16.params, 16)
+    hess = density_form_hessian(unimodal_16.field, unimodal_16.params, 16)
     assert np.max(np.abs(dense + hess)) < 1e-10
 
 
 def test_energy_hessian_duality_of_spectra(unimodal_16):
     dense = mm.assemble_linearization(unimodal_16, 24)
-    hess = mm.hessian_matrix(unimodal_16.field, unimodal_16.params, 24)
+    hess = density_form_hessian(unimodal_16.field, unimodal_16.params, 24)
     lead_l = np.linalg.eigvalsh(dense).max()
     small_h = np.linalg.eigvalsh(hess).min()
     assert abs(lead_l + small_h) < 1e-8
@@ -199,6 +200,22 @@ def test_betas_of_odd_eigenfunctions_vanish(unimodal_16):
     n_zero = int(np.sum(np.abs(report.betas) < 1e-9))
     assert n_zero >= report.betas.size // 3
     assert report.M > 0
+
+
+def test_coupling_data_match_unshifted_formula(unimodal_16):
+    # betas and M come from the shifted assembly; the unshifted integrals
+    # over the local eigenfunctions are the reference
+    report = mm.nonlocal_spectrum(unimodal_16)
+    betas, m_coef = unshifted_coupling(unimodal_16, report.local)
+    assert np.max(np.abs(report.betas - betas)) <= 1e-12 * np.max(np.abs(betas))
+    assert report.M == pytest.approx(m_coef, rel=1e-12)
+
+
+def test_spectrum_rejects_unrepresentable_coupling(grid256):
+    # M = kappa e^(-2 kappa) underflows the normal double range at kappa = 400
+    state = mm.constant_state(mm.ModelParams(D=0.01, kappa=400.0), grid256)
+    with pytest.raises(ConfigurationError):
+        mm.nonlocal_spectrum(state)
 
 
 def test_spectrum_rejects_oversized_truncation(unimodal_16):
