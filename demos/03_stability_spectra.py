@@ -1,10 +1,13 @@
 """Stability spectra by two independent routes, and why only one peak survives.
 
 The linearization around a steady state is a Sturm-Liouville operator plus
-a rank-one nonlocal coupling.  Its spectrum is computed (a) by dense
-diagonalization and (b) by splitting off the local problem and solving the
-secular equation 1/M = sum beta_n^2 / (lambda_n - nu) between consecutive
-coupled local eigenvalues.  The two routes agree to solver precision.
+a rank-one nonlocal coupling.  The state is even about its peak, so the
+operator splits into a cosine block, which carries the coupling, and a
+purely local sine block.  The spectrum is computed (a) by dense
+diagonalization of the two blocks and (b) by splitting off the local
+problem and solving the secular equation
+1/M = sum beta_n^2 / (lambda_n - nu) between consecutive coupled local
+eigenvalues.  The two routes agree to solver precision.
 
 Multimodal states built by compressing a unimodal profile are always
 unstable: the profile derivative has >= 3 sign changes, which forces a
@@ -27,7 +30,9 @@ for kappa in (kappa_c - 0.05, kappa_c + 0.05):
           f"{report.verdict}, leading nu = {report.nonlocal_eigs[0]:+.4f}")
 
 # a stable pattern: verdict is 'marginal' because translation of the peak
-# costs nothing (an exact zero eigenvalue); every other direction decays
+# costs nothing (an exact zero eigenvalue); every other direction decays.
+# U_x is odd about the peak, so the translation mode is the sine-block
+# eigenvector that overlaps U_x most
 params = mm.ModelParams(D=0.01, kappa=1.6)
 u0 = mm.Field(grid, 1.6 * (1.0 + 0.01 * np.cos(2.0 * np.pi * grid.nodes)))
 pattern = mm.relax_to_steady(u0, params, t_end=400.0)

@@ -100,11 +100,14 @@ def trig_basis(grid: Grid, n_modes: int, kind: str = "full") -> tuple[np.ndarray
     kind="full": [1, sqrt2 cos(2 pi x), sqrt2 sin(2 pi x), sqrt2 cos(4 pi x), ...],
     i.e. the constant followed by alternating (cos k, sin k) pairs,
     2*n_modes + 1 rows.  kind="even": constant plus the cosines only,
-    n_modes + 1 rows.  Returns (basis matrix, Laplacian eigenvalue per row).
+    n_modes + 1 rows.  kind="odd": the sines only, n_modes rows.  Returns
+    (basis matrix, Laplacian eigenvalue per row).
     """
     x = grid.nodes
     k = np.arange(1, n_modes + 1)
     phases = 2.0 * np.pi * np.outer(k, x)
+    if kind == "odd":
+        return np.sqrt(2.0) * np.sin(phases), (2.0 * np.pi * k) ** 2
     cos = np.sqrt(2.0) * np.cos(phases)
     if kind == "even":
         rows = [np.ones((1, grid.n_points)), cos]

@@ -33,7 +33,13 @@ import numpy as np
 
 from ._operators import evolution_rhs, density, even_noise, linearization_dense, trig_basis
 from .energy import bounds
-from .errors import ConfigurationError, ConvergenceError, MechmorphError, SingularJacobianError
+from .errors import (
+    ConfigurationError,
+    ConvergenceError,
+    MechmorphError,
+    ResolutionError,
+    SingularJacobianError,
+)
 from .grid import Field, Grid, make_grid
 from .model import ModelParams
 from .stability import nonlocal_spectrum
@@ -284,6 +290,9 @@ def continue_branch(
             continue
         try:
             point = make_point(z, points[-1].s + ds)
+        except (ConvergenceError, ResolutionError):
+            terminated_by = "resolution"  # the corrected point is under-resolved
+            break
         except MechmorphError:
             terminated_by = "failure"
             break

@@ -152,6 +152,8 @@ def spectrum_record(report, crosscheck_error: float) -> dict:
         "M": report.M,
         "nonlocal": list(report.nonlocal_eigs),
         "verdict": report.verdict,
+        "leading_nu": report.leading_nu,
+        "translation_nu": report.translation_nu,
         "crosscheck_error": crosscheck_error,
     }
 

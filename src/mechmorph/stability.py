@@ -5,19 +5,25 @@ Two independent routes to the spectrum of the linearization
     L h = D h_xx + A(x) h - M C(x) int C(y) h(y) dy,
     A = kappa e^U / int e^U - 1,  C = e^U,  M = kappa / (int e^U)^2.
 
-The direct route assembles the dense Galerkin matrix of L in the
-trigonometric eigenbasis and diagonalizes it.  The secular route removes
-the rank-one coupling: with (lambda_n, psi_n) the eigenpairs of the local
-Sturm-Liouville problem D psi_xx + A psi = lambda psi and
-beta_n = int C psi_n, every nonlocal eigenvalue not shared with the local
-problem solves
+Steady states are even about a peak, so L splits under the reflection
+about it.  The state is recentered (its rfft coefficients rotated by the
+phase of harmonic ``modality``) and L is assembled in two blocks.  The
+cosine block carries the local part and the whole rank-one coupling.  The
+sine block is purely local (int e^U sin = 0); the sine eigenvector that
+overlaps U_x most is the translation mode.
+
+The direct route diagonalizes the cosine block of L and keeps the sine
+eigenvalues.  The secular route removes the rank-one coupling: with
+(lambda_n, psi_n) the local eigenpairs, D psi_xx + A psi = lambda psi, and
+beta_n = int C psi_n (zero on the sines), every nonlocal eigenvalue not
+shared with the local problem solves
 
     1/M = sum_n beta_n^2 / (lambda_n - nu),
 
 with exactly one root between consecutive distinct lambdas that carry
 beta != 0, plus one root below the smallest of them.  Local eigenvalues
-with beta = 0 carry over verbatim.  Agreement of the two routes is the
-package's main spectral self-check.
+with |beta| <= 1e-9 max |beta| carry over verbatim.  Agreement of the two
+routes is the package's main spectral self-check.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 
 from ._operators import linearization_dense, linearization_parts, trig_basis
 from .errors import BracketError, ConfigurationError, ResolutionError
-from .grid import Field, first_derivative, from_spectral, to_spectral
+from .grid import Field
 from .steady import SteadyState
 
 __all__ = [
@@ -43,11 +49,12 @@ __all__ = [
 ]
 
 MARGINAL_TOL = 1e-8
-TRANSLATION_TOL = 1e-5  # search window for the translation zero mode
-BETA_TOL = 1e-9
+SYMMETRY_TOL = 1e-9  # odd part of a recentered state, relative to its largest coefficient
+BETA_TOL = 1e-9  # relative to max |beta|
 MERGE_TOL = 1e-9
 BISECT_TOL = 1e-12
 BRACKET_INSET = 1e-10
+N_VERIFY = 5  # leading local eigenfunctions checked against the oscillation pattern
 
 
 def _default_modes(state) -> int:
@@ -83,12 +90,15 @@ class LocalSpectrum:
 class EigenReport:
     """Stability report for one stationary solution.
 
-    nonlocal_eigs are sorted decreasing.  verdict follows the thresholds
+    nonlocal_eigs (sorted decreasing) are those of the cosine block of L
+    and of the purely local sine block; betas align with local.lambdas and
+    are exactly 0.0 on the sines.  verdict follows the thresholds
     max nu > 1e-8 (unstable) and |max nu| <= 1e-8 (marginal); a nonconstant
-    state always carries a translation eigenvalue at zero, so a pattern
-    that is stable modulo shifts reports "marginal".  leading_nu is the
-    largest eigenvalue excluding that translation mode and is the quantity
-    that changes sign at folds.
+    state always carries a translation eigenvalue at zero, so a pattern that
+    is stable modulo shifts reports "marginal".  translation_nu is the sine
+    eigenvalue whose eigenvector overlaps U_x most (None for the constant
+    state); leading_nu, the largest eigenvalue without it, changes sign at
+    folds.
     """
 
     local: LocalSpectrum
@@ -139,75 +149,82 @@ def assemble_linearization(state: SteadyState, n_modes: int | None = None) -> np
     (constant, then alternating cos/sin), of which this matrix is the
     negative; here it is assembled independently from A, C and M.
     """
-    n_modes = _check_modes(state, n_modes)
-    grid = state.field.grid
-    basis, mu = trig_basis(grid, n_modes, kind="full")
-    return linearization_dense(state.field.values, grid, state.params, basis, mu)
+    grid, n_modes = state.field.grid, _check_modes(state, n_modes)
+    return linearization_dense(state.field.values, grid, state.params, *trig_basis(grid, n_modes))
 
 
-def _local_parts(state: SteadyState, n_modes: int):
-    """The full basis, then the local block, coupling vector and M (shifted)."""
-    grid = state.field.grid
-    basis, mu = trig_basis(grid, n_modes, kind="full")
-    return (basis,) + linearization_parts(state.field.values, grid, state.params, basis, mu)
+def _local_split(state: SteadyState, n_modes: int):
+    """Checked local spectrum from the cosine and sine blocks of L.
 
+    Returns it with its betas, the cosine parts of L (local block, coupling,
+    M; e^U shifted by u_max), u_max, the sine eigenvalues and the index of
+    the translation mode among them (None for the constant state).
+    """
+    grid, params = state.field.grid, state.params
+    # rotate a peak to x = 0, where an even state has real coefficients
+    coef = np.fft.rfft(state.field.values, norm="forward")
+    m = state.modality
+    back = np.exp(1j * np.arange(coef.size) * np.angle(coef[m]) / m) if m else np.ones(coef.size)
+    coef = coef * back.conj()
+    if np.max(np.abs(coef.imag)) > SYMMETRY_TOL * np.max(np.abs(coef)):
+        raise ResolutionError("steady state is not reflection-symmetric about a peak")
+    values = np.fft.irfft(coef.real, grid.n_points, norm="forward")
+    cos_parts = linearization_parts(values, grid, params, *trig_basis(grid, n_modes, "even"))
+    sin_local = linearization_parts(values, grid, params, *trig_basis(grid, n_modes, "odd"))[0]
+    cos_vals, cos_vecs = np.linalg.eigh(cos_parts[0])
+    sin_vals, sin_vecs = np.linalg.eigh(sin_local)
+    order = np.argsort(np.concatenate([cos_vals, sin_vals]))[::-1]
+    eigvals = np.concatenate([cos_vals, sin_vals])[order]
 
-def _decompose_local(
-    state: SteadyState, basis: np.ndarray, local: np.ndarray, n_modes: int, n_verify: int = 5
-) -> tuple[LocalSpectrum, np.ndarray]:
-    """Checked local spectrum of the local block, plus its eigenvectors."""
-    eigvals, eigvecs = np.linalg.eigh(local)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-    grid = state.field.grid
-    functions = [Field(grid, eigvecs[:, i] @ basis) for i in range(eigvals.size)]
+    # eigenfunctions from their rfft coefficients (sqrt2 cos k -> 1/sqrt2,
+    # sqrt2 sin k -> -i/sqrt2), moved back from the axis onto the state
+    spec = np.zeros((eigvals.size, n_modes + 1), dtype=complex)
+    spec[: n_modes + 1] = cos_vecs.T
+    spec[n_modes + 1 :, 1:] = -1j * sin_vecs.T
+    spec[:, 1:] *= back[1 : n_modes + 1] / np.sqrt(2.0)
+    functions = [Field(grid, f) for f in np.fft.irfft(spec[order], grid.n_points, norm="forward")]
     # significance floor per eigenfunction: truncation ripples in the flat
-    # exponential tails scale with the energy in the last coefficient pairs
+    # exponential tails scale with the energy in the last coefficients
     tail = max(2, n_modes // 4)
-    floors = 10.0 * np.linalg.norm(eigvecs[-2 * tail :, :], axis=0)
-    counts = np.array(
-        [_count_sign_changes(f.values, float(fl)) for f, fl in zip(functions, floors)]
-    )
+    floors = 10.0 * np.linalg.norm(np.hstack([cos_vecs[-tail:], sin_vecs[-tail:]]), axis=0)[order]
+    counts = np.array([_count_sign_changes(f.values, fl) for f, fl in zip(functions, floors)])
 
     # the oscillation pattern is only checkable for eigenvalues that are
-    # numerically isolated: inside degenerate clusters (exact sin/cos pairs,
-    # or the exponentially small tunneling splittings of multimodal states)
-    # the eigensolver returns an arbitrary rotation of the cluster basis
+    # numerically isolated: inside degenerate clusters (cos/sin pairs of the
+    # constant state, or the exponentially small tunneling splittings of
+    # multimodal states) the split of the cluster is arbitrary
     spread = max(1.0, float(eigvals[0] - eigvals[-1]))
-    cluster_tol = 1e-9 * spread
-    gaps = np.abs(np.diff(eigvals))
-    isolated = np.ones(eigvals.size, dtype=bool)
-    isolated[:-1] &= gaps > cluster_tol
-    isolated[1:] &= gaps > cluster_tol
-
+    gaps = np.abs(np.diff(eigvals)) > 1e-9 * spread
+    isolated = np.concatenate([gaps, [True]]) & np.concatenate([[True], gaps])
     if state.modality <= 1 and eigvals.size >= 2 and eigvals[0] - eigvals[1] <= 1e-10:
         raise ResolutionError("leading local eigenvalue is not simple at this resolution")
-    limit = min(n_verify, eigvals.size)
-    for i in range(limit):
-        if not isolated[i]:
-            continue
+    for i in range(min(N_VERIFY, eigvals.size)):
         expected = 0 if i == 0 else 2 * ((i + 1) // 2)
-        if counts[i] != expected:
+        if isolated[i] and counts[i] != expected:
             raise ResolutionError(
                 f"local eigenfunction {i} has {counts[i]} sign changes, expected {expected}"
             )
-    return LocalSpectrum(lambdas=eigvals, eigenfunctions=functions, zero_counts=counts), eigvecs
+    local = LocalSpectrum(lambdas=eigvals, eigenfunctions=functions, zero_counts=counts)
+
+    u_max = float(values.max())
+    betas = np.concatenate([np.exp(u_max) * (cos_vecs.T @ cos_parts[1]), np.zeros(n_modes)])
+    translation = None
+    if m:
+        # sine coefficients of U_x are -2 pi k a_k for the cosine coefficients a_k
+        ux = np.arange(1, n_modes + 1) * coef.real[1 : n_modes + 1]
+        translation = int(np.argmax(np.abs(sin_vecs.T @ ux)))
+    return local, betas[order], cos_parts, u_max, sin_vals, translation
 
 
-def local_spectrum(
-    state: SteadyState, n_modes: int | None = None, n_verify: int = 5
-) -> LocalSpectrum:
+def local_spectrum(state: SteadyState, n_modes: int | None = None) -> LocalSpectrum:
     """Eigen-decomposition of the local problem, sorted decreasing.
 
-    The leading ``n_verify`` eigenfunctions are checked against the
-    oscillation pattern (the 0th does not vanish; the pair 2j+1, 2j+2 has
-    2j+2 zeros per period) and the ordering chain; a mismatch raises
+    The leading five eigenfunctions are checked against the oscillation
+    pattern (the 0th does not vanish; the pair 2j+1, 2j+2 has 2j+2 zeros
+    per period) and the ordering chain; a mismatch raises
     :class:`ResolutionError`.
     """
-    n_modes = _check_modes(state, n_modes)
-    basis, local, _c_vec, _m_coef = _local_parts(state, n_modes)
-    return _decompose_local(state, basis, local, n_modes, n_verify)[0]
+    return _local_split(state, _check_modes(state, n_modes))[0]
 
 
 def _verdict(max_nu: float) -> str:
@@ -221,44 +238,24 @@ def _verdict(max_nu: float) -> str:
 def nonlocal_spectrum(state: SteadyState, n_modes: int | None = None) -> EigenReport:
     """Direct-route spectrum of the full linearization, with verdict.
 
-    For a nonconstant state the translation mode U_x produces an eigenvalue
-    at zero; it is identified by correlation with U_x and excluded from
-    ``leading_nu`` (but not from the verdict thresholds).
+    The cosine block of L is diagonalized with its rank-one term; the sine
+    block is local, so its eigenvalues enter unchanged.  For a nonconstant
+    state the translation mode U_x is a sine eigenvector with an eigenvalue
+    at zero; it is excluded from ``leading_nu`` (but not from the verdict
+    thresholds).
     """
-    n_modes = _check_modes(state, n_modes)
-    basis, local_block, c_vec, m_shifted = _local_parts(state, n_modes)
-    local, local_vecs = _decompose_local(state, basis, local_block, n_modes)
-    # undo the max(U) shift: beta_n = int e^U psi_n, M = kappa / (int e^U)^2
-    u_max = float(state.field.values.max())
-    betas = np.exp(u_max) * (local_vecs.T @ c_vec)
+    split = _local_split(state, _check_modes(state, n_modes))
+    local, betas, (cos_local, c_vec, m_shifted), u_max, sin_vals, translation = split
+    # undo the max(U) shift: M = kappa / (int e^U)^2
     m_coef = m_shifted * np.exp(-2.0 * u_max)
     if m_coef < np.finfo(float).tiny:
         raise ConfigurationError("state too large to represent the coupling constant M")
 
-    eigvals, eigvecs = np.linalg.eigh(local_block - m_shifted * np.outer(c_vec, c_vec))
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-
-    translation_index = None
-    translation_nu = None
-    if state.modality > 0:
-        ux = from_spectral(first_derivative(to_spectral(state.field))).values
-        ux_norm = np.linalg.norm(ux)
-        best_corr = 0.0
-        for i, nu in enumerate(eigvals):
-            if abs(nu) > TRANSLATION_TOL:
-                continue
-            mode_vals = eigvecs[:, i] @ basis
-            corr = abs(float(mode_vals @ ux)) / (np.linalg.norm(mode_vals) * ux_norm)
-            if corr > best_corr:
-                best_corr, translation_index = corr, i
-        if translation_index is not None and best_corr > 0.9:
-            translation_nu = float(eigvals[translation_index])
-        else:
-            translation_index = None
-    keep = [i for i in range(eigvals.size) if i != translation_index]
-    leading_nu = float(np.max(eigvals[keep])) if keep else float(eigvals[0])
+    cos_eigs = np.linalg.eigh(cos_local - m_shifted * np.outer(c_vec, c_vec))[0]
+    eigvals = np.sort(np.concatenate([cos_eigs, sin_vals]))[::-1]
+    translation_nu = None if translation is None else float(sin_vals[translation])
+    others = sin_vals if translation is None else np.delete(sin_vals, translation)
+    leading_nu = max(float(cos_eigs.max()), float(others.max(initial=-np.inf)))
 
     return EigenReport(
         local=local,
@@ -304,20 +301,13 @@ class _SecularSolution:
 
     roots: list[tuple[float, float, float]]  # (root, lower bracket, upper bracket)
     verbatim: list[float]
-    coupled: np.ndarray  # merged coupled eigenvalues, decreasing
 
     def all_sorted(self) -> np.ndarray:
         values = self.verbatim + [r for r, _, _ in self.roots]
         return np.sort(np.asarray(values))[::-1]
 
 
-def _secular_solve(
-    local: LocalSpectrum,
-    betas: np.ndarray,
-    M: float,
-    beta_tol: float = BETA_TOL,
-    merge_tol: float = MERGE_TOL,
-) -> _SecularSolution:
+def _secular_solve(local: LocalSpectrum, betas: np.ndarray, M: float) -> _SecularSolution:
     if M <= 0:
         raise ConfigurationError(f"M must be positive, got {M}")
     lambdas = np.asarray(local.lambdas, dtype=float)
@@ -325,14 +315,15 @@ def _secular_solve(
     if betas.shape != lambdas.shape:
         raise ConfigurationError("betas must align with local.lambdas")
 
-    verbatim = list(lambdas[np.abs(betas) < beta_tol])
-    coupled = [(lam, b) for lam, b in zip(lambdas, betas) if abs(b) >= beta_tol]
+    decoupled = np.abs(betas) <= BETA_TOL * np.max(np.abs(betas), initial=0.0)
+    verbatim = list(lambdas[decoupled])
+    coupled = list(zip(lambdas[~decoupled], betas[~decoupled]))
 
     # merge coincident coupled eigenvalues (sorted decreasing already); the
     # shared value stays an eigenvalue through the decoupled combination
     merged: list[tuple[float, float]] = []
     for lam, b in coupled:
-        if merged and abs(merged[-1][0] - lam) < merge_tol:
+        if merged and abs(merged[-1][0] - lam) < MERGE_TOL:
             prev_lam, prev_b = merged[-1]
             merged[-1] = (prev_lam, float(np.hypot(prev_b, b)))
             verbatim.append(prev_lam)
@@ -340,7 +331,7 @@ def _secular_solve(
             merged.append((lam, float(b)))
 
     if not merged:
-        return _SecularSolution(roots=[], verbatim=verbatim, coupled=np.empty(0))
+        return _SecularSolution(roots=[], verbatim=verbatim)
 
     lam_b = np.array([lam for lam, _ in merged])
     scale = max(abs(b) for _, b in merged)
@@ -397,27 +388,21 @@ def _secular_solve(
             raise BracketError("could not bracket the lowest secular root")
         roots.append((_bisect(g, lo, hi), -np.inf, lowest))
 
-    return _SecularSolution(roots=roots, verbatim=verbatim, coupled=lam_b)
+    return _SecularSolution(roots=roots, verbatim=verbatim)
 
 
-def secular_roots(
-    local: LocalSpectrum,
-    betas: np.ndarray,
-    M: float,
-    beta_tol: float = BETA_TOL,
-    merge_tol: float = MERGE_TOL,
-) -> np.ndarray:
+def secular_roots(local: LocalSpectrum, betas: np.ndarray, M: float) -> np.ndarray:
     """All nonlocal eigenvalues via the secular equation, sorted decreasing.
 
-    Local eigenvalues with |beta| < beta_tol are nonlocal eigenvalues
-    verbatim and enter the result directly.  Coincident local eigenvalues
-    (within merge_tol) that both couple are merged with
+    Local eigenvalues with |beta| <= 1e-9 max |beta| are nonlocal
+    eigenvalues verbatim and enter the result directly.  Coincident local
+    eigenvalues (within 1e-9) that both couple are merged with
     beta <- sqrt(beta_i^2 + beta_j^2); the shared eigenvalue itself then
     also remains a nonlocal eigenvalue (the orthogonal combination
     decouples).  One root is bisected inside every interval between
     consecutive distinct coupled eigenvalues, plus one below the smallest.
     """
-    return _secular_solve(local, betas, M, beta_tol, merge_tol).all_sorted()
+    return _secular_solve(local, betas, M).all_sorted()
 
 
 def spectrum_crosscheck(

@@ -155,6 +155,15 @@ def test_subcritical_branch_fold_and_exchange(grid256):
     assert all(post)
 
 
+def test_uncertifiable_branch_point_reports_resolution():
+    # the README call: the corrected point near kappa = 1.2645 has a
+    # full-grid residual of 1.65e-8 with 96 of the 127 modes solved
+    bp = mm.critical_kappas(0.005, 1)[0]
+    branch = mm.continue_branch(bp, step=0.06, max_points=60)
+    assert branch.terminated_by == "resolution"
+    assert len(branch.points) == 32
+
+
 def test_branch_points_are_certified_steady_states(grid256):
     bp = mm.critical_kappas(0.02, 1)[0]
     branch = mm.continue_branch(bp, step=0.05, max_points=5, grid=grid256)

@@ -95,8 +95,11 @@ def test_cli_spectrum_json_schema(tmp_path):
     assert code == 0
     record = json.loads((out / "spectrum.json").read_text())
     assert set(record) == {"lambdas", "betas", "M", "nonlocal", "verdict",
-                           "crosscheck_error"}
+                           "leading_nu", "translation_nu", "crosscheck_error"}
     assert record["verdict"] in {"stable", "unstable", "marginal"}
+    # the verdict of a stable pattern is "marginal"; leading_nu decides
+    assert record["leading_nu"] < 0
+    assert abs(record["translation_nu"]) < 1e-7
     assert record["crosscheck_error"] < 1e-6
     assert record["M"] > 0
 

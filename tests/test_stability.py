@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import mechmorph as mm
-from mechmorph.errors import ConfigurationError
+from mechmorph.errors import ConfigurationError, ResolutionError
 from mechmorph.stability import _secular_solve
+from mechmorph.steady import _certify
 from oracles import density_form_hessian, unshifted_coupling
 
 MU_1 = 4.0 * np.pi**2
@@ -144,15 +145,17 @@ def test_secular_merge_rule():
         assert lhs == pytest.approx(1.0 / m_coef, abs=1e-9)
 
 
-def test_constant_state_secular_structure(grid256):
+@pytest.mark.parametrize("kappa", [1.2, 25.0])
+def test_constant_state_secular_structure(grid256, kappa):
     # only the constant eigenfunction couples: its bracket root sits at -1
-    # and every trigonometric eigenvalue carries over verbatim
-    state, report = constant_report(grid256, 0.01, 1.2)
+    # and every trigonometric eigenvalue carries over verbatim, also where
+    # e^kappa lifts the round-off betas of the cosines far above 1e-9
+    state, report = constant_report(grid256, 0.01, kappa)
     solution = _secular_solve(report.local, report.betas, report.M)
     assert len(solution.roots) == 1
     root, lower, upper = solution.roots[0]
     assert root == pytest.approx(-1.0, abs=1e-10)
-    assert lower == -np.inf and upper == pytest.approx(0.2, abs=1e-12)
+    assert lower == -np.inf and upper == pytest.approx(kappa - 1.0, abs=1e-12)
     assert len(solution.verbatim) == report.local.lambdas.size - 1
 
 
@@ -196,10 +199,57 @@ def test_stable_pattern_reports_marginal_with_negative_leading(unimodal_16):
 
 def test_betas_of_odd_eigenfunctions_vanish(unimodal_16):
     report = mm.nonlocal_spectrum(unimodal_16)
-    # parity: roughly half of the local eigenfunctions are odd and decouple
-    n_zero = int(np.sum(np.abs(report.betas) < 1e-9))
-    assert n_zero >= report.betas.size // 3
+    # parity: the n_modes sine eigenfunctions decouple exactly
+    n_modes = (report.betas.size - 1) // 2
+    assert int(np.sum(report.betas == 0.0)) == n_modes
     assert report.M > 0
+
+
+@pytest.mark.parametrize("name", ["constant", "unimodal_16", "twomodal_16"])
+def test_split_spectrum_matches_full_basis_matrix(request, grid256, name):
+    # the unsplit full-basis assembly is the oracle for the cosine/sine split
+    if name == "constant":
+        state = mm.constant_state(mm.ModelParams(D=0.01, kappa=1.2), grid256)
+    else:
+        state = request.getfixturevalue(name)
+    full = np.sort(np.linalg.eigvalsh(mm.assemble_linearization(state)))[::-1]
+    split = mm.nonlocal_spectrum(state).nonlocal_eigs
+    assert full.shape == split.shape
+    assert np.max(np.abs(full - split)) <= 1e-10 * max(1.0, np.max(np.abs(full)))
+
+
+def test_shifted_copies_keep_the_spectrum(unimodal_16):
+    # a rolled copy and a half-cell Fourier shift of it are recentered before
+    # the split; eigenfunctions come back on the shifted state's own grid
+    reference = mm.nonlocal_spectrum(unimodal_16)
+    rolled = np.roll(unimodal_16.field.values, 37)
+    n = rolled.size
+    half_cell = np.exp(-1j * np.pi * np.arange(n // 2 + 1) / n)
+    shifted = np.fft.irfft(np.fft.rfft(rolled) * half_cell, n)
+    for values in (rolled, shifted):
+        state = _certify(mm.Field(unimodal_16.field.grid, values), unimodal_16.params)
+        report = mm.nonlocal_spectrum(state)
+        lead = report.nonlocal_eigs[:10] - reference.nonlocal_eigs[:10]
+        assert np.max(np.abs(lead)) <= 1e-10
+        assert report.verdict == reference.verdict
+        assert abs(report.translation_nu) <= 1e-12
+        betas, _ = unshifted_coupling(state, report.local)
+        assert np.max(np.abs(report.betas - betas)) <= 1e-12 * np.max(np.abs(betas))
+
+
+def test_spectrum_rejects_asymmetric_state(grid256):
+    x = grid256.nodes
+    values = 1.6 + 0.3 * np.cos(2.0 * np.pi * x) + 0.2 * np.sin(4.0 * np.pi * x)
+    field = mm.Field(grid256, values)
+    state = mm.SteadyState(
+        field=field,
+        params=mm.ModelParams(D=0.01, kappa=1.6),
+        residual_norm=0.0,
+        modality=mm.count_modes(field),
+        energy=0.0,
+    )
+    with pytest.raises(ResolutionError):
+        mm.nonlocal_spectrum(state)
 
 
 def test_coupling_data_match_unshifted_formula(unimodal_16):
