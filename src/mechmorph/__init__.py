@@ -60,6 +60,7 @@ from .stability import (
     spectrum_crosscheck,
 )
 from .steady import (
+    RelaxStats,
     SteadyState,
     constant_state,
     count_modes,

@@ -1,6 +1,6 @@
-"""Shared field-level operators: reaction density, free energy, PDE
-right-hand side, even projection, trigonometric Galerkin bases and the
-Galerkin assembly of the linearization.
+"""Shared field-level operators: the shifted exponential, reaction density,
+free energy, PDE right-hand side, even projection, trigonometric Galerkin
+bases and the Galerkin assembly of the linearization.
 
 Everything here works on raw value arrays so that the public modules can
 expose their own domain types without import cycles.  All quadratures are
@@ -19,11 +19,24 @@ EXP_GUARD = 700.0  # stay inside double-precision exp() range
 
 
 def check_exp_range(values: np.ndarray) -> None:
-    m = float(np.max(np.abs(values)))
+    m = float(np.abs(values).max())
     if m > EXP_GUARD:
         raise AmplitudeOverflowError(
             f"max |u| = {m:.3g} exceeds the exp() range guard ({EXP_GUARD:g})"
         )
+
+
+def shifted_exp(values: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """e^(u - max u), its grid mean, and log(int e^u) = max u + log(mean).
+
+    Every evaluation of e^u goes through here, behind the range guard, so
+    nothing overflows.
+    """
+    check_exp_range(values)
+    top = float(values.max())
+    shifted = np.exp(values - top)
+    mean = float(shifted.sum()) / values.size
+    return shifted, mean, top + float(np.log(mean))
 
 
 def density(values: np.ndarray) -> np.ndarray:
@@ -32,30 +45,40 @@ def density(values: np.ndarray) -> np.ndarray:
     Computed with the max shifted out of the exponent, so it is well
     conditioned for fields near the overflow guard.
     """
-    check_exp_range(values)
-    shifted = np.exp(values - values.max())
-    return shifted / shifted.mean()
+    shifted, mean, _ = shifted_exp(values)
+    return shifted / mean
 
 
 def log_mean_exp(values: np.ndarray) -> float:
     """log(int e^u) via the shifted form max(u) + log(mean e^(u-max))."""
-    check_exp_range(values)
-    m = float(values.max())
-    return m + float(np.log(np.mean(np.exp(values - m))))
+    return shifted_exp(values)[2]
 
 
-def free_energy(u_hat: np.ndarray, values: np.ndarray, grid: Grid, params: ModelParams) -> float:
+def gradient_weights(grid: Grid) -> np.ndarray:
+    """Weights w_k with int u_x^2 = sum_k w_k |u_hat_k|^2 (Parseval).
+
+    u_hat is the forward-normalized rfft; every coefficient but the mean
+    and the Nyquist one stands for a conjugate pair.
+    """
+    w = np.full(grid.n_points // 2 + 1, 2.0)
+    w[0] = 1.0
+    w[-1] = 1.0  # Nyquist coefficient appears once for even n
+    return w * grid.laplacian_eigenvalues
+
+
+def free_energy(
+    u_hat: np.ndarray, values: np.ndarray, params: ModelParams, grad_weights: np.ndarray,
+    log_int: float,
+) -> float:
     """J(u) = (D/2) int u_x^2 + (1/2) int u^2 - kappa log(int e^u).
 
     u_hat is the forward-normalized rfft of the grid values; the gradient
-    term comes from it by Parseval, int u^2 is the grid mean of values^2.
+    term comes from it with ``gradient_weights``, int u^2 is the grid mean
+    of values^2, and log_int is log(int e^u) (``log_mean_exp``).
     """
-    w = np.full(u_hat.size, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0  # Nyquist coefficient appears once for even n
-    grad_sq = float(np.sum(w * grid.laplacian_eigenvalues * np.abs(u_hat) ** 2))
-    mean_sq = float(np.mean(values**2))
-    return 0.5 * params.D * grad_sq + 0.5 * mean_sq - params.kappa * log_mean_exp(values)
+    grad_sq = float((grad_weights * np.abs(u_hat) ** 2).sum())
+    mean_sq = float((values**2).sum()) / values.size
+    return 0.5 * params.D * grad_sq + 0.5 * mean_sq - params.kappa * log_int
 
 
 def evolution_rhs(values: np.ndarray, grid: Grid, params: ModelParams) -> np.ndarray:
@@ -100,8 +123,10 @@ def trig_basis(grid: Grid, n_modes: int, kind: str = "full") -> tuple[np.ndarray
     kind="full": [1, sqrt2 cos(2 pi x), sqrt2 sin(2 pi x), sqrt2 cos(4 pi x), ...],
     i.e. the constant followed by alternating (cos k, sin k) pairs,
     2*n_modes + 1 rows.  kind="even": constant plus the cosines only,
-    n_modes + 1 rows.  kind="odd": the sines only, n_modes rows.  Returns
-    (basis matrix, Laplacian eigenvalue per row).
+    n_modes + 1 rows; n_modes = n_points/2 ends with the Nyquist cosine
+    (-1)^j, whose grid norm is 1 without the sqrt2.  kind="odd": the sines
+    only, n_modes rows.  Returns (basis matrix, Laplacian eigenvalue per
+    row).
     """
     x = grid.nodes
     k = np.arange(1, n_modes + 1)
@@ -109,6 +134,8 @@ def trig_basis(grid: Grid, n_modes: int, kind: str = "full") -> tuple[np.ndarray
     if kind == "odd":
         return np.sqrt(2.0) * np.sin(phases), (2.0 * np.pi * k) ** 2
     cos = np.sqrt(2.0) * np.cos(phases)
+    if 2 * n_modes == grid.n_points:
+        cos[-1] = 1.0 - 2.0 * (np.arange(grid.n_points) % 2)
     if kind == "even":
         rows = [np.ones((1, grid.n_points)), cos]
         mu = np.concatenate([[0.0], (2.0 * np.pi * k) ** 2])
@@ -135,10 +162,8 @@ def linearization_parts(
     then stand for e^(U - max U) and kappa / (int e^(U - max U))^2, which
     leaves the rank-one term M C(x) C(y) unchanged and cannot overflow.
     """
-    check_exp_range(values)
     n = grid.n_points
-    shifted = np.exp(values - values.max())
-    mean_c = shifted.mean()
+    shifted, mean_c, _ = shifted_exp(values)
     a = params.kappa * shifted / mean_c - 1.0
     local = np.diag(-params.D * mu) + (basis * a) @ basis.T / n
     return local, basis @ shifted / n, params.kappa / mean_c**2

@@ -340,6 +340,7 @@ class SweepCell:
     classification: str  # constant-only | pattern-only | bistable | unknown
     n_outcomes: int
     kappa_c: float  # constant-state instability threshold 1 + 4 pi^2 D
+    n_failed: int  # seeds whose relaxation raised
 
 
 @dataclass(frozen=True)
@@ -361,15 +362,18 @@ def _classify_cell(args) -> SweepCell:
     for _ in range(trials):
         seeds.append(kappa * (1.0 + amplitude * even_noise(rng, n_points)))
     outcomes = set()
+    n_failed = 0
     for u0 in seeds:
         try:
             state = relax_to_steady(
                 Field(grid, u0), params, dt=dt, t_end=t_end, steady_tol=handoff_tol
             )
         except MechmorphError:
+            n_failed += 1
             continue
         outcomes.add("constant" if state.modality == 0 else "pattern")
-    if not outcomes:
+    # a failed seed could have shown the outcome that was not seen
+    if not outcomes or (n_failed and len(outcomes) < 2):
         classification = "unknown"
     elif outcomes == {"constant"}:
         classification = "constant-only"
@@ -383,6 +387,7 @@ def _classify_cell(args) -> SweepCell:
         classification=classification,
         n_outcomes=len(outcomes),
         kappa_c=1.0 + 4.0 * np.pi**2 * d_val,
+        n_failed=n_failed,
     )
 
 
@@ -403,9 +408,12 @@ def sweep(
     Each cell runs ``trials`` random even perturbations of the constant
     state (relative amplitude ``perturb_amplitude``) plus one deterministic
     large seed, the bump kappa e^cos(2 pi x) / int e^cos.  Solver failures
-    are recorded, never raised.  Cells are independent; with workers > 1
-    they are distributed over a process pool.  Results are deterministic
-    for a fixed seed regardless of worker count.
+    are counted in ``n_failed``, never raised; a cell with a failed seed is
+    ``unknown`` unless both outcomes were seen.  ``dt`` and ``t_end`` are
+    the first step and the step budget of each relaxation (see
+    :func:`mechmorph.steady.relax_to_steady`).  Cells are independent;
+    with workers > 1 they are distributed over a process pool.  Results
+    are deterministic for a fixed seed regardless of worker count.
     """
     d_values = np.asarray(list(d_values), dtype=float)
     kappa_values = np.asarray(list(kappa_values), dtype=float)

@@ -42,7 +42,7 @@ from .io import (
     write_trajectory_csv,
 )
 from .model import ModelParams
-from .stability import nonlocal_spectrum, spectrum_crosscheck
+from .stability import spectrum_crosscheck
 from .steady import relax_to_steady
 
 # built-in defaults; a config file and then flags override these
@@ -56,7 +56,7 @@ DEFAULTS = {
     "branch": {"n": 1, "step": 0.05, "max_points": 120, "kappa_min": 0.0,
                "kappa_max": 0.0},
     "sweep": {"D_values": "0.005,0.02", "kappa_values": "1.0,1.5,2.0", "trials": 3,
-              "t_end": 400.0, "workers": 0},
+              "t_end": 400.0, "workers": 1},
     "bounds": {},
     "figure": {"kind": "fig1-left", "workers": 1},
 }
@@ -67,6 +67,16 @@ _CASTS = {
     "D": float, "kappa": float, "t_end": float, "dt": float, "perturb": float,
     "steady_tol": float, "step": float, "kappa_min": float, "kappa_max": float,
     "out": str, "init": str, "D_values": str, "kappa_values": str, "kind": str,
+}
+
+# simulate takes fixed steps; steady, spectrum and sweep relax adaptively
+_TIME_HELP = {
+    "simulate": {"dt": "fixed time step", "t_end": "final time"},
+    "relax": {
+        "dt": "first and smallest relaxation step; each accepted step doubles it, "
+              "up to 0.5, while the energy falls",
+        "t_end": "relaxation budget: at most ceil(t_end/dt) steps, accepted or rejected",
+    },
 }
 
 
@@ -167,15 +177,13 @@ def _cmd_steady(cfg):
 
 def _cmd_spectrum(cfg):
     state = _steady_state_for(cfg)
-    n_modes = cfg["n_modes"] or None
-    report = nonlocal_spectrum(state, n_modes=n_modes)
-    check = spectrum_crosscheck(state, n_modes=n_modes)
+    check = spectrum_crosscheck(state, n_modes=cfg["n_modes"] or None)
     out = ensure_dir(cfg["out"])
     write_json(
         os.path.join(out, "spectrum.json"),
-        spectrum_record(report, check.max_deviation),
+        spectrum_record(check.report, check.max_deviation),
     )
-    return {"verdict": report.verdict, "crosscheck_error": check.max_deviation}
+    return {"verdict": check.report.verdict, "crosscheck_error": check.max_deviation}
 
 
 def _cmd_branch(cfg):
@@ -249,14 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     choices = {"init": ["cosine", "random", "bump"], "kind": list(FIGURE_KINDS)}
 
-    def options(p, *keys):
+    def options(p, helps, *keys):
         # one flag per config key, typed as the config file casts it
         for key in keys:
             flag = "--" + key.replace("_", "-")
             if key in choices:
                 p.add_argument(flag, choices=choices[key])
             else:
-                p.add_argument(flag, type=_CASTS[key], dest=key)
+                p.add_argument(flag, type=_CASTS[key], dest=key, help=helps.get(key))
 
     subcommands = (
         ("simulate", "integrate the evolution equation",
@@ -274,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text, keys in subcommands:
         p = sub.add_parser(name, help=help_text)
         common(p)
-        options(p, *keys)
+        options(p, _TIME_HELP["simulate" if name == "simulate" else "relax"], *keys)
     return parser
 
 

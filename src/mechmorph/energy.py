@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._operators import evolution_rhs, free_energy, linearization_dense, trig_basis
+from ._operators import (
+    evolution_rhs,
+    free_energy,
+    gradient_weights,
+    linearization_dense,
+    log_mean_exp,
+    trig_basis,
+)
 from .errors import ConfigurationError
 from .grid import Field, to_spectral
 from .model import ModelParams
@@ -28,7 +35,10 @@ MU_1 = 4.0 * np.pi**2
 
 def energy(u: Field, params: ModelParams) -> float:
     """Evaluate J(u); the derivative term is computed spectrally."""
-    return free_energy(to_spectral(u).coefficients, u.values, u.grid, params)
+    return free_energy(
+        to_spectral(u).coefficients, u.values, params, gradient_weights(u.grid),
+        log_mean_exp(u.values),
+    )
 
 
 def first_variation(u: Field, params: ModelParams) -> Field:

@@ -111,12 +111,12 @@ def write_branch_csv(path, branch) -> None:
 
 
 def write_sweep_csv(path, result) -> None:
-    """Columns D, kappa, class, n_outcomes."""
+    """Columns D, kappa, class, n_outcomes, n_failed."""
     rows = (
-        [fmt(c.D), fmt(c.kappa), c.classification, str(c.n_outcomes)]
+        [fmt(c.D), fmt(c.kappa), c.classification, str(c.n_outcomes), str(c.n_failed)]
         for c in result.cells
     )
-    _write_rows(path, ["D", "kappa", "class", "n_outcomes"], rows)
+    _write_rows(path, ["D", "kappa", "class", "n_outcomes", "n_failed"], rows)
 
 
 def write_overlays_csv(path, result) -> None:

@@ -113,13 +113,17 @@ class EigenReport:
 
 @dataclass(frozen=True)
 class CrosscheckReport:
-    """Comparison of the direct and secular spectra (leading eigenvalues)."""
+    """Comparison of the direct and secular spectra (leading eigenvalues).
+
+    ``report`` is the direct-route spectrum that was checked.
+    """
 
     direct: np.ndarray
     secular: np.ndarray
     max_deviation: float
     n_compared: int
     interlacing_ok: bool
+    report: EigenReport
 
 
 def _count_sign_changes(values: np.ndarray, floor: float = 0.0) -> int:
@@ -443,4 +447,5 @@ def spectrum_crosscheck(
         max_deviation=max_dev,
         n_compared=k,
         interlacing_ok=interlacing_ok,
+        report=report,
     )

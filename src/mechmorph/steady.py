@@ -3,24 +3,33 @@
 The constant state U = kappa always exists.  Nonconstant states are found
 either by damped Newton iteration restricted to the even (cosine) subspace,
 which removes the translation zero mode, or by relaxing the gradient flow
-and polishing the result.  Every stationary solution carries mass
-int U = kappa; this is verified a posteriori rather than imposed.
+and polishing the result.  The relaxation takes energy-controlled adaptive
+exponential-Euler steps (see :mod:`mechmorph.dynamics`): fixed points of
+the scheme are exact steady states for any step, and Newton polishes the
+end state, so the step is set by the energy alone, not by trajectory
+accuracy.  Every stationary solution carries mass int U = kappa; this is
+verified a posteriori rather than imposed.
+
+``relax_to_steady`` logs a :class:`RelaxStats` record at DEBUG on the
+``mechmorph.steady`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._operators import even_part, evolution_rhs, linearization_dense, residual_floor, trig_basis
-from .dynamics import simulate
+from .dynamics import _relax
 from .energy import energy
 from .errors import ConfigurationError, ConvergenceError, ResolutionError, SingularJacobianError
 from .grid import Field, integrate
 from .model import ModelParams
 
 __all__ = [
+    "RelaxStats",
     "SteadyState",
     "constant_state",
     "newton_steady",
@@ -32,6 +41,8 @@ __all__ = [
 FLAT_TOL = 1e-7  # below this peak-to-peak range a field counts as constant
 MASS_TOL = 1e-6
 RESIDUAL_CERT = 1e-8  # certification threshold for SteadyState
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -154,18 +165,20 @@ def newton_steady(
     The guess is recentered at its maximum and projected onto cosine modes,
     which fixes the translation phase and makes the Jacobian (the nonlocal
     linearization restricted to even modes) nonsingular away from folds.
-    Residuals are always evaluated on the full grid; on fine grids the
-    tolerance is raised to the round-off floor of the spectral residual,
-    which the certification threshold still sits far above.
+    The default basis holds every even grid mode, the Nyquist cosine
+    (-1)^j included, so the iteration can correct every component of the
+    full-grid residual it certifies.  On fine grids the tolerance is raised
+    to the round-off floor of the spectral residual, which the
+    certification threshold still sits far above.
     """
     if tol < 1e-12:
         raise ConfigurationError(f"tol must be >= 1e-12, got {tol}")
     grid = guess.grid
     n = grid.n_points
     if n_modes is None:
-        n_modes = n // 2 - 1
-    if n_modes < 1 or n_modes > n // 2 - 1:
-        raise ConfigurationError(f"n_modes must be in [1, n_points/2 - 1], got {n_modes}")
+        n_modes = n // 2
+    if n_modes < 1 or n_modes > n // 2:
+        raise ConfigurationError(f"n_modes must be in [1, n_points/2], got {n_modes}")
 
     basis, mu = trig_basis(grid, n_modes, kind="even")
     values = _even_project(guess.values)
@@ -211,6 +224,30 @@ def newton_steady(
     )
 
 
+@dataclass(frozen=True)
+class RelaxStats:
+    """What one ``relax_to_steady`` call did.
+
+    ``accepted`` and the three ``rejected_*`` counts are flow steps (a
+    step is rejected when J rises beyond round-off, the state goes
+    non-finite, or it leaves the exp() range); ``flow_time`` is the sum of
+    the accepted step lengths, ``final_h`` the last step length and
+    ``handoff_rate`` the detector value max|u_{n+1} - u_n| / h at the hand-over
+    to Newton.  ``newton_move`` is the max-norm distance between the
+    polished state and the recentered flow state it started from.
+    """
+
+    accepted: int
+    rejected_energy: int
+    rejected_nonfinite: int
+    rejected_overflow: int
+    flow_time: float
+    final_h: float
+    handoff_rate: float
+    newton_iterations: int
+    newton_move: float
+
+
 def relax_to_steady(
     u0: Field,
     params: ModelParams,
@@ -222,19 +259,30 @@ def relax_to_steady(
 ) -> SteadyState:
     """Relax the gradient flow until quasi-steady, then polish with Newton.
 
-    steady_tol is the dynamic detector threshold on max|u_{n+1}-u_n|/dt; a
-    looser value hands over to Newton earlier.  Raises ConvergenceError if
-    neither the flow nor the polish reaches its tolerance.
+    The flow starts with a step of length dt and doubles it after each
+    accepted step, up to 0.5.  A longer step that would raise the energy
+    beyond round-off or leave the exp() range is rejected and halved,
+    never below dt; a step of length dt is accepted or raises as in
+    :func:`mechmorph.dynamics.simulate`.  t_end / dt is a budget of steps,
+    not a flow time: at most ceil(t_end / dt) steps, accepted or rejected,
+    the number a fixed-dt flow takes to reach t_end.  steady_tol is the
+    detector threshold on max|u_{n+1}-u_n|/h; a looser value hands over to
+    Newton earlier.  Raises ConvergenceError if neither the flow nor the
+    polish reaches its tolerance.
     """
-    summary = simulate(u0, params, t_end=t_end, dt=dt, steady_tol=steady_tol)
-    if not summary.converged:
+    relaxed, converged, flow = _relax(u0, params, dt, t_end, steady_tol)
+    if not converged:
         raise ConvergenceError(
-            f"gradient flow not steady by t = {t_end} (detector {steady_tol:g})"
+            f"gradient flow not steady within {int(np.ceil(t_end / dt))} steps "
+            f"(t = {flow['flow_time']:.6g}, detector {steady_tol:g})"
         )
-    state = newton_steady(summary.final_state, params, tol=newton_tol, n_modes=n_modes)
+    history = []
+    state = newton_steady(relaxed, params, tol=newton_tol, n_modes=n_modes, history=history)
     # compare against the recentered even projection Newton actually started from
-    baseline = _even_project(summary.final_state.values)
+    baseline = _even_project(relaxed.values)
     moved = float(np.max(np.abs(state.field.values - baseline)))
+    stats = RelaxStats(**flow, newton_iterations=len(history) - 1, newton_move=moved)
+    _log.debug("relax_to_steady: %s", stats, extra={"relax_stats": stats})
     if moved > 0.05 * max(1.0, float(np.max(np.abs(baseline)))):
         raise ConvergenceError(
             f"Newton polish moved the relaxed state by {moved:.3e}; "

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import mechmorph as mm
+from mechmorph import bifurcation
 from mechmorph.bifurcation import _detect_folds
-from mechmorph.errors import ConfigurationError
+from mechmorph.errors import ConfigurationError, ConvergenceError
 
 DEGENERATE_D = 1.0 / (8.0 * np.pi**2)
 
@@ -239,3 +240,24 @@ def test_sweep_validates_inputs():
         mm.sweep([], [1.0])
     with pytest.raises(ConfigurationError):
         mm.sweep([0.01], [-1.0])
+
+
+def test_sweep_counts_failed_seeds(monkeypatch):
+    # the bistable cell of criterion 8: random seeds relax to the constant
+    # state, the bump seed to the pattern.  If the bump fails, the cell must
+    # not read constant-only.
+    relax = bifurcation.relax_to_steady
+
+    def failing_on_bump(u0, params, **kwargs):
+        if np.ptp(u0.values) > 1.0:  # only the bump seed is that large
+            raise ConvergenceError("injected failure")
+        return relax(u0, params, **kwargs)
+
+    kwargs = dict(trials=1, seed=13, n_points=128)
+    intact = mm.sweep([0.005], [1.15], **kwargs).cells[0]
+    assert (intact.classification, intact.n_failed) == ("bistable", 0)
+    monkeypatch.setattr(bifurcation, "relax_to_steady", failing_on_bump)
+    cell = mm.sweep([0.005], [1.15], **kwargs).cells[0]
+    assert cell.n_failed == 1
+    assert cell.n_outcomes == 1
+    assert cell.classification == "unknown"

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mechmorph as mm
+from mechmorph import dynamics
+from mechmorph._operators import even_noise
 from mechmorph.errors import AmplitudeOverflowError, ConfigurationError
 
 from oracles import random_smooth_field
@@ -140,3 +144,97 @@ def test_strain_normalization_and_peak(grid256):
         strain = mm.strain_field(u, params)
         assert abs(mm.integrate(strain) - 1.0) < 1e-13
         assert np.argmax(strain.values) == np.argmax(u.values)
+
+
+def _record_steps(monkeypatch):
+    """List that collects (point, h) of every step the stepper takes."""
+    calls = []
+    advance = dynamics._Stepper.advance
+
+    def recording(self, p, h):
+        calls.append((p, h))
+        return advance(self, p, h)
+
+    monkeypatch.setattr(dynamics._Stepper, "advance", recording)
+    return calls
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([64, 128]),
+    D=st.floats(1e-3, 0.05),
+    kappa=st.floats(0.5, 8.0),
+    amplitude=st.floats(0.01, 2.0),
+)
+def test_adaptive_steps_keep_energy_and_mass_law(seed, n, D, kappa, amplitude):
+    grid = mm.make_grid(n)
+    params = mm.ModelParams(D=D, kappa=kappa)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u0 = mm.Field(grid, kappa * (1.0 + amplitude * even_noise(rng, n)))
+    with pytest.MonkeyPatch.context() as m:
+        calls = _record_steps(m)
+        dynamics._relax(u0, params, 1e-3, 1.0, 1e-9)
+    # a step was accepted when the next one leaves from its result
+    steps = [(h, p, nxt) for (p, h), (nxt, _) in zip(calls, calls[1:]) if nxt is not p]
+    assert len(steps) > 10
+    eps = np.finfo(float).eps
+    for h, old, new in steps:
+        assert new.energy <= old.energy + 8.0 * eps * max(1.0, abs(old.energy))
+        m_old, m_new = float(old.values.mean()), float(new.values.mean())
+        assert abs(m_new - (kappa + (m_old - kappa) * np.exp(-h))) < 1e-12
+    assert max(h for h, _, _ in steps) == dynamics.MAX_STEP
+
+
+def test_energy_acceptance_rule():
+    # exponential Euler treats the convex quadratic part of J exactly and
+    # the concave part -kappa log int e^u explicitly, so J cannot rise in
+    # exact arithmetic and no start forces an energy rejection; the rule
+    # only admits round-off
+    eps = np.finfo(float).eps
+    assert dynamics._energy_allows(-120.0, -120.0 + 7.0 * eps * 120.0)
+    assert not dynamics._energy_allows(-120.0, -120.0 + 9.0 * eps * 120.0)
+    assert dynamics._energy_allows(1e-3, 1e-3 + 7.0 * eps)
+    assert not dynamics._energy_allows(1e-3, 1e-3 + 9.0 * eps)
+    assert dynamics._energy_allows(2.0, 1.0)
+
+
+def test_rejected_steps_halve_down_to_dt(monkeypatch):
+    # accept six longer steps, which reach the 0.5 cap, then reject every
+    # step longer than dt: halving from 0.5 must stop at dt, where steps are
+    # accepted, and the flow must still converge
+    grid = mm.make_grid(64)
+    params = mm.ModelParams(D=0.05, kappa=1.2)
+    u0 = mm.Field(grid, 1.2 + 0.1 * np.cos(2.0 * np.pi * grid.nodes))
+    calls = _record_steps(monkeypatch)
+    verdicts = iter([True] * 6)
+    monkeypatch.setattr(dynamics, "_energy_allows", lambda old, new: next(verdicts, False))
+    dt = 0.01
+    _, converged, stats = dynamics._relax(u0, params, dt, 100.0, 1e-9)
+    steps = [h for _, h in calls]
+    assert converged
+    assert steps[:14] == [
+        0.01, 0.02, 0.04, 0.08, 0.16, 0.32, 0.5, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.01
+    ]
+    assert set(steps[14:]) == {dt, 2.0 * dt}
+    assert stats["accepted"] + stats["rejected_energy"] == len(calls)
+    assert stats["rejected_energy"] == 6 + steps[14:].count(2.0 * dt)
+
+
+def test_overflowing_steps_are_rejected_until_dt_raises(monkeypatch):
+    # at kappa = 100, D = 1e-3 the peak outgrows the exp() range: longer
+    # steps that leave it are rejected and halved, and the step of length
+    # dt raises exactly as simulate does
+    grid = mm.make_grid(64)
+    params = mm.ModelParams(D=1e-3, kappa=100.0)
+    xi = np.random.default_rng(0).standard_normal(64)
+    u0 = mm.Field(grid, 100.0 * (1.0 + 0.1 * xi))
+    with pytest.raises(AmplitudeOverflowError) as flow_error:
+        mm.simulate(u0, params, t_end=10.0)
+    calls = _record_steps(monkeypatch)
+    with pytest.raises(AmplitudeOverflowError) as relax_error:
+        mm.relax_to_steady(u0, params, dt=1e-3, t_end=10.0)
+    assert str(relax_error.value) == str(flow_error.value)
+    rejected = [(h, h_next) for (p, h), (p_next, h_next) in zip(calls, calls[1:]) if p_next is p]
+    assert rejected and all(h_next == max(0.5 * h, 1e-3) for h, h_next in rejected)
+    assert calls[-1][1] == 1e-3

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mechmorph as mm
+from mechmorph import stability
 from mechmorph.cli import main
 from mechmorph.io import dump_json, fmt
 
@@ -125,9 +126,9 @@ def test_cli_sweep_csv(tmp_path):
                     "--out", str(out)])
     assert code == 0
     lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "D,kappa,class,n_outcomes"
+    assert lines[0] == "D,kappa,class,n_outcomes,n_failed"
     assert len(lines) == 2
-    assert lines[1].split(",")[2] == "pattern-only"
+    assert lines[1].split(",")[2:] == ["pattern-only", "1", "0"]
     overlays = (out / "overlays.csv").read_text().splitlines()
     assert overlays[0] == "D,kappa_c"
 
@@ -179,3 +180,21 @@ def test_profiles_csv_writer(tmp_path, grid256):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,a,b"
     assert len(lines) == 257
+
+
+def test_cli_spectrum_computes_one_spectrum(tmp_path, monkeypatch):
+    calls = []
+    split = stability._local_split
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return split(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "_local_split", counting)
+    out = tmp_path / "spec"
+    assert run_cli(["spectrum", "--D", "0.01", "--kappa", "1.6", "--grid", "128",
+                    "--out", str(out)]) == 0
+    assert len(calls) == 1
+    record = json.loads((out / "spectrum.json").read_text())
+    assert record["leading_nu"] < 0.0
+    assert record["crosscheck_error"] < 1e-6

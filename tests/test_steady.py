@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -181,3 +183,59 @@ def test_cross_validation_over_pattern_region(grid256):
         summary = mm.simulate(u0, params, t_end=50.0, dt=1e-3)
         route_b = mm.newton_steady(summary.final_state, params)
         assert np.max(np.abs(route_a.field.values - route_b.field.values)) < 1e-7
+
+
+def _relax_stats(caplog, *args, **kwargs):
+    with caplog.at_level(logging.DEBUG, logger="mechmorph.steady"):
+        state = mm.relax_to_steady(*args, **kwargs)
+    records = [r for r in caplog.records if r.name == "mechmorph.steady"]
+    assert len(records) == 1
+    return state, records[0].relax_stats
+
+
+def test_relax_logs_its_stats(caplog, grid256):
+    params = mm.ModelParams(D=0.01, kappa=1.5)
+    state, stats = _relax_stats(caplog, perturbed_constant(grid256, 1.5), params)
+    assert isinstance(stats, mm.RelaxStats)
+    assert "RelaxStats(accepted=" in caplog.text
+    assert 0 < stats.accepted < 1000
+    assert stats.rejected_energy == stats.rejected_nonfinite == stats.rejected_overflow == 0
+    assert stats.final_h == 0.5
+    assert stats.flow_time > 100.0
+    assert stats.handoff_rate < 1e-9
+    assert stats.newton_iterations >= 0
+    assert 0.0 <= stats.newton_move < 1e-6
+    assert state.modality == 1
+
+
+def test_relax_budget_counts_steps_not_flow_time(caplog, grid256):
+    # the quickstart start needs about 121 time units at the longest step;
+    # t_end = 100 still leaves a budget of 100,000 steps
+    params = mm.ModelParams(D=0.01, kappa=1.5)
+    state, stats = _relax_stats(caplog, perturbed_constant(grid256, 1.5), params, t_end=100.0)
+    assert state.modality == 1
+    assert stats.flow_time > 100.0
+    with pytest.raises(ConvergenceError, match="within 100 steps"):
+        mm.relax_to_steady(perturbed_constant(grid256, 1.5), params, dt=0.01, t_end=1.0)
+
+
+def test_relax_stiff_sharp_peak(grid256):
+    # D = 0.01, kappa = 8 from a large random start: the peak is sharp, and
+    # long steps contract slowly near it
+    xi = np.random.default_rng(1).standard_normal(256)
+    u0 = mm.Field(grid256, 8.0 * (1.0 + 2.0 * xi))
+    state = mm.relax_to_steady(u0, mm.ModelParams(D=0.01, kappa=8.0))
+    assert state.modality == 1
+    assert state.energy == pytest.approx(-120.43030312810612, rel=1e-12)
+
+
+def test_newton_corrects_the_nyquist_coefficient():
+    # a long-step flow leaves the (-1)^j coefficient off by ~1e-13; Newton
+    # must be able to correct it to certify the full-grid residual
+    grid = mm.make_grid(128)
+    bump = np.exp(np.cos(2.0 * np.pi * grid.nodes))
+    u0 = mm.Field(grid, 2.0 * bump / bump.mean())
+    params = mm.ModelParams(D=0.005, kappa=2.0)
+    state = mm.relax_to_steady(u0, params, dt=0.2, steady_tol=1e-7)
+    assert state.modality == 1
+    assert state.residual_norm < 1e-11
