@@ -1,15 +1,18 @@
 """Shared field-level operators: the shifted exponential, reaction density,
-free energy, PDE right-hand side, even projection, trigonometric Galerkin
-bases and the Galerkin assembly of the linearization.
+free energy, PDE right-hand side, even projection, coefficients in the
+even (cosine) basis and the Galerkin assembly of the linearization.
 
 Everything here works on raw value arrays so that the public modules can
 expose their own domain types without import cycles.  All quadratures are
 grid means (exact for trigonometric polynomials below the Nyquist mode).
+No trigonometric basis is ever sampled: projections, syntheses and
+Galerkin integrals all come from rfft coefficients.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AmplitudeOverflowError
 from .grid import Grid
@@ -117,61 +120,114 @@ def even_noise(rng: np.random.Generator, n: int) -> np.ndarray:
     return even / peak if peak > 0 else even
 
 
-def trig_basis(grid: Grid, n_modes: int, kind: str = "full") -> tuple[np.ndarray, np.ndarray]:
-    """Sampled orthonormal eigenbasis of the periodic Laplacian.
+def even_weights(n_points: int, n_modes: int) -> np.ndarray:
+    """Norms w_k of the even basis 1, sqrt2 cos(2 pi k x), ... on the grid:
+    1 for the constant and the Nyquist cosine (-1)^j, sqrt2 otherwise."""
+    w = np.full(n_modes + 1, np.sqrt(2.0))
+    w[0] = 1.0
+    if 2 * n_modes == n_points:
+        w[-1] = 1.0
+    return w
 
-    kind="full": [1, sqrt2 cos(2 pi x), sqrt2 sin(2 pi x), sqrt2 cos(4 pi x), ...],
-    i.e. the constant followed by alternating (cos k, sin k) pairs,
-    2*n_modes + 1 rows.  kind="even": constant plus the cosines only,
-    n_modes + 1 rows; n_modes = n_points/2 ends with the Nyquist cosine
-    (-1)^j, whose grid norm is 1 without the sqrt2.  kind="odd": the sines
-    only, n_modes rows.  Returns (basis matrix, Laplacian eigenvalue per
-    row).
-    """
-    x = grid.nodes
-    k = np.arange(1, n_modes + 1)
-    phases = 2.0 * np.pi * np.outer(k, x)
-    if kind == "odd":
-        return np.sqrt(2.0) * np.sin(phases), (2.0 * np.pi * k) ** 2
-    cos = np.sqrt(2.0) * np.cos(phases)
-    if 2 * n_modes == grid.n_points:
-        cos[-1] = 1.0 - 2.0 * (np.arange(grid.n_points) % 2)
-    if kind == "even":
-        rows = [np.ones((1, grid.n_points)), cos]
-        mu = np.concatenate([[0.0], (2.0 * np.pi * k) ** 2])
-    elif kind == "full":
-        sin = np.sqrt(2.0) * np.sin(phases)
-        inter = np.empty((2 * n_modes, grid.n_points))
-        inter[0::2] = cos
-        inter[1::2] = sin
-        rows = [np.ones((1, grid.n_points)), inter]
-        mu = np.concatenate([[0.0], np.repeat((2.0 * np.pi * k) ** 2, 2)])
-    else:
-        raise ValueError(f"unknown basis kind {kind!r}")
-    return np.vstack(rows), mu
+
+def project_even(values: np.ndarray, n_modes: int) -> np.ndarray:
+    """Grid-mean inner products of values with the even basis, k = 0..n_modes."""
+    coef = np.fft.rfft(values, norm="forward")[: n_modes + 1].real
+    return even_weights(values.size, n_modes) * coef
+
+
+def synthesize_even(coef: np.ndarray, n_points: int) -> np.ndarray:
+    """Grid values of sum_k coef_k f_k over the even basis (inverse of ``project_even``)."""
+    spec = np.zeros(n_points // 2 + 1, dtype=complex)
+    spec[: coef.size] = coef / even_weights(n_points, coef.size - 1)
+    return np.fft.irfft(spec, n_points, norm="forward")
+
+
+def _moments(coef: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:
+    """Fourier coefficients c_m for m = lo..hi from the rfft half: c_m has
+    period n in m and c_{-m} = conj(c_m) for a real function."""
+    m = np.arange(lo, hi + 1) % n
+    upper = m > n // 2
+    out = coef[np.where(upper, n - m, m)]
+    return np.where(upper, out.conj(), out)
+
+
+def _toeplitz(seq: np.ndarray, n_cols: int) -> np.ndarray:
+    # T[i, j] = seq[i - j + n_cols - 1], a view
+    return sliding_window_view(seq, n_cols)[:, ::-1]
+
+
+def _hankel(seq: np.ndarray, n_cols: int) -> np.ndarray:
+    # H[i, j] = seq[i + j], a view
+    return sliding_window_view(seq, n_cols)
 
 
 def linearization_parts(
-    values: np.ndarray, grid: Grid, params: ModelParams, basis: np.ndarray, mu: np.ndarray
+    values: np.ndarray, grid: Grid, params: ModelParams, n_modes: int, kind: str
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Galerkin parts of the linearization L h = D h_xx + A h - M C int(C h).
 
-    A = kappa e^U / int e^U - 1, C = e^U, M = kappa / (int e^U)^2.  Returns
-    the local block diag(-D mu) + int A f_i f_j, the coupling vector
-    int C f_i and M, all with the exponential shifted by max(U): C and M
-    then stand for e^(U - max U) and kappa / (int e^(U - max U))^2, which
-    leaves the rank-one term M C(x) C(y) unchanged and cannot overflow.
+    A = kappa e^U / int e^U - 1, C = e^U, M = kappa / (int e^U)^2.  The
+    orthonormal Laplacian eigenbasis is, by ``kind``: "even", the constant
+    and sqrt2 cos(2 pi k x) for k = 1..n_modes (n_modes + 1 rows; at
+    n_modes = n_points/2 the last is the Nyquist cosine (-1)^j, of grid
+    norm 1); "odd", sqrt2 sin(2 pi k x) for k = 1..n_modes; "full", the
+    constant followed by alternating (cos k, sin k) pairs (2 n_modes + 1
+    rows).  Returns the local block diag(-D mu) + int A f_i f_j, the
+    coupling vector int C f_i and M, all with the exponential shifted by
+    max(U): C and M then stand for e^(U - max U) and
+    kappa / (int e^(U - max U))^2, which leaves the rank-one term
+    M C(x) C(y) unchanged and cannot overflow.
+
+    Nothing is sampled: with c_m the Fourier coefficients of C (one rfft),
+    a_m = kappa c_m / int C - [m = 0] are those of A, and products of
+    trigonometric functions reduce to them (Toeplitz plus Hankel),
+    int A sqrt2 cos i sqrt2 cos j = Re a_{i-j} + Re a_{i+j},
+    int A sqrt2 sin i sqrt2 sin j = Re a_{i-j} - Re a_{i+j},
+    int A sqrt2 cos i sqrt2 sin j = Im a_{i-j} - Im a_{i+j},
+    with the weight 1 of the constant and the Nyquist rows in place of sqrt2.
+    These identities hold for grid means with the indices taken mod
+    n_points, so the result is the grid quadrature over the sampled basis.
     """
-    n = grid.n_points
+    if kind not in ("even", "odd", "full"):
+        raise ValueError(f"unknown basis kind {kind!r}")
+    n, k = grid.n_points, n_modes
     shifted, mean_c, _ = shifted_exp(values)
-    a = params.kappa * shifted / mean_c - 1.0
-    local = np.diag(-params.D * mu) + (basis * a) @ basis.T / n
-    return local, basis @ shifted / n, params.kappa / mean_c**2
+    c_hat = np.fft.rfft(shifted, norm="forward")
+    a_hat = params.kappa / mean_c * c_hat
+    a_hat[0] -= 1.0
+    seq = _moments(a_hat, -k, 2 * k, n)  # a_m at index m + k
+    re, im = seq.real, seq.imag
+    freq = np.arange(k + 1)
+    mu = (2.0 * np.pi * freq) ** 2
+    w = even_weights(n, k)
+    scale = w / np.sqrt(2.0)  # w_i w_j / 2 = scale_i scale_j
+    if kind != "odd":
+        cos = _toeplitz(re[: 2 * k + 1], k + 1) + _hankel(re[k:], k + 1)
+        cos *= scale
+        cos *= scale[:, None]
+        cos_c = w * c_hat[: k + 1].real
+    if kind != "even":
+        sin = _toeplitz(re[1 : 2 * k], k) - _hankel(re[k + 2 :], k)
+        sin_c = -np.sqrt(2.0) * c_hat[1 : k + 1].imag
+    if kind == "even":
+        local, c_vec = cos, cos_c
+    elif kind == "odd":
+        local, c_vec, mu = sin, sin_c, mu[1:]
+    else:
+        cross = (_toeplitz(im[: 2 * k], k) - _hankel(im[k + 1 :], k)) * scale[:, None]
+        # block order (cos 0..K, sin 1..K) -> (1, cos 1, sin 1, cos 2, sin 2, ...)
+        order = np.concatenate([[0], np.stack([freq[1:], freq[1:] + k], axis=1).ravel()])
+        local = np.block([[cos, cross], [cross.T, sin]])[np.ix_(order, order)]
+        c_vec = np.concatenate([cos_c, sin_c])[order]
+        mu = np.repeat(mu, 2)[1:]
+    local[np.diag_indices_from(local)] -= params.D * mu
+    return local, c_vec, params.kappa / mean_c**2
 
 
 def linearization_dense(
-    values: np.ndarray, grid: Grid, params: ModelParams, basis: np.ndarray, mu: np.ndarray
+    values: np.ndarray, grid: Grid, params: ModelParams, n_modes: int, kind: str
 ) -> np.ndarray:
     """Galerkin matrix of the linearization L in the given basis."""
-    local, c_vec, m_coef = linearization_parts(values, grid, params, basis, mu)
+    local, c_vec, m_coef = linearization_parts(values, grid, params, n_modes, kind)
     return local - m_coef * np.outer(c_vec, c_vec)

@@ -31,7 +31,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._operators import evolution_rhs, density, even_noise, linearization_dense, trig_basis
+from ._operators import (
+    density,
+    evolution_rhs,
+    even_noise,
+    linearization_dense,
+    project_even,
+    synthesize_even,
+)
 from .energy import bounds
 from .errors import (
     ConfigurationError,
@@ -93,10 +100,15 @@ class BranchPoint:
 
 @dataclass(frozen=True)
 class Branch:
+    """A continued branch.  ``reason`` is "ExcClass: message" of the
+    exception that ended a branch with ``terminated_by`` "failure" or
+    "resolution", and None otherwise."""
+
     origin: BifPoint
     points: list[BranchPoint]
     folds: list[tuple[int, float]]
     terminated_by: str
+    reason: str | None
 
 
 def critical_kappas(D: float, n_max: int) -> list[BifPoint]:
@@ -163,23 +175,21 @@ class _EvenCorrector:
     def __init__(self, grid: Grid, D: float, n_modes: int):
         self.grid = grid
         self.D = D
-        self.basis, self.mu = trig_basis(grid, n_modes, kind="even")
+        self.n_modes = n_modes
         self.n_unknowns = n_modes + 2
 
     def field_values(self, z: np.ndarray) -> np.ndarray:
-        return z[:-1] @ self.basis
+        return synthesize_even(z[:-1], self.grid.n_points)
 
     def residual(self, z: np.ndarray) -> np.ndarray:
         params = ModelParams(D=self.D, kappa=float(z[-1]))
-        r = evolution_rhs(self.field_values(z), self.grid, params)
-        return self.basis @ r / self.grid.n_points
+        return project_even(evolution_rhs(self.field_values(z), self.grid, params), self.n_modes)
 
     def solve(self, z0, tangent, anchor, ds, tol=1e-11, max_iter=12):
         # convergence is measured on the residual projected into the even
         # subspace (the system Newton actually solves); the unprojected tail
         # is checked later by the steady-state certification
         z = z0.copy()
-        n = self.grid.n_points
         for _ in range(max_iter):
             proj = self.residual(z)
             res_norm = float(np.linalg.norm(proj))
@@ -192,8 +202,8 @@ class _EvenCorrector:
             params = ModelParams(D=self.D, kappa=kappa)
             vals = self.field_values(z)
             jac = np.empty((self.n_unknowns, self.n_unknowns))
-            jac[:-1, :-1] = linearization_dense(vals, self.grid, params, self.basis, self.mu)
-            jac[:-1, -1] = self.basis @ density(vals) / n
+            jac[:-1, :-1] = linearization_dense(vals, self.grid, params, self.n_modes, "even")
+            jac[:-1, -1] = project_even(density(vals), self.n_modes)
             jac[-1, :] = tangent
             rhs = -np.concatenate([proj, [norm_eq]])
             try:
@@ -203,6 +213,10 @@ class _EvenCorrector:
             if not np.all(np.isfinite(z)):
                 raise ConvergenceError("corrector diverged")
         raise ConvergenceError("corrector did not converge")
+
+
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def continue_branch(
@@ -254,6 +268,7 @@ def continue_branch(
     points: list[BranchPoint] = []
     zs: list[np.ndarray] = []
     terminated_by = "step_limit"
+    reason = None
 
     # first point: normal-form predictor, amplitude pinned at s = step
     z_pred = _predictor_coefficients(bp, step, n_modes)
@@ -281,20 +296,21 @@ def continue_branch(
         try:
             z, _ = corrector.solve(z_pred, tangent, zs[-1], ds)
             easy += 1
-        except MechmorphError:
+        except MechmorphError as exc:
             easy = 0
             ds *= 0.5
             if ds < step / 64.0:
-                terminated_by = "failure"
+                terminated_by, reason = "failure", _describe(exc)
                 break
             continue
         try:
             point = make_point(z, points[-1].s + ds)
-        except (ConvergenceError, ResolutionError):
-            terminated_by = "resolution"  # the corrected point is under-resolved
+        except (ConvergenceError, ResolutionError) as exc:
+            # the corrected point is under-resolved
+            terminated_by, reason = "resolution", _describe(exc)
             break
-        except MechmorphError:
-            terminated_by = "failure"
+        except MechmorphError as exc:
+            terminated_by, reason = "failure", _describe(exc)
             break
         points.append(point)
         zs.append(z)
@@ -310,7 +326,9 @@ def continue_branch(
             break
 
     folds = _detect_folds([p.s for p in points], [p.kappa for p in points])
-    return Branch(origin=bp, points=points, folds=folds, terminated_by=terminated_by)
+    return Branch(
+        origin=bp, points=points, folds=folds, terminated_by=terminated_by, reason=reason
+    )
 
 
 def _detect_folds(svals, kappas) -> list[tuple[int, float]]:
@@ -340,7 +358,11 @@ class SweepCell:
     classification: str  # constant-only | pattern-only | bistable | unknown
     n_outcomes: int
     kappa_c: float  # constant-state instability threshold 1 + 4 pi^2 D
-    n_failed: int  # seeds whose relaxation raised
+    failures: tuple[str, ...]  # exception class of each seed whose relaxation raised
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.failures)
 
 
 @dataclass(frozen=True)
@@ -362,18 +384,18 @@ def _classify_cell(args) -> SweepCell:
     for _ in range(trials):
         seeds.append(kappa * (1.0 + amplitude * even_noise(rng, n_points)))
     outcomes = set()
-    n_failed = 0
+    failures = []
     for u0 in seeds:
         try:
             state = relax_to_steady(
                 Field(grid, u0), params, dt=dt, t_end=t_end, steady_tol=handoff_tol
             )
-        except MechmorphError:
-            n_failed += 1
+        except MechmorphError as exc:
+            failures.append(type(exc).__name__)
             continue
         outcomes.add("constant" if state.modality == 0 else "pattern")
     # a failed seed could have shown the outcome that was not seen
-    if not outcomes or (n_failed and len(outcomes) < 2):
+    if not outcomes or (failures and len(outcomes) < 2):
         classification = "unknown"
     elif outcomes == {"constant"}:
         classification = "constant-only"
@@ -387,7 +409,7 @@ def _classify_cell(args) -> SweepCell:
         classification=classification,
         n_outcomes=len(outcomes),
         kappa_c=1.0 + 4.0 * np.pi**2 * d_val,
-        n_failed=n_failed,
+        failures=tuple(failures),
     )
 
 
@@ -408,12 +430,13 @@ def sweep(
     Each cell runs ``trials`` random even perturbations of the constant
     state (relative amplitude ``perturb_amplitude``) plus one deterministic
     large seed, the bump kappa e^cos(2 pi x) / int e^cos.  Solver failures
-    are counted in ``n_failed``, never raised; a cell with a failed seed is
-    ``unknown`` unless both outcomes were seen.  ``dt`` and ``t_end`` are
-    the first step and the step budget of each relaxation (see
-    :func:`mechmorph.steady.relax_to_steady`).  Cells are independent;
-    with workers > 1 they are distributed over a process pool.  Results
-    are deterministic for a fixed seed regardless of worker count.
+    are never raised: ``failures`` lists the exception class of each failed
+    seed in seed order (the bump first), ``n_failed`` counts them, and a
+    cell with a failed seed is ``unknown`` unless both outcomes were seen.
+    ``dt`` and ``t_end`` are the first step and the step budget of each
+    relaxation (see :func:`mechmorph.steady.relax_to_steady`).  Cells are
+    independent; with workers > 1 they are distributed over a process pool.
+    Results are deterministic for a fixed seed regardless of worker count.
     """
     d_values = np.asarray(list(d_values), dtype=float)
     kappa_values = np.asarray(list(kappa_values), dtype=float)

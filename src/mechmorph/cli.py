@@ -201,6 +201,7 @@ def _cmd_branch(cfg):
         "points": len(branch.points),
         "folds": [kf for _, kf in branch.folds],
         "terminated_by": branch.terminated_by,
+        "reason": branch.reason,
     }
 
 

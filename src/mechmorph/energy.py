@@ -22,7 +22,6 @@ from ._operators import (
     gradient_weights,
     linearization_dense,
     log_mean_exp,
-    trig_basis,
 )
 from .errors import ConfigurationError
 from .grid import Field, to_spectral
@@ -64,8 +63,7 @@ def hessian_matrix(u: Field, params: ModelParams, n_modes: int) -> np.ndarray:
         raise ConfigurationError(
             f"n_modes must be in [1, n_points/4], got {n_modes} at n_points={u.grid.n_points}"
         )
-    basis, mu = trig_basis(u.grid, n_modes, kind="full")
-    return -linearization_dense(u.values, u.grid, params, basis, mu)
+    return -linearization_dense(u.values, u.grid, params, n_modes, "full")
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,16 @@ Two independent routes to the spectrum of the linearization
 
 Steady states are even about a peak, so L splits under the reflection
 about it.  The state is recentered (its rfft coefficients rotated by the
-phase of harmonic ``modality``) and L is assembled in two blocks.  The
+phase of harmonic ``modality``) and L is assembled in two blocks, each
+from the Fourier coefficients of e^U (one rfft, no sampled basis).  The
 cosine block carries the local part and the whole rank-one coupling.  The
 sine block is purely local (int e^U sin = 0); the sine eigenvector that
-overlaps U_x most is the translation mode.
+overlaps U_x most is the translation mode.  The local eigenfunctions are
+synthesized together by one batched irfft into a single array, and their
+sign changes are counted in one vectorized pass.
 
-The direct route diagonalizes the cosine block of L and keeps the sine
-eigenvalues.  The secular route removes the rank-one coupling: with
+The direct route takes the eigenvalues of the cosine block of L and keeps
+the sine eigenvalues.  The secular route removes the rank-one coupling: with
 (lambda_n, psi_n) the local eigenpairs, D psi_xx + A psi = lambda psi, and
 beta_n = int C psi_n (zero on the sines), every nonlocal eigenvalue not
 shared with the local problem solves
@@ -32,9 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._operators import linearization_dense, linearization_parts, trig_basis
+from ._operators import linearization_dense, linearization_parts
 from .errors import BracketError, ConfigurationError, ResolutionError
-from .grid import Field
 from .steady import SteadyState
 
 __all__ = [
@@ -77,12 +79,14 @@ def _default_modes(state) -> int:
 class LocalSpectrum:
     """Spectrum of the local problem D psi_xx + A(x) psi = lambda psi.
 
-    lambdas are sorted decreasing; eigenfunctions are L^2-orthonormal
-    Fields; zero_counts holds the number of sign changes per period.
+    lambdas are sorted decreasing.  eigenfunctions is a read-only
+    (len(lambdas), n_points) array of grid values whose row i belongs to
+    lambdas[i]; the rows are orthonormal under the grid mean.  zero_counts
+    holds the number of sign changes per period of each row.
     """
 
     lambdas: np.ndarray
-    eigenfunctions: list[Field] = field(repr=False)
+    eigenfunctions: np.ndarray = field(repr=False)
     zero_counts: np.ndarray
 
 
@@ -126,13 +130,35 @@ class CrosscheckReport:
     report: EigenReport
 
 
-def _count_sign_changes(values: np.ndarray, floor: float = 0.0) -> int:
-    threshold = max(1e-9 * np.max(np.abs(values)), floor)
-    significant = np.abs(values) > threshold
-    signs = np.sign(values[significant])
-    if signs.size == 0:
-        return 0
-    return int(np.sum(signs != np.roll(signs, 1)))
+def _zero_counts(functions: np.ndarray, floors: np.ndarray) -> np.ndarray:
+    """Cyclic sign changes of each row among its significant entries.
+
+    An entry is significant where |f| > max(1e-9 max|row|, floor of the
+    row).  Only bool arrays of the full size are made: the signs of the
+    significant entries are compressed row after row into one vector, and
+    every entry is compared with the one before it, the first of a row with
+    the last of the same row.
+    """
+    peak = np.maximum(functions.max(axis=1), -functions.min(axis=1))
+    threshold = np.maximum(1e-9 * peak, floors)[:, None]
+    significant = functions > threshold
+    significant |= functions < -threshold
+    positive = (functions > 0.0)[significant]
+    sizes = np.count_nonzero(significant, axis=1)
+    counts = np.zeros(sizes.size, dtype=int)
+    filled = sizes > 0
+    if not filled.any():
+        return counts
+    first = (np.cumsum(sizes) - sizes)[filled]
+    last = first + sizes[filled] - 1
+    change = np.empty_like(positive)
+    np.not_equal(positive[1:], positive[:-1], out=change[1:])
+    change[first] = positive[first] != positive[last]
+    # changes per row from the sorted change positions: no integer array
+    # of the full size
+    bounds = np.searchsorted(np.flatnonzero(change), np.append(first, change.size))
+    counts[filled] = np.diff(bounds)
+    return counts
 
 
 def _check_modes(state: SteadyState, n_modes: int | None) -> int:
@@ -154,7 +180,28 @@ def assemble_linearization(state: SteadyState, n_modes: int | None = None) -> np
     negative; here it is assembled independently from A, C and M.
     """
     grid, n_modes = state.field.grid, _check_modes(state, n_modes)
-    return linearization_dense(state.field.values, grid, state.params, *trig_basis(grid, n_modes))
+    return linearization_dense(state.field.values, grid, state.params, n_modes, "full")
+
+
+def _eigenfunctions(cos_vecs, sin_vecs, order, back, n_points: int) -> np.ndarray:
+    """Grid values of the block eigenvectors, in the sorted ``order``.
+
+    One irfft of their coefficients (sqrt2 cos k -> 1/sqrt2, sqrt2 sin k
+    -> -i/sqrt2), rotated by ``back`` from the axis onto the state.  Rows
+    go straight into sorted order (rank[j] is the row of block eigenvector
+    j), which saves a permuted copy, and the coefficients are freed on
+    return, before the zero counts run.  The result is read-only.
+    """
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    n_modes = sin_vecs.shape[0]
+    spec = np.zeros((order.size, n_modes + 1), dtype=complex)
+    spec[rank[: n_modes + 1]] = cos_vecs.T
+    spec[rank[n_modes + 1 :], 1:] = -1j * sin_vecs.T
+    spec[:, 1:] *= back[1 : n_modes + 1] / np.sqrt(2.0)
+    functions = np.fft.irfft(spec, n_points, norm="forward")
+    functions.flags.writeable = False
+    return functions
 
 
 def _local_split(state: SteadyState, n_modes: int):
@@ -173,25 +220,19 @@ def _local_split(state: SteadyState, n_modes: int):
     if np.max(np.abs(coef.imag)) > SYMMETRY_TOL * np.max(np.abs(coef)):
         raise ResolutionError("steady state is not reflection-symmetric about a peak")
     values = np.fft.irfft(coef.real, grid.n_points, norm="forward")
-    cos_parts = linearization_parts(values, grid, params, *trig_basis(grid, n_modes, "even"))
-    sin_local = linearization_parts(values, grid, params, *trig_basis(grid, n_modes, "odd"))[0]
+    cos_parts = linearization_parts(values, grid, params, n_modes, "even")
+    sin_local = linearization_parts(values, grid, params, n_modes, "odd")[0]
     cos_vals, cos_vecs = np.linalg.eigh(cos_parts[0])
     sin_vals, sin_vecs = np.linalg.eigh(sin_local)
     order = np.argsort(np.concatenate([cos_vals, sin_vals]))[::-1]
     eigvals = np.concatenate([cos_vals, sin_vals])[order]
 
-    # eigenfunctions from their rfft coefficients (sqrt2 cos k -> 1/sqrt2,
-    # sqrt2 sin k -> -i/sqrt2), moved back from the axis onto the state
-    spec = np.zeros((eigvals.size, n_modes + 1), dtype=complex)
-    spec[: n_modes + 1] = cos_vecs.T
-    spec[n_modes + 1 :, 1:] = -1j * sin_vecs.T
-    spec[:, 1:] *= back[1 : n_modes + 1] / np.sqrt(2.0)
-    functions = [Field(grid, f) for f in np.fft.irfft(spec[order], grid.n_points, norm="forward")]
+    functions = _eigenfunctions(cos_vecs, sin_vecs, order, back, grid.n_points)
     # significance floor per eigenfunction: truncation ripples in the flat
     # exponential tails scale with the energy in the last coefficients
     tail = max(2, n_modes // 4)
     floors = 10.0 * np.linalg.norm(np.hstack([cos_vecs[-tail:], sin_vecs[-tail:]]), axis=0)[order]
-    counts = np.array([_count_sign_changes(f.values, fl) for f, fl in zip(functions, floors)])
+    counts = _zero_counts(functions, floors)
 
     # the oscillation pattern is only checkable for eigenvalues that are
     # numerically isolated: inside degenerate clusters (cos/sin pairs of the
@@ -255,7 +296,7 @@ def nonlocal_spectrum(state: SteadyState, n_modes: int | None = None) -> EigenRe
     if m_coef < np.finfo(float).tiny:
         raise ConfigurationError("state too large to represent the coupling constant M")
 
-    cos_eigs = np.linalg.eigh(cos_local - m_shifted * np.outer(c_vec, c_vec))[0]
+    cos_eigs = np.linalg.eigvalsh(cos_local - m_shifted * np.outer(c_vec, c_vec))
     eigvals = np.sort(np.concatenate([cos_eigs, sin_vals]))[::-1]
     translation_nu = None if translation is None else float(sin_vals[translation])
     others = sin_vals if translation is None else np.delete(sin_vals, translation)

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._operators import even_part, evolution_rhs, linearization_dense, residual_floor, trig_basis
+from ._operators import (
+    even_part,
+    evolution_rhs,
+    linearization_dense,
+    project_even,
+    residual_floor,
+    synthesize_even,
+)
 from .dynamics import _relax
 from .energy import energy
 from .errors import ConfigurationError, ConvergenceError, ResolutionError, SingularJacobianError
@@ -180,7 +187,6 @@ def newton_steady(
     if n_modes < 1 or n_modes > n // 2:
         raise ConfigurationError(f"n_modes must be in [1, n_points/2], got {n_modes}")
 
-    basis, mu = trig_basis(grid, n_modes, kind="even")
     values = _even_project(guess.values)
 
     def residual_pair(vals):
@@ -193,10 +199,9 @@ def newton_steady(
             history.append(res_norm)
         if res_norm < max(tol, residual_floor(values, grid, params)):
             return _certify(Field(grid, values), params)
-        jac = linearization_dense(values, grid, params, basis, mu)
-        rhs = basis @ residual / n
+        jac = linearization_dense(values, grid, params, n_modes, "even")
         try:
-            delta = np.linalg.solve(jac, -rhs)
+            delta = np.linalg.solve(jac, -project_even(residual, n_modes))
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(
                 "singular Jacobian in Newton iteration (possible fold)"
@@ -204,9 +209,10 @@ def newton_steady(
         if not np.all(np.isfinite(delta)):
             raise SingularJacobianError("non-finite Newton step (possible fold)")
         # damping: halve the step until the residual decreases
+        step = synthesize_even(delta, n)
         scale = 1.0
         for _halving in range(21):
-            trial = values + scale * (delta @ basis)
+            trial = values + scale * step
             trial_res, trial_norm = residual_pair(trial)
             if trial_norm < res_norm:
                 values, residual, res_norm = trial, trial_res, trial_norm

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import mechmorph as mm
+
+# every property test is deterministic and bounded unless it says otherwise
+settings.register_profile(
+    "mechmorph", derandomize=True, database=None, deadline=None, max_examples=20
+)
+settings.load_profile("mechmorph")
 
 ACCEPTANCE_LINES = []
 

@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's own quadrature and differentiation
 routes: integrals use composite Gauss-Legendre panels, Bessel values come
-from the defining power series, and derivatives of the energy are taken by
-central finite differences.
+from the defining power series, derivatives of the energy are taken by
+central finite differences, Galerkin integrals by sampled trigonometric
+bases, and zero counts by one loop per function.
 """
 
 import numpy as np
@@ -62,6 +63,64 @@ def random_smooth_field(grid, rng, amplitude=1.0, n_modes=8, mean=0.0):
     return mm.Field(grid, mean + values)
 
 
+def trig_basis(grid, n_modes, kind="full"):
+    """Sampled orthonormal eigenbasis of the periodic Laplacian.
+
+    kind="full": [1, sqrt2 cos(2 pi x), sqrt2 sin(2 pi x), sqrt2 cos(4 pi x), ...],
+    i.e. the constant followed by alternating (cos k, sin k) pairs,
+    2*n_modes + 1 rows.  kind="even": constant plus the cosines only,
+    n_modes + 1 rows; n_modes = n_points/2 ends with the Nyquist cosine
+    (-1)^j, whose grid norm is 1 without the sqrt2.  kind="odd": the sines
+    only, n_modes rows.  Returns (basis matrix, Laplacian eigenvalue per
+    row).
+    """
+    x = grid.nodes
+    k = np.arange(1, n_modes + 1)
+    phases = 2.0 * np.pi * np.outer(k, x)
+    if kind == "odd":
+        return np.sqrt(2.0) * np.sin(phases), (2.0 * np.pi * k) ** 2
+    cos = np.sqrt(2.0) * np.cos(phases)
+    if 2 * n_modes == grid.n_points:
+        cos[-1] = 1.0 - 2.0 * (np.arange(grid.n_points) % 2)
+    if kind == "even":
+        rows = [np.ones((1, grid.n_points)), cos]
+        mu = np.concatenate([[0.0], (2.0 * np.pi * k) ** 2])
+    elif kind == "full":
+        sin = np.sqrt(2.0) * np.sin(phases)
+        inter = np.empty((2 * n_modes, grid.n_points))
+        inter[0::2] = cos
+        inter[1::2] = sin
+        rows = [np.ones((1, grid.n_points)), inter]
+        mu = np.concatenate([[0.0], np.repeat((2.0 * np.pi * k) ** 2, 2)])
+    else:
+        raise ValueError(f"unknown basis kind {kind!r}")
+    return np.vstack(rows), mu
+
+
+def sampled_linearization_parts(values, grid, params, n_modes, kind):
+    """Local block, coupling vector and M of L as grid sums over ``trig_basis``.
+
+    Same shift by max(U) as ``mechmorph._operators.linearization_parts``.
+    """
+    basis, mu = trig_basis(grid, n_modes, kind)
+    shifted = np.exp(values - values.max())
+    mean_c = shifted.mean()
+    a = params.kappa * shifted / mean_c - 1.0
+    local = np.diag(-params.D * mu) + (basis * a) @ basis.T / grid.n_points
+    return local, basis @ shifted / grid.n_points, params.kappa / mean_c**2
+
+
+def count_sign_changes(values, floor=0.0):
+    """Cyclic sign changes of one function among its entries above
+    max(1e-9 max|values|, floor)."""
+    threshold = max(1e-9 * np.max(np.abs(values)), floor)
+    significant = np.abs(values) > threshold
+    signs = np.sign(values[significant])
+    if signs.size == 0:
+        return 0
+    return int(np.sum(signs != np.roll(signs, 1)))
+
+
 def density_form_hessian(u, params, n_modes):
     """Energy Hessian over the full trigonometric basis, in density form.
 
@@ -87,5 +146,5 @@ def density_form_hessian(u, params, n_modes):
 def unshifted_coupling(state, local):
     """beta_n = int e^U psi_n over the local eigenfunctions, and M = kappa / (int e^U)^2."""
     c = np.exp(state.field.values)
-    betas = np.array([np.mean(c * f.values) for f in local.eigenfunctions])
+    betas = np.array([np.mean(c * f) for f in local.eigenfunctions])
     return betas, state.params.kappa / np.mean(c) ** 2

@@ -4,7 +4,12 @@ import pytest
 import mechmorph as mm
 from mechmorph import bifurcation
 from mechmorph.bifurcation import _detect_folds
-from mechmorph.errors import ConfigurationError, ConvergenceError
+from mechmorph.errors import (
+    AmplitudeOverflowError,
+    ConfigurationError,
+    ConvergenceError,
+    SingularJacobianError,
+)
 
 DEGENERATE_D = 1.0 / (8.0 * np.pi**2)
 
@@ -144,6 +149,7 @@ def test_subcritical_branch_fold_and_exchange(grid256):
         bp, step=0.06, max_points=60, kappa_range=(0.0, bp.kappa_n + 0.02), grid=grid256
     )
     assert branch.terminated_by == "kappa_bound"
+    assert branch.reason is None
     assert len(branch.folds) == 1
     index, kappa_f = branch.folds[0]
     assert 0.0 < kappa_f < bp.kappa_n
@@ -163,6 +169,23 @@ def test_uncertifiable_branch_point_reports_resolution():
     branch = mm.continue_branch(bp, step=0.06, max_points=60)
     assert branch.terminated_by == "resolution"
     assert len(branch.points) == 32
+    assert branch.reason == "ConvergenceError: residual norm 1.651e-08 exceeds 1e-08"
+
+
+def test_corrector_failure_keeps_its_cause(monkeypatch, grid256):
+    solve = bifurcation._EvenCorrector.solve
+    calls = []
+
+    def fails_after_first_point(self, *args, **kwargs):
+        calls.append(None)
+        if len(calls) > 1:
+            raise SingularJacobianError("injected")
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(bifurcation._EvenCorrector, "solve", fails_after_first_point)
+    branch = mm.continue_branch(mm.critical_kappas(0.02, 1)[0], step=0.05, grid=grid256)
+    assert len(branch.points) == 1
+    assert (branch.terminated_by, branch.reason) == ("failure", "SingularJacobianError: injected")
 
 
 def test_branch_points_are_certified_steady_states(grid256):
@@ -255,9 +278,20 @@ def test_sweep_counts_failed_seeds(monkeypatch):
 
     kwargs = dict(trials=1, seed=13, n_points=128)
     intact = mm.sweep([0.005], [1.15], **kwargs).cells[0]
-    assert (intact.classification, intact.n_failed) == ("bistable", 0)
+    assert (intact.classification, intact.failures, intact.n_failed) == ("bistable", (), 0)
     monkeypatch.setattr(bifurcation, "relax_to_steady", failing_on_bump)
     cell = mm.sweep([0.005], [1.15], **kwargs).cells[0]
+    assert cell.failures == ("ConvergenceError",)
     assert cell.n_failed == 1
     assert cell.n_outcomes == 1
     assert cell.classification == "unknown"
+
+    def failing_on_every_seed(u0, params, **kwargs):
+        if np.ptp(u0.values) > 1.0:
+            raise ConvergenceError("injected failure")
+        raise AmplitudeOverflowError("injected failure")
+
+    monkeypatch.setattr(bifurcation, "relax_to_steady", failing_on_every_seed)
+    cell = mm.sweep([0.005], [1.15], **kwargs).cells[0]
+    assert cell.failures == ("ConvergenceError", "AmplitudeOverflowError")  # bump first
+    assert (cell.n_failed, cell.n_outcomes, cell.classification) == (2, 0, "unknown")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import mechmorph as mm
@@ -159,7 +159,6 @@ def _record_steps(monkeypatch):
     return calls
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.sampled_from([64, 128]),

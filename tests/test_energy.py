@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import mechmorph as mm
-from mechmorph._operators import trig_basis
 from mechmorph.errors import AmplitudeOverflowError, ConfigurationError
 
 from oracles import (
@@ -11,6 +10,7 @@ from oracles import (
     gauss_legendre_integral,
     random_smooth_field,
     second_directional_derivative,
+    trig_basis,
 )
 
 MU_1 = 4.0 * np.pi**2

@@ -105,11 +105,13 @@ def test_cli_spectrum_json_schema(tmp_path):
     assert record["M"] > 0
 
 
-def test_cli_branch_csv(tmp_path):
+def test_cli_branch_csv(tmp_path, capsys):
     out = tmp_path / "branch"
     code = run_cli(["branch", "--D", "0.02", "--n", "1", "--step", "0.05",
                     "--max-points", "6", "--out", str(out)])
     assert code == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["terminated_by"], summary["reason"]) == ("step_limit", None)
     lines = (out / "branch.csv").read_text().splitlines()
     assert lines[0] == "s,kappa,amplitude,energy,leading_nu,stable,is_fold"
     assert len(lines) == 7

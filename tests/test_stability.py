@@ -3,9 +3,9 @@ import pytest
 
 import mechmorph as mm
 from mechmorph.errors import ConfigurationError, ResolutionError
-from mechmorph.stability import _secular_solve
+from mechmorph.stability import _secular_solve, _zero_counts
 from mechmorph.steady import _certify
-from oracles import density_form_hessian, unshifted_coupling
+from oracles import count_sign_changes, density_form_hessian, unshifted_coupling
 
 MU_1 = 4.0 * np.pi**2
 
@@ -92,12 +92,45 @@ def test_local_ordering_chain(unimodal_16):
         assert lam[2 * j] - lam[2 * j + 1] >= -1e-12
 
 
+def test_batched_zero_counts_match_scalar_loop():
+    rows = np.array([
+        [1e-3, -2e-3, 1e-3, -1e-3, 2e-3, -1e-3, 1e-3, -1e-3],  # all below its floor
+        [0.0, 0.0, 0.0, 5.0, 1e-12, -1e-12, 0.0, 0.0],  # one significant entry
+        [0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, 0.0],  # exact zeros between the signs
+        [-1.0, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0, 1.0],  # second change across the wrap
+        [2.0, -0.5, 2.0, -3.0, 0.4, 1.0, -0.2, 1.0],  # floor 0.45 hides two entries
+        [2.0, -0.5, 2.0, -3.0, 0.4, 1.0, -0.2, 1.0],  # same row, floor 0
+        [0.0] * 8,  # nothing significant at any floor
+    ])
+    floors = np.array([0.01, 0.0, 0.0, 0.0, 0.45, 0.0, 0.0])
+    expected = [count_sign_changes(row, floor) for row, floor in zip(rows, floors)]
+    assert expected == [0, 0, 2, 2, 4, 6, 0]
+    assert list(_zero_counts(rows, floors)) == expected
+    rng = np.random.Generator(np.random.PCG64(5))
+    rows = rng.standard_normal((200, 33)) * (rng.random((200, 33)) < 0.7)
+    rows *= 10.0 ** rng.integers(-4, 4, size=(200, 1))
+    floors = rng.choice([0.0, 1e-3, 0.5, 5.0], size=200)
+    expected = [count_sign_changes(row, floor) for row, floor in zip(rows, floors)]
+    assert list(_zero_counts(rows, floors)) == expected
+
+
+def test_eigenfunctions_are_a_read_only_orthonormal_array(unimodal_16):
+    local = mm.local_spectrum(unimodal_16)
+    functions = local.eigenfunctions
+    n = unimodal_16.field.grid.n_points
+    assert functions.shape == (local.lambdas.size, n)
+    gram = functions @ functions.T / n  # grid mean of products
+    assert np.max(np.abs(gram - np.eye(local.lambdas.size))) < 1e-12
+    with pytest.raises(ValueError):
+        functions[0, 0] = 1.0
+
+
 def test_translation_mode_in_local_spectrum(unimodal_16):
     local = mm.local_spectrum(unimodal_16)
     idx = int(np.argmin(np.abs(local.lambdas)))
     assert abs(local.lambdas[idx]) < 1e-7
     ux = mm.from_spectral(mm.first_derivative(mm.to_spectral(unimodal_16.field))).values
-    mode = local.eigenfunctions[idx].values
+    mode = local.eigenfunctions[idx]
     corr = abs(mode @ ux) / (np.linalg.norm(mode) * np.linalg.norm(ux))
     assert corr > 1.0 - 1e-6
 
