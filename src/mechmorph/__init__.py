@@ -24,7 +24,7 @@ from .bifurcation import (
     predictor_from_normal_form,
     sweep,
 )
-from .dynamics import TrajectorySummary, simulate, step_imex, strain_field
+from .dynamics import TrajectorySummary, simulate, strain_field
 from .energy import BoundsReport, bounds, energy, first_variation, hessian_matrix
 from .errors import (
     AmplitudeOverflowError,
@@ -53,6 +53,7 @@ from .stability import (
     CrosscheckReport,
     EigenReport,
     LocalSpectrum,
+    SecularStats,
     assemble_linearization,
     local_spectrum,
     nonlocal_spectrum,

@@ -29,7 +29,7 @@ from .errors import AmplitudeOverflowError, ConfigurationError, DivergenceError
 from .grid import Field, Grid
 from .model import ModelParams
 
-__all__ = ["TrajectorySummary", "step_imex", "simulate", "strain_field"]
+__all__ = ["TrajectorySummary", "simulate", "strain_field"]
 
 
 @dataclass(frozen=True)
@@ -100,15 +100,6 @@ class _Stepper:
         reaction = self.params.kappa * p.density
         u_hat = factor * p.u_hat + weight * np.fft.rfft(reaction, norm="forward")
         return u_hat, np.fft.irfft(u_hat, self.grid.n_points, norm="forward")
-
-
-def step_imex(u: Field, dt: float, params: ModelParams) -> Field:
-    """Advance one semi-implicit step of length dt."""
-    stepper = _Stepper(u.grid, params, dt)
-    _, values = stepper.advance(stepper.start(u.values), dt)
-    if not np.isfinite(values).all():
-        raise DivergenceError("time step produced non-finite values", last_state=u, t=0.0)
-    return Field(u.grid, values)
 
 
 def simulate(

@@ -25,12 +25,21 @@ shared with the local problem solves
 
 with exactly one root between consecutive distinct lambdas that carry
 beta != 0, plus one root below the smallest of them.  Local eigenvalues
-with |beta| <= 1e-9 max |beta| carry over verbatim.  Agreement of the two
-routes is the package's main spectral self-check.
+with |beta| <= 1e-9 max |beta| carry over verbatim.  All brackets are
+bisected together: each sweep evaluates the secular function for every
+open bracket as one (brackets x poles) array.
+
+Agreement of the two routes is the package's main spectral self-check.
+It comes with an interlacing check of the direct eigenvalues against the
+local ones: L is the local operator minus a positive rank-one term, so
+lambda_{i+1} <= nu_i <= lambda_i.  :func:`spectrum_crosscheck` logs what
+the secular solve did (:class:`SecularStats`) at DEBUG on the
+``mechmorph.stability`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +52,7 @@ __all__ = [
     "LocalSpectrum",
     "EigenReport",
     "CrosscheckReport",
+    "SecularStats",
     "assemble_linearization",
     "local_spectrum",
     "nonlocal_spectrum",
@@ -56,7 +66,12 @@ BETA_TOL = 1e-9  # relative to max |beta|
 MERGE_TOL = 1e-9
 BISECT_TOL = 1e-12
 BRACKET_INSET = 1e-10
+# bracket ends probed ever closer to a pole (the products as a loop forms them)
+PROBE_INSETS = (BRACKET_INSET, BRACKET_INSET * 1e-3, BRACKET_INSET * 1e-3 * 1e-3)
 N_VERIFY = 5  # leading local eigenfunctions checked against the oscillation pattern
+INTERLACE_TOL = 1e-12  # relative to max(1, max |lambda|)
+
+_log = logging.getLogger(__name__)
 
 
 def _default_modes(state) -> int:
@@ -110,7 +125,6 @@ class EigenReport:
     M: float
     nonlocal_eigs: np.ndarray
     verdict: str
-    route: tuple[str, ...]
     leading_nu: float
     translation_nu: float | None
 
@@ -120,6 +134,9 @@ class CrosscheckReport:
     """Comparison of the direct and secular spectra (leading eigenvalues).
 
     ``report`` is the direct-route spectrum that was checked.
+    ``interlacing_ok`` says whether its eigenvalues interlace the local
+    eigenvalues as a rank-one negative update must, within 1e-12 of the
+    spectral scale.
     """
 
     direct: np.ndarray
@@ -308,48 +325,117 @@ def nonlocal_spectrum(state: SteadyState, n_modes: int | None = None) -> EigenRe
         M=m_coef,
         nonlocal_eigs=eigvals,
         verdict=_verdict(float(eigvals[0])),
-        route=("direct-matrix",) * eigvals.size,
         leading_nu=leading_nu,
         translation_nu=translation_nu,
     )
 
 
-def _bisect(g, lo: float, hi: float) -> float:
-    glo = g(lo)
-    ghi = g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if np.sign(glo) == np.sign(ghi):
-        raise BracketError(
-            f"no sign change in bracket ({lo:.12g}, {hi:.12g}); "
-            "a coupling coefficient may be misclassified at the current tolerance"
-        )
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if np.sign(gm) == np.sign(glo):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+@dataclass(frozen=True)
+class SecularStats:
+    """What one secular solve did.
+
+    ``brackets`` counts the secular roots, one per distinct coupled local
+    eigenvalue; ``pinned`` the roots placed on a local eigenvalue because
+    the probes next to it had the wrong sign or collapsed onto it;
+    ``verbatim`` the local eigenvalues carried over unchanged; ``sweeps``
+    the bisection sweeps, each of which evaluates the secular function once
+    for every bracket still open.
+    """
+
+    brackets: int
+    pinned: int
+    verbatim: int
+    sweeps: int
 
 
 @dataclass(frozen=True)
 class _SecularSolution:
-    """Internal: secular roots with their brackets, plus the verbatim set."""
+    """Internal: roots[i] lies in [poles[i+1], poles[i]], the last root below
+    poles[-1]; poles are the merged coupled local eigenvalues, decreasing."""
 
-    roots: list[tuple[float, float, float]]  # (root, lower bracket, upper bracket)
-    verbatim: list[float]
+    poles: np.ndarray
+    roots: np.ndarray
+    verbatim: np.ndarray
+    stats: SecularStats
 
     def all_sorted(self) -> np.ndarray:
-        values = self.verbatim + [r for r, _, _ in self.roots]
-        return np.sort(np.asarray(values))[::-1]
+        return np.sort(np.concatenate([self.verbatim, self.roots]))[::-1]
+
+
+def _secular_values(nu: np.ndarray, poles: np.ndarray, weights: np.ndarray, target: float):
+    """sum_n weights_n / (poles_n - nu) - target for each nu.
+
+    One (nu x poles) array; each row is summed exactly as the 1-D sum over
+    the poles would be, so a value does not depend on which other nu are
+    evaluated with it.
+    """
+    with np.errstate(divide="ignore"):
+        return np.sum(weights / (poles - nu[:, None]), axis=1) - target
+
+
+def _probe(g, poles: np.ndarray, side: float, want_negative: bool):
+    """A bracket end next to each pole, on ``side`` of it (+1 above, -1 below).
+
+    Each pole is probed at the PROBE_INSETS in turn until g has the wanted
+    sign.  A probe that collapses onto its pole, or three with the wrong
+    sign, pin the root to the pole: it coincides with the local eigenvalue
+    to machine precision.  Returns the ends, g there and the pinned mask.
+    """
+    ends = poles.copy()
+    values = np.zeros(poles.size)
+    found = np.zeros(poles.size, dtype=bool)
+    for inset in PROBE_INSETS:
+        probes = poles + side * inset
+        # rounding is monotone: a probe that collapsed stays collapsed
+        idx = np.flatnonzero(~found & (probes != poles))
+        if idx.size == 0:
+            break
+        g_probe = g(probes[idx])
+        hit = (g_probe < 0.0) == want_negative
+        ends[idx[hit]] = probes[idx[hit]]
+        values[idx[hit]] = g_probe[hit]
+        found[idx[hit]] = True
+    return ends, values, ~found
+
+
+def _below_lowest(g, lowest: float) -> float:
+    """A point below the lowest pole where g < 0 (g -> 0- as nu -> -inf)."""
+    span = max(1.0, abs(lowest))
+    for _ in range(200):
+        lo = lowest - span
+        if g(np.array([lo]))[0] < 0.0:
+            return lo
+        span *= 2.0
+    raise BracketError("could not bracket the lowest secular root")
+
+
+def _bisect_all(g, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, int]:
+    """Bisect every bracket together; g(lo) < 0 <= g(hi) (or NaN) on entry.
+
+    A bracket retires with its midpoint once hi - lo <= BISECT_TOL, once
+    the midpoint no longer moves, or where g vanishes there.  Returns the
+    roots and the number of sweeps.
+    """
+    roots = np.empty(lo.size)
+    active = np.arange(lo.size)
+    sweeps = 0
+    while active.size:
+        a, b = lo[active], hi[active]
+        mid = 0.5 * (a + b)
+        done = (b - a <= BISECT_TOL) | (mid <= a) | (mid >= b)
+        roots[active[done]] = mid[done]
+        active, mid = active[~done], mid[~done]
+        if not active.size:
+            break
+        g_mid = g(mid)
+        sweeps += 1
+        zero = g_mid == 0.0
+        roots[active[zero]] = mid[zero]
+        below = g_mid < 0.0
+        lo[active[below]] = mid[below]
+        hi[active[~below]] = mid[~below]
+        active = active[~zero]
+    return roots, sweeps
 
 
 def _secular_solve(local: LocalSpectrum, betas: np.ndarray, M: float) -> _SecularSolution:
@@ -361,79 +447,64 @@ def _secular_solve(local: LocalSpectrum, betas: np.ndarray, M: float) -> _Secula
         raise ConfigurationError("betas must align with local.lambdas")
 
     decoupled = np.abs(betas) <= BETA_TOL * np.max(np.abs(betas), initial=0.0)
-    verbatim = list(lambdas[decoupled])
-    coupled = list(zip(lambdas[~decoupled], betas[~decoupled]))
+    verbatim = lambdas[decoupled].tolist()
+    coupled = zip(lambdas[~decoupled].tolist(), betas[~decoupled].tolist())
 
     # merge coincident coupled eigenvalues (sorted decreasing already); the
     # shared value stays an eigenvalue through the decoupled combination
-    merged: list[tuple[float, float]] = []
+    merged: list[list[float]] = []
     for lam, b in coupled:
         if merged and abs(merged[-1][0] - lam) < MERGE_TOL:
-            prev_lam, prev_b = merged[-1]
-            merged[-1] = (prev_lam, float(np.hypot(prev_b, b)))
-            verbatim.append(prev_lam)
+            merged[-1][1] = float(np.hypot(merged[-1][1], b))
+            verbatim.append(merged[-1][0])
         else:
-            merged.append((lam, float(b)))
+            merged.append([lam, b])
 
+    verbatim = np.array(verbatim, dtype=float)
     if not merged:
-        return _SecularSolution(roots=[], verbatim=verbatim)
+        stats = SecularStats(brackets=0, pinned=0, verbatim=verbatim.size, sweeps=0)
+        return _SecularSolution(np.empty(0), np.empty(0), verbatim, stats)
 
-    lam_b = np.array([lam for lam, _ in merged])
-    scale = max(abs(b) for _, b in merged)
-    b_norm = np.array([b / scale for _, b in merged])
+    poles = np.array([lam for lam, _ in merged])
+    b = np.array([b for _, b in merged])
+    scale = np.max(np.abs(b))
+    weights = (b / scale) ** 2
     target = (1.0 / M) / scale / scale
 
     def g(nu):
-        with np.errstate(divide="ignore"):
-            return float(np.sum(b_norm**2 / (lam_b - nu)) - target)
+        return _secular_values(nu, poles, weights, target)
 
-    def shrink_towards(endpoint, sign, want_negative):
-        # move the probe closer to the pole at `endpoint` until g has the
-        # required sign; a probe that collapses onto the pole means the root
-        # coincides with the eigenvalue to machine precision
-        inset = BRACKET_INSET
-        while inset > 1e-18:
-            probe = endpoint + sign * inset
-            if probe == endpoint:
-                return endpoint, True
-            value = g(probe)
-            if (value < 0.0) == want_negative:
-                return probe, False
-            inset *= 1e-3
-        return endpoint, True
+    # root i lies between poles[i+1] (or -inf) and poles[i]: probe below
+    # every pole and above every pole but the first
+    hi, g_hi, pinned_hi = _probe(g, poles, -1.0, want_negative=False)
+    lo, _, pinned_lo = _probe(g, poles[1:], +1.0, want_negative=True)
+    lower = np.append(poles[1:], -np.inf)
+    lo = np.append(lo, -np.inf)
+    pinned_lo = np.append(pinned_lo, False)
+    narrow = np.append(poles[:-1] - poles[1:] <= 2 * BRACKET_INSET, False)  # inside the insets
 
-    roots: list[tuple[float, float, float]] = []
-    # one root inside each interval between consecutive coupled eigenvalues
-    for upper, lower in zip(lam_b[:-1], lam_b[1:]):
-        if upper - lower <= 2 * BRACKET_INSET:  # narrower than the insets
-            roots.append((0.5 * (lower + upper), lower, upper))
-            continue
-        lo, pinned_lo = shrink_towards(lower, +1.0, want_negative=True)
-        hi, pinned_hi = shrink_towards(upper, -1.0, want_negative=False)
-        if pinned_lo:
-            roots.append((lower, lower, upper))
-        elif pinned_hi:
-            roots.append((upper, lower, upper))
-        else:
-            roots.append((_bisect(g, lo, hi), lower, upper))
-    # one root below the smallest coupled eigenvalue (g -> 0- as nu -> -inf)
-    lowest = lam_b[-1]
-    hi, pinned = shrink_towards(lowest, -1.0, want_negative=False)
-    if pinned:
-        roots.append((lowest, -np.inf, lowest))
-    else:
-        span = max(1.0, abs(lowest))
-        lo = lowest - span
-        for _ in range(200):
-            if g(lo) < 0.0:
-                break
-            span *= 2.0
-            lo = lowest - span
-        else:
-            raise BracketError("could not bracket the lowest secular root")
-        roots.append((_bisect(g, lo, hi), -np.inf, lowest))
+    # a bracket narrower than the insets takes its midpoint; otherwise a
+    # root pinned to its lower pole wins over one pinned to its upper pole,
+    # and a probe where g vanishes is the root
+    roots = poles.copy()
+    roots[pinned_lo] = lower[pinned_lo]
+    roots[narrow] = 0.5 * (lower[narrow] + poles[narrow])
+    pinned = ~narrow & (pinned_lo | pinned_hi)
+    bisect = ~(narrow | pinned)
+    at_hi = bisect & (g_hi == 0.0)
+    roots[at_hi] = hi[at_hi]
+    bisect &= ~at_hi
+    if bisect[-1]:
+        lo[-1] = _below_lowest(g, poles[-1])
+    roots[bisect], sweeps = _bisect_all(g, lo[bisect], hi[bisect])
 
-    return _SecularSolution(roots=roots, verbatim=verbatim)
+    stats = SecularStats(
+        brackets=poles.size,
+        pinned=int(np.count_nonzero(pinned)),
+        verbatim=verbatim.size,
+        sweeps=sweeps,
+    )
+    return _SecularSolution(poles, roots, verbatim, stats)
 
 
 def secular_roots(local: LocalSpectrum, betas: np.ndarray, M: float) -> np.ndarray:
@@ -444,10 +515,23 @@ def secular_roots(local: LocalSpectrum, betas: np.ndarray, M: float) -> np.ndarr
     eigenvalues (within 1e-9) that both couple are merged with
     beta <- sqrt(beta_i^2 + beta_j^2); the shared eigenvalue itself then
     also remains a nonlocal eigenvalue (the orthogonal combination
-    decouples).  One root is bisected inside every interval between
-    consecutive distinct coupled eigenvalues, plus one below the smallest.
+    decouples).  There is one root inside every interval between
+    consecutive distinct coupled eigenvalues, plus one below the smallest;
+    all of them are bisected together, each sweep evaluating the secular
+    function for every open bracket as one array.
     """
     return _secular_solve(local, betas, M).all_sorted()
+
+
+def _interlaces(lambdas: np.ndarray, nus: np.ndarray) -> bool:
+    """Whether lambda_{i+1} - tol <= nu_i <= lambda_i + tol for every i.
+
+    Both are sorted decreasing and of one length: the spectrum nu of a
+    symmetric matrix minus a positive rank-one term interlaces the spectrum
+    lambda of the matrix.  tol = 1e-12 max(1, max |lambda|).
+    """
+    tol = INTERLACE_TOL * max(1.0, float(np.max(np.abs(lambdas))))
+    return bool(np.all(nus <= lambdas + tol) and np.all(nus[:-1] >= lambdas[1:] - tol))
 
 
 def spectrum_crosscheck(
@@ -460,19 +544,21 @@ def spectrum_crosscheck(
 
     Raises :class:`ResolutionError` (with both lists attached) if the
     maximum pairwise deviation over the leading ``n_compare`` eigenvalues
-    exceeds ``tol``.  Also verifies the interlacing brackets: every secular
-    root must lie strictly between the coupled local eigenvalues around it.
+    exceeds ``tol``.  Also checks that the direct eigenvalues interlace the
+    local ones (L is the local operator minus a positive rank-one term), a
+    test of the direct route against the local spectrum of the secular one.
+    Logs the :class:`SecularStats` of the secular solve at DEBUG on the
+    ``mechmorph.stability`` logger.
     """
     report = nonlocal_spectrum(state, n_modes)
     solution = _secular_solve(report.local, report.betas, report.M)
+    _log.debug("spectrum_crosscheck: %s", solution.stats,
+               extra={"secular_stats": solution.stats})
     secular = solution.all_sorted()
     direct = report.nonlocal_eigs
     k = min(n_compare, direct.size, secular.size)
     max_dev = float(np.max(np.abs(direct[:k] - secular[:k])))
-
-    # every bisected root must sit inside its own bracket of consecutive
-    # coupled local eigenvalues (the lowest one is only bounded above)
-    interlacing_ok = all(lower <= root <= upper for root, lower, upper in solution.roots)
+    interlacing_ok = _interlaces(report.local.lambdas, direct)
 
     if max_dev >= tol:
         err = ResolutionError(

@@ -4,12 +4,15 @@ These deliberately avoid the package's own quadrature and differentiation
 routes: integrals use composite Gauss-Legendre panels, Bessel values come
 from the defining power series, derivatives of the energy are taken by
 central finite differences, Galerkin integrals by sampled trigonometric
-bases, and zero counts by one loop per function.
+bases, zero counts by one loop per function, and secular roots by one
+scalar bisection per bracket.
 """
 
 import numpy as np
 
 import mechmorph as mm
+from mechmorph.errors import BracketError, ConfigurationError
+from mechmorph.stability import BETA_TOL, BISECT_TOL, BRACKET_INSET, MERGE_TOL
 
 
 def gauss_legendre_integral(f, n_panels=64, order=10):
@@ -148,3 +151,102 @@ def unshifted_coupling(state, local):
     c = np.exp(state.field.values)
     betas = np.array([np.mean(c * f) for f in local.eigenfunctions])
     return betas, state.params.kappa / np.mean(c) ** 2
+
+
+def _bisect(g, lo, hi):
+    glo = g(lo)
+    ghi = g(hi)
+    if glo == 0.0:
+        return lo
+    if ghi == 0.0:
+        return hi
+    if np.sign(glo) == np.sign(ghi):
+        raise BracketError(f"no sign change in bracket ({lo:.12g}, {hi:.12g})")
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        gm = g(mid)
+        if gm == 0.0:
+            return mid
+        if np.sign(gm) == np.sign(glo):
+            lo, glo = mid, gm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def scalar_secular_roots(local, betas, M):
+    """All nonlocal eigenvalues by one scalar bisection per secular bracket.
+
+    The same rules as ``mm.secular_roots`` (verbatim carry-over, merge of
+    coincident coupled eigenvalues, probes 1e-10, 1e-13 and 1e-16 inside
+    each pole, pinning, midpoint of a bracket narrower than the probes),
+    with the secular function evaluated one nu at a time.  Sorted
+    decreasing.
+    """
+    if M <= 0:
+        raise ConfigurationError(f"M must be positive, got {M}")
+    lambdas = np.asarray(local.lambdas, dtype=float)
+    betas = np.asarray(betas, dtype=float)
+    decoupled = np.abs(betas) <= BETA_TOL * np.max(np.abs(betas), initial=0.0)
+    values = list(lambdas[decoupled])
+    merged = []
+    for lam, b in zip(lambdas[~decoupled], betas[~decoupled]):
+        if merged and abs(merged[-1][0] - lam) < MERGE_TOL:
+            prev_lam, prev_b = merged[-1]
+            merged[-1] = (prev_lam, float(np.hypot(prev_b, b)))
+            values.append(prev_lam)
+        else:
+            merged.append((lam, float(b)))
+    if not merged:
+        return np.sort(np.asarray(values))[::-1]
+
+    lam_b = np.array([lam for lam, _ in merged])
+    scale = max(abs(b) for _, b in merged)
+    b_norm = np.array([b / scale for _, b in merged])
+    target = (1.0 / M) / scale / scale
+
+    def g(nu):
+        with np.errstate(divide="ignore"):
+            return float(np.sum(b_norm**2 / (lam_b - nu)) - target)
+
+    def shrink_towards(endpoint, sign, want_negative):
+        inset = BRACKET_INSET
+        while inset > 1e-18:
+            probe = endpoint + sign * inset
+            if probe == endpoint:
+                return endpoint, True
+            if (g(probe) < 0.0) == want_negative:
+                return probe, False
+            inset *= 1e-3
+        return endpoint, True
+
+    for upper, lower in zip(lam_b[:-1], lam_b[1:]):
+        if upper - lower <= 2 * BRACKET_INSET:
+            values.append(0.5 * (lower + upper))
+            continue
+        lo, pinned_lo = shrink_towards(lower, +1.0, want_negative=True)
+        hi, pinned_hi = shrink_towards(upper, -1.0, want_negative=False)
+        if pinned_lo:
+            values.append(lower)
+        elif pinned_hi:
+            values.append(upper)
+        else:
+            values.append(_bisect(g, lo, hi))
+    lowest = lam_b[-1]
+    hi, pinned = shrink_towards(lowest, -1.0, want_negative=False)
+    if pinned:
+        values.append(lowest)
+    else:
+        span = max(1.0, abs(lowest))
+        lo = lowest - span
+        for _ in range(200):
+            if g(lo) < 0.0:
+                break
+            span *= 2.0
+            lo = lowest - span
+        else:
+            raise BracketError("could not bracket the lowest secular root")
+        values.append(_bisect(g, lo, hi))
+    return np.sort(np.asarray(values))[::-1]

@@ -1,11 +1,20 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mechmorph as mm
 from mechmorph.errors import ConfigurationError, ResolutionError
-from mechmorph.stability import _secular_solve, _zero_counts
+from mechmorph.stability import _interlaces, _secular_solve, _zero_counts
 from mechmorph.steady import _certify
-from oracles import count_sign_changes, density_form_hessian, unshifted_coupling
+from oracles import (
+    count_sign_changes,
+    density_form_hessian,
+    scalar_secular_roots,
+    unshifted_coupling,
+)
 
 MU_1 = 4.0 * np.pi**2
 
@@ -185,11 +194,95 @@ def test_constant_state_secular_structure(grid256, kappa):
     # e^kappa lifts the round-off betas of the cosines far above 1e-9
     state, report = constant_report(grid256, 0.01, kappa)
     solution = _secular_solve(report.local, report.betas, report.M)
-    assert len(solution.roots) == 1
-    root, lower, upper = solution.roots[0]
+    assert solution.roots.size == solution.poles.size == 1  # the bracket below the one pole
+    root, upper = solution.roots[0], solution.poles[0]
     assert root == pytest.approx(-1.0, abs=1e-10)
-    assert lower == -np.inf and upper == pytest.approx(kappa - 1.0, abs=1e-12)
+    assert root < upper and upper == pytest.approx(kappa - 1.0, abs=1e-12)
     assert len(solution.verbatim) == report.local.lambdas.size - 1
+
+
+@pytest.fixture(scope="module")
+def quickstart_state(grid256):
+    """The README quickstart state: D = 0.01, kappa = 1.5 from 1.5 + 0.01 cos."""
+    u0 = mm.Field(grid256, 1.5 + 0.01 * np.cos(2.0 * np.pi * grid256.nodes))
+    return mm.relax_to_steady(u0, mm.ModelParams(D=0.01, kappa=1.5))
+
+
+@pytest.mark.parametrize(
+    "name", ["unimodal_16", "twomodal_16", "constant_1.2", "constant_25", "quickstart_state"]
+)
+def test_secular_roots_equal_scalar_bisection(request, grid256, name):
+    # the vectorized solver evaluates every secular value in the scalar
+    # order, so the roots agree bit for bit, not to a tolerance
+    if name.startswith("constant"):
+        kappa = float(name.split("_")[1])
+        state = mm.constant_state(mm.ModelParams(D=0.01, kappa=kappa), grid256)
+    else:
+        state = request.getfixturevalue(name)
+    report = mm.nonlocal_spectrum(state)
+    roots = mm.secular_roots(report.local, report.betas, report.M)
+    assert np.array_equal(roots, scalar_secular_roots(report.local, report.betas, report.M))
+
+
+def test_interlacing_detects_a_crossing(unimodal_16):
+    report = mm.nonlocal_spectrum(unimodal_16)
+    lambdas, nus = report.local.lambdas, report.nonlocal_eigs
+    assert _interlaces(lambdas, nus)
+    i = 3
+    scale = max(1.0, np.max(np.abs(lambdas)))
+    moved = nus.copy()
+    moved[i] = lambdas[i] + 1e-9 * scale  # past its upper local neighbour
+    assert not _interlaces(lambdas, moved)
+    moved = nus.copy()
+    moved[i] = lambdas[i + 1] - 1e-9 * scale  # below its lower one
+    assert not _interlaces(lambdas, moved)
+
+
+@st.composite
+def secular_problems(draw):
+    """Decreasing lambdas with one exact coincident pair, betas with some
+    exact zeros, and M > 0."""
+    size = draw(st.integers(2, 12))
+    top = draw(st.floats(-5.0, 5.0))
+    gaps = draw(st.lists(st.floats(1e-2, 5.0), min_size=size - 1, max_size=size - 1))
+    lambdas = top - np.concatenate([[0.0], np.cumsum(gaps)])
+    pair = draw(st.integers(0, size - 2))
+    lambdas[pair + 1] = lambdas[pair]
+    magnitudes = draw(st.lists(st.floats(0.1, 2.0), min_size=size, max_size=size))
+    signs = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=size, max_size=size))
+    betas = np.array(magnitudes) * np.array(signs)
+    return lambdas, betas, draw(st.floats(1e-2, 10.0))
+
+
+@given(secular_problems())
+def test_secular_roots_match_dense_rank_one_update(problem):
+    lambdas, betas, m_coef = problem
+    local = mm.LocalSpectrum(
+        lambdas=lambdas, eigenfunctions=[], zero_counts=np.zeros(lambdas.size, int)
+    )
+    roots = mm.secular_roots(local, betas, m_coef)
+    dense = np.linalg.eigvalsh(np.diag(lambdas) - m_coef * np.outer(betas, betas))[::-1]
+    assert roots.shape == dense.shape
+    assert np.max(np.abs(roots - dense)) <= 1e-9 * max(1.0, np.max(np.abs(lambdas)))
+    assert _interlaces(lambdas, roots)
+
+
+def test_crosscheck_logs_secular_stats(caplog, unimodal_16):
+    with caplog.at_level(logging.DEBUG, logger="mechmorph.stability"):
+        check = mm.spectrum_crosscheck(unimodal_16)
+    records = [r for r in caplog.records if r.name == "mechmorph.stability"]
+    assert len(records) == 1
+    stats = records[0].secular_stats
+    assert isinstance(stats, mm.SecularStats)
+    assert "SecularStats(brackets=" in caplog.text
+    # every local eigenvalue is either a pole with one root below it, or
+    # carried over verbatim
+    assert stats.brackets + stats.verbatim == check.report.local.lambdas.size
+    assert 0 <= stats.pinned < stats.brackets
+    # each sweep halves every open bracket, the widest of which (the lowest,
+    # 1-2 spectral radii wide here) needs at most log2(width / 1e-12) halvings
+    scale = max(1.0, np.max(np.abs(check.report.local.lambdas)))
+    assert 0 < stats.sweeps <= np.ceil(np.log2(4.0 * scale / 1e-12))
 
 
 def test_crosscheck_constant_exact(grid256):
@@ -227,7 +320,6 @@ def test_stable_pattern_reports_marginal_with_negative_leading(unimodal_16):
     report = mm.nonlocal_spectrum(unimodal_16)
     assert report.verdict == "marginal"  # translation zero mode
     assert report.leading_nu < -1e-3
-    assert report.route == ("direct-matrix",) * report.nonlocal_eigs.size
 
 
 def test_betas_of_odd_eigenfunctions_vanish(unimodal_16):
