@@ -21,22 +21,22 @@ from .model import ModelParams
 EXP_GUARD = 700.0  # stay inside double-precision exp() range
 
 
-def check_exp_range(values: np.ndarray) -> None:
-    m = float(np.abs(values).max())
-    if m > EXP_GUARD:
+def check_exp_range(max_abs: float) -> None:
+    """Raise AmplitudeOverflowError when max |u| = max_abs leaves the exp() range."""
+    if max_abs > EXP_GUARD:
         raise AmplitudeOverflowError(
-            f"max |u| = {m:.3g} exceeds the exp() range guard ({EXP_GUARD:g})"
+            f"max |u| = {max_abs:.3g} exceeds the exp() range guard ({EXP_GUARD:g})"
         )
 
 
 def shifted_exp(values: np.ndarray) -> tuple[np.ndarray, float, float]:
     """e^(u - max u), its grid mean, and log(int e^u) = max u + log(mean).
 
-    Every evaluation of e^u goes through here, behind the range guard, so
-    nothing overflows.
+    Every evaluation of e^u goes through here or through the flow's step,
+    behind the range guard, so nothing overflows.
     """
-    check_exp_range(values)
     top = float(values.max())
+    check_exp_range(max(top, -float(values.min())))
     shifted = np.exp(values - top)
     mean = float(shifted.sum()) / values.size
     return shifted, mean, top + float(np.log(mean))
@@ -57,31 +57,27 @@ def log_mean_exp(values: np.ndarray) -> float:
     return shifted_exp(values)[2]
 
 
-def gradient_weights(grid: Grid) -> np.ndarray:
-    """Weights w_k with int u_x^2 = sum_k w_k |u_hat_k|^2 (Parseval).
+def energy_weights(grid: Grid, D: float) -> np.ndarray:
+    """Weights w with (D/2) int u_x^2 + (1/2) int u^2 = sum_j w_j v_j^2 (Parseval).
 
-    u_hat is the forward-normalized rfft; every coefficient but the mean
-    and the Nyquist one stands for a conjugate pair.
+    v = u_hat.view(float) interleaves the real and imaginary parts of the
+    forward-normalized rfft u_hat.
     """
-    w = np.full(grid.n_points // 2 + 1, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0  # Nyquist coefficient appears once for even n
-    return w * grid.laplacian_eigenvalues
+    quadratic = 0.5 * grid.parseval_weights * (1.0 + D * grid.laplacian_eigenvalues)
+    return np.repeat(quadratic, 2)
 
 
 def free_energy(
-    u_hat: np.ndarray, values: np.ndarray, params: ModelParams, grad_weights: np.ndarray,
-    log_int: float,
+    u_hat: np.ndarray, params: ModelParams, weights: np.ndarray, log_int: float
 ) -> float:
     """J(u) = (D/2) int u_x^2 + (1/2) int u^2 - kappa log(int e^u).
 
-    u_hat is the forward-normalized rfft of the grid values; the gradient
-    term comes from it with ``gradient_weights``, int u^2 is the grid mean
-    of values^2, and log_int is log(int e^u) (``log_mean_exp``).
+    u_hat is the forward-normalized rfft of the grid values; the quadratic
+    part is one dot product with ``energy_weights`` over it, and log_int is
+    log(int e^u) (``log_mean_exp``).
     """
-    grad_sq = float((grad_weights * np.abs(u_hat) ** 2).sum())
-    mean_sq = float((values**2).sum()) / values.size
-    return 0.5 * params.D * grad_sq + 0.5 * mean_sq - params.kappa * log_int
+    v = u_hat.view(float)
+    return float(np.dot(weights * v, v)) - params.kappa * log_int
 
 
 def evolution_rhs(values: np.ndarray, grid: Grid, params: ModelParams) -> np.ndarray:

@@ -15,16 +15,27 @@ the flow's Lyapunov function: fixed points of exponential Euler are exact
 steady states for any step, so only the energy needs to control the step.
 Each state's e^(u - max u) is computed once and gives both J at that state
 and the production term of the step that leaves it.
+
+The step works in two preallocated slots, each holding a state's rfft,
+grid values and density, plus one reaction buffer: every array operation
+writes into one of them (``out=``), and a step writes only into the slot
+its start is not in, so a rejected step leaves the accepted state intact.
+One max and one min of the new values give the finiteness check (NaN and
++-inf propagate through them), the exp() range guard, the shift of the
+exponential and the recorded extremes.  J is one dot product over the
+rfft, with the gradient term and, by Parseval, int u^2 folded into its
+weights.  The steady-state rate is computed only when its threshold is
+positive; the rate is >= 0, so a threshold <= 0 could never fire.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from ._operators import density, free_energy, gradient_weights, shifted_exp
+from ._operators import check_exp_range, density, energy_weights, free_energy
 from .errors import AmplitudeOverflowError, ConfigurationError, DivergenceError
 from .grid import Field, Grid
 from .model import ModelParams
@@ -55,51 +66,93 @@ class TrajectorySummary:
 MAX_STEP = 0.5  # stability guard on the step length
 
 
-class _Point(NamedTuple):
-    """A state of the flow with what the fused step needs from it."""
+class _Slot:
+    """One preallocated state of the flow and what the step reads from it."""
 
-    u_hat: np.ndarray
-    values: np.ndarray
-    density: np.ndarray  # e^u / int e^u
-    energy: float
+    __slots__ = ("u_hat", "values", "density", "top", "bottom", "energy")
+
+    def __init__(self, n: int):
+        self.u_hat = np.empty(n // 2 + 1, dtype=complex)
+        self.values = np.empty(n)
+        self.density = np.empty(n)  # e^u / int e^u
+        self.top = self.bottom = self.energy = 0.0  # max u, min u, J(u)
+
+    @property
+    def finite(self) -> bool:
+        # NaN propagates through max and min, and +-inf lands in one of them
+        return math.isfinite(self.top) and math.isfinite(self.bottom)
 
 
 class _Stepper:
-    """Exponential-Euler steps for one (grid, params); the integrating
-    factors are cached per step length."""
+    """Exponential-Euler steps for one (grid, params) between two slots.
+
+    A step writes only into the slot its start is not in, so a rejected
+    step leaves the accepted state intact.  The integrating factors are
+    cached per step length.
+    """
 
     def __init__(self, grid: Grid, params: ModelParams, dt: float):
         if not (dt > 0.0):
             raise ConfigurationError(f"dt must be positive, got {dt}")
         if dt > MAX_STEP:
             raise ConfigurationError(f"dt = {dt} exceeds the stability guard {MAX_STEP:g}")
-        self.grid = grid
+        n = grid.n_points
+        self.n = n
         self.params = params
         self._decay = -(1.0 + params.D * grid.laplacian_eigenvalues)
-        self._grad_weights = gradient_weights(grid)
+        self._weights = energy_weights(grid, params.D)
         self._factors = {}
+        self._slots = (_Slot(n), _Slot(n))
+        self._reaction = np.empty(n)
+        self._reaction_hat = np.empty(n // 2 + 1, dtype=complex)
+        self._diff = np.empty(n)
 
-    def start(self, values: np.ndarray) -> _Point:
-        return self.point(np.fft.rfft(values, norm="forward"), values)
+    def start(self, values: np.ndarray) -> _Slot:
+        """The first state, in slot 0.  Raises AmplitudeOverflowError beyond
+        the exp() range guard."""
+        s = self._slots[0]
+        s.values[:] = values
+        np.fft.rfft(s.values, norm="forward", out=s.u_hat)
+        s.top = float(s.values.max())
+        s.bottom = float(s.values.min())
+        self.evaluate(s)
+        return s
 
-    def point(self, u_hat: np.ndarray, values: np.ndarray) -> _Point:
-        """The state's density and energy from one shifted exponential.
+    def evaluate(self, s: _Slot) -> None:
+        """The density and energy of s from one shifted exponential.
 
         Raises AmplitudeOverflowError beyond the exp() range guard.
         """
-        shifted, mean, log_int = shifted_exp(values)
-        energy = free_energy(u_hat, values, self.params, self._grad_weights, log_int)
-        return _Point(u_hat, values, shifted / mean, energy)
+        check_exp_range(max(s.top, -s.bottom))
+        np.subtract(s.values, s.top, out=s.density)
+        np.exp(s.density, out=s.density)
+        mean = float(s.density.sum()) / self.n
+        np.divide(s.density, mean, out=s.density)
+        s.energy = free_energy(s.u_hat, self.params, self._weights, s.top + float(np.log(mean)))
 
-    def advance(self, p: _Point, h: float) -> tuple[np.ndarray, np.ndarray]:
-        """One step of length h from p: the new rfft and grid values."""
+    def advance(self, p: _Slot, h: float) -> _Slot:
+        """One step of length h from p into the other slot: its rfft, grid
+        values and extremes.  ``evaluate`` completes it."""
         if h not in self._factors:
             factor = np.exp(self._decay * h)
             self._factors[h] = factor, (factor - 1.0) / self._decay  # phi_1(h decay) h
         factor, weight = self._factors[h]
-        reaction = self.params.kappa * p.density
-        u_hat = factor * p.u_hat + weight * np.fft.rfft(reaction, norm="forward")
-        return u_hat, np.fft.irfft(u_hat, self.grid.n_points, norm="forward")
+        new = self._slots[p is self._slots[0]]
+        np.multiply(self.params.kappa, p.density, out=self._reaction)
+        np.fft.rfft(self._reaction, norm="forward", out=self._reaction_hat)
+        np.multiply(weight, self._reaction_hat, out=self._reaction_hat)
+        np.multiply(factor, p.u_hat, out=new.u_hat)
+        np.add(new.u_hat, self._reaction_hat, out=new.u_hat)
+        np.fft.irfft(new.u_hat, self.n, norm="forward", out=new.values)
+        new.top = float(new.values.max())
+        new.bottom = float(new.values.min())
+        return new
+
+    def rate(self, new: _Slot, old: _Slot, h: float) -> float:
+        """The steady-state detector max |u_new - u_old| / h."""
+        np.subtract(new.values, old.values, out=self._diff)
+        np.abs(self._diff, out=self._diff)
+        return float(self._diff.max()) / h
 
 
 def simulate(
@@ -124,7 +177,7 @@ def simulate(
     stepper = _Stepper(u0.grid, params, dt)
     n_steps = int(np.ceil(t_end / dt))
 
-    p = stepper.start(u0.values.copy())
+    p = stepper.start(u0.values)
     times, masses, energies, max_values, min_values = [], [], [], [], []
     max_increment = 0.0
     converged = False
@@ -134,27 +187,27 @@ def simulate(
         times.append(t)
         masses.append(float(p.values.mean()))
         energies.append(p.energy)
-        max_values.append(float(p.values.max()))
-        min_values.append(float(p.values.min()))
+        max_values.append(p.top)
+        min_values.append(p.bottom)
 
     record(0.0)
     while step < n_steps:
-        u_hat, values = stepper.advance(p, dt)
+        new = stepper.advance(p, dt)
         step += 1
-        if not np.isfinite(values).all():
+        if not new.finite:
             raise DivergenceError(
                 f"simulation diverged at t = {step * dt:.6g}",
                 last_state=Field(u0.grid, p.values),
                 t=step * dt,
             )
-        new = stepper.point(u_hat, values)
+        stepper.evaluate(new)
         max_increment = max(max_increment, new.energy - p.energy)
-        rate = float(np.abs(new.values - p.values).max()) / dt
+        # the rate is >= 0, so a detector with steady_tol <= 0 never fires
+        converged = steady_tol > 0.0 and stepper.rate(new, p, dt) < steady_tol
         p = new
         if step % record_every == 0 or step == n_steps:
             record(step * dt)
-        if rate < steady_tol:
-            converged = True
+        if converged:
             if times[-1] != step * dt:
                 record(step * dt)
             break
@@ -211,9 +264,9 @@ def _relax(
     accepted = 0
     rejected = dict.fromkeys(("rejected_energy", "rejected_nonfinite", "rejected_overflow"), 0)
     while accepted + sum(rejected.values()) < budget:
-        u_hat, values = stepper.advance(p, h)
+        new = stepper.advance(p, h)
         reason = None
-        if not np.isfinite(values).all():
+        if not new.finite:
             if h == dt:
                 raise DivergenceError(
                     f"relaxation diverged at t = {flow_time + h:.6g}",
@@ -223,7 +276,7 @@ def _relax(
             reason = "rejected_nonfinite"
         else:
             try:
-                new = stepper.point(u_hat, values)
+                stepper.evaluate(new)
             except AmplitudeOverflowError:
                 if h == dt:
                     raise
@@ -237,7 +290,8 @@ def _relax(
             continue
         accepted += 1
         flow_time += h
-        rate = float(np.abs(new.values - p.values).max()) / h
+        if steady_tol > 0.0:
+            rate = stepper.rate(new, p, h)
         p = new
         if rate < steady_tol:
             break

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._operators import (
+    energy_weights,
     evolution_rhs,
     free_energy,
-    gradient_weights,
     linearization_dense,
     log_mean_exp,
 )
@@ -33,9 +33,9 @@ MU_1 = 4.0 * np.pi**2
 
 
 def energy(u: Field, params: ModelParams) -> float:
-    """Evaluate J(u); the derivative term is computed spectrally."""
+    """Evaluate J(u); the quadratic part is computed spectrally (Parseval)."""
     return free_energy(
-        to_spectral(u).coefficients, u.values, params, gradient_weights(u.grid),
+        to_spectral(u).coefficients, params, energy_weights(u.grid, params.D),
         log_mean_exp(u.values),
     )
 

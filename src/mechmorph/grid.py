@@ -50,6 +50,14 @@ class Grid:
         """mu_k = (2 pi k)^2 for the half-spectrum wavenumbers."""
         return (2.0 * np.pi * self.wavenumbers) ** 2
 
+    @property
+    def parseval_weights(self) -> np.ndarray:
+        """Weights w_k with mean(f^2) = sum_k w_k |c_k|^2 for real fields."""
+        w = np.full(self.n_points // 2 + 1, 2.0)
+        w[0] = 1.0
+        w[-1] = 1.0  # Nyquist coefficient appears once for even n
+        return w
+
 
 def make_grid(n_points: int = 256) -> Grid:
     """Create a periodic grid; n_points must be a power of two, >= 8."""
@@ -106,11 +114,7 @@ class Spectrum:
     @property
     def parseval_weights(self) -> np.ndarray:
         """Weights w_k with mean(f^2) = sum_k w_k |c_k|^2 for real fields."""
-        n = self.grid.n_points
-        w = np.full(n // 2 + 1, 2.0)
-        w[0] = 1.0
-        w[-1] = 1.0  # Nyquist coefficient appears once for even n
-        return w
+        return self.grid.parseval_weights
 
 
 def to_spectral(f: Field) -> Spectrum:

@@ -4,14 +4,24 @@ These deliberately avoid the package's own quadrature and differentiation
 routes: integrals use composite Gauss-Legendre panels, Bessel values come
 from the defining power series, derivatives of the energy are taken by
 central finite differences, Galerkin integrals by sampled trigonometric
-bases, zero counts by one loop per function, and secular roots by one
-scalar bisection per bracket.
+bases, zero counts by one loop per function, secular roots by one scalar
+bisection per bracket, and fixed-step trajectories by the step that
+allocates every intermediate array.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
 import mechmorph as mm
-from mechmorph.errors import BracketError, ConfigurationError
+from mechmorph._operators import EXP_GUARD
+from mechmorph.dynamics import MAX_STEP, TrajectorySummary
+from mechmorph.errors import (
+    AmplitudeOverflowError,
+    BracketError,
+    ConfigurationError,
+    DivergenceError,
+)
 from mechmorph.stability import BETA_TOL, BISECT_TOL, BRACKET_INSET, MERGE_TOL
 
 
@@ -250,3 +260,118 @@ def scalar_secular_roots(local, betas, M):
             raise BracketError("could not bracket the lowest secular root")
         values.append(_bisect(g, lo, hi))
     return np.sort(np.asarray(values))[::-1]
+
+
+class _Point(NamedTuple):
+    u_hat: np.ndarray
+    values: np.ndarray
+    density: np.ndarray  # e^u / int e^u
+    energy: float
+
+
+class ReferenceStepper:
+    """Exponential-Euler steps that allocate every intermediate array.
+
+    J is summed from the gradient weights and the grid mean of u^2; the
+    exp() guard takes max |u| from its own pass over the values.
+    """
+
+    def __init__(self, grid, params, dt):
+        if not (dt > 0.0):
+            raise ConfigurationError(f"dt must be positive, got {dt}")
+        if dt > MAX_STEP:
+            raise ConfigurationError(f"dt = {dt} exceeds the stability guard {MAX_STEP:g}")
+        self.grid = grid
+        self.params = params
+        self._decay = -(1.0 + params.D * grid.laplacian_eigenvalues)
+        w = np.full(grid.n_points // 2 + 1, 2.0)
+        w[0] = 1.0
+        w[-1] = 1.0
+        self._grad_weights = w * grid.laplacian_eigenvalues
+        self._factors = {}
+
+    def start(self, values):
+        return self.point(np.fft.rfft(values, norm="forward"), values)
+
+    def point(self, u_hat, values):
+        m = float(np.abs(values).max())
+        if m > EXP_GUARD:
+            raise AmplitudeOverflowError(
+                f"max |u| = {m:.3g} exceeds the exp() range guard ({EXP_GUARD:g})"
+            )
+        top = float(values.max())
+        shifted = np.exp(values - top)
+        mean = float(shifted.sum()) / values.size
+        log_int = top + float(np.log(mean))
+        grad_sq = float((self._grad_weights * np.abs(u_hat) ** 2).sum())
+        mean_sq = float((values**2).sum()) / values.size
+        energy = 0.5 * self.params.D * grad_sq + 0.5 * mean_sq - self.params.kappa * log_int
+        return _Point(u_hat, values, shifted / mean, energy)
+
+    def advance(self, p, h):
+        if h not in self._factors:
+            factor = np.exp(self._decay * h)
+            self._factors[h] = factor, (factor - 1.0) / self._decay
+        factor, weight = self._factors[h]
+        reaction = self.params.kappa * p.density
+        u_hat = factor * p.u_hat + weight * np.fft.rfft(reaction, norm="forward")
+        return u_hat, np.fft.irfft(u_hat, self.grid.n_points, norm="forward")
+
+
+def reference_simulate(u0, params, t_end, dt=1e-3, record_every=100, steady_tol=1e-9):
+    """``mm.simulate`` with ``ReferenceStepper``: a finiteness pass, a
+    separate max |u| for the exp() guard, and the detector rate at every
+    step."""
+    if not (t_end > 0.0):
+        raise ConfigurationError(f"t_end must be positive, got {t_end}")
+    if record_every < 1:
+        raise ConfigurationError(f"record_every must be >= 1, got {record_every}")
+    stepper = ReferenceStepper(u0.grid, params, dt)
+    n_steps = int(np.ceil(t_end / dt))
+
+    p = stepper.start(u0.values.copy())
+    times, masses, energies, max_values, min_values = [], [], [], [], []
+    max_increment = 0.0
+    converged = False
+    step = 0
+
+    def record(t):
+        times.append(t)
+        masses.append(float(p.values.mean()))
+        energies.append(p.energy)
+        max_values.append(float(p.values.max()))
+        min_values.append(float(p.values.min()))
+
+    record(0.0)
+    while step < n_steps:
+        u_hat, values = stepper.advance(p, dt)
+        step += 1
+        if not np.isfinite(values).all():
+            raise DivergenceError(
+                f"simulation diverged at t = {step * dt:.6g}",
+                last_state=mm.Field(u0.grid, p.values),
+                t=step * dt,
+            )
+        new = stepper.point(u_hat, values)
+        max_increment = max(max_increment, new.energy - p.energy)
+        rate = float(np.abs(new.values - p.values).max()) / dt
+        p = new
+        if step % record_every == 0 or step == n_steps:
+            record(step * dt)
+        if rate < steady_tol:
+            converged = True
+            if times[-1] != step * dt:
+                record(step * dt)
+            break
+
+    return TrajectorySummary(
+        times=np.asarray(times),
+        masses=np.asarray(masses),
+        energies=np.asarray(energies),
+        max_values=np.asarray(max_values),
+        min_values=np.asarray(min_values),
+        final_state=mm.Field(u0.grid, p.values),
+        step_count=step,
+        converged=converged,
+        max_energy_increment=max_increment,
+    )

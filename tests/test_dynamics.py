@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,9 +8,10 @@ from hypothesis import strategies as st
 import mechmorph as mm
 from mechmorph import dynamics
 from mechmorph._operators import even_noise
-from mechmorph.errors import AmplitudeOverflowError, ConfigurationError
+from mechmorph.errors import AmplitudeOverflowError, ConfigurationError, DivergenceError
 
-from oracles import random_smooth_field
+import oracles
+from oracles import random_smooth_field, reference_simulate
 
 
 def one_step(u, dt, params):
@@ -151,16 +154,25 @@ def test_strain_normalization_and_peak(grid256):
         assert np.argmax(strain.values) == np.argmax(u.values)
 
 
-def _record_steps(monkeypatch):
-    """List that collects (point, h) of every step the stepper takes."""
+class _Taken(NamedTuple):
+    """The state a step left from: the stepper's slot, and a copy of its
+    values and energy, which later steps overwrite in the slot."""
+
+    slot: object
+    values: np.ndarray
+    energy: float
+
+
+def _record_steps(monkeypatch, stepper=dynamics._Stepper):
+    """List that collects (state, h) of every step the stepper takes."""
     calls = []
-    advance = dynamics._Stepper.advance
+    advance = stepper.advance
 
     def recording(self, p, h):
-        calls.append((p, h))
+        calls.append((_Taken(p, p.values.copy(), p.energy), h))
         return advance(self, p, h)
 
-    monkeypatch.setattr(dynamics._Stepper, "advance", recording)
+    monkeypatch.setattr(stepper, "advance", recording)
     return calls
 
 
@@ -180,7 +192,9 @@ def test_adaptive_steps_keep_energy_and_mass_law(seed, n, D, kappa, amplitude):
         calls = _record_steps(m)
         dynamics._relax(u0, params, 1e-3, 1.0, 1e-9)
     # a step was accepted when the next one leaves from its result
-    steps = [(h, p, nxt) for (p, h), (nxt, _) in zip(calls, calls[1:]) if nxt is not p]
+    steps = [
+        (h, p, nxt) for (p, h), (nxt, _) in zip(calls, calls[1:]) if nxt.slot is not p.slot
+    ]
     assert len(steps) > 10
     eps = np.finfo(float).eps
     for h, old, new in steps:
@@ -239,6 +253,78 @@ def test_overflowing_steps_are_rejected_until_dt_raises(monkeypatch):
     with pytest.raises(AmplitudeOverflowError) as relax_error:
         mm.relax_to_steady(u0, params, dt=1e-3, t_end=10.0)
     assert str(relax_error.value) == str(flow_error.value)
-    rejected = [(h, h_next) for (p, h), (p_next, h_next) in zip(calls, calls[1:]) if p_next is p]
+    rejected = [
+        (h, h_next) for (p, h), (p_next, h_next) in zip(calls, calls[1:]) if p_next.slot is p.slot
+    ]
     assert rejected and all(h_next == max(0.5 * h, 1e-3) for h, h_next in rejected)
     assert calls[-1][1] == 1e-3
+
+
+def _assert_same_trajectory(new, ref):
+    for name in ("times", "masses", "max_values", "min_values"):
+        assert np.array_equal(getattr(new, name), getattr(ref, name)), name
+    assert np.array_equal(new.final_state.values, ref.final_state.values)
+    assert (new.step_count, new.converged) == (ref.step_count, ref.converged)
+    # J is one Parseval dot in the package and two sums in the oracle
+    tol = 1e-14 * max(1.0, float(np.max(np.abs(ref.energies))))
+    assert np.max(np.abs(new.energies - ref.energies)) <= tol
+    assert abs(new.max_energy_increment - ref.max_energy_increment) <= tol
+
+
+@pytest.mark.parametrize(
+    "D, kappa, amplitude, run, converges, off_record",
+    [
+        # detector off: the full 3000 steps of a growing pattern
+        (0.01, 1.5, 0.01, dict(t_end=3.0, steady_tol=0.0), False, False),
+        # default detector; it fires at a step that is not a recording step
+        (0.5, 1.2, 0.05, dict(t_end=1000.0, dt=1e-2), True, True),
+        # 3000 steps recorded every 7th, and at the last
+        (0.01, 1.5, 0.2, dict(t_end=3.0, record_every=7), False, True),
+    ],
+)
+def test_simulate_matches_reference_loop(
+    grid256, D, kappa, amplitude, run, converges, off_record
+):
+    params = mm.ModelParams(D=D, kappa=kappa)
+    u0 = mm.Field(grid256, kappa * (1.0 + amplitude * np.cos(2.0 * np.pi * grid256.nodes)))
+    new = mm.simulate(u0, params, **run)
+    ref = reference_simulate(u0, params, **run)
+    _assert_same_trajectory(new, ref)
+    assert new.converged == converges
+    assert (new.step_count % run.get("record_every", 100) != 0) == off_record
+    assert new.times[-1] == new.step_count * run.get("dt", 1e-3)
+
+
+@pytest.mark.parametrize(
+    "level, kappa, start, error",
+    [
+        # the peak outgrows the exp() range after some steps
+        (100.0, 100.0, "noise", AmplitudeOverflowError),
+        # the guard is on max |u|: a start far below zero trips it
+        (-750.0, 1.0, "cosine", AmplitudeOverflowError),
+        # kappa e^u / int e^u overflows to inf, so the first step is NaN;
+        # after a finite step of this size the exp() guard fires first
+        (100.0, 1e308, "cosine", DivergenceError),
+    ],
+)
+def test_simulate_fails_like_reference_loop(monkeypatch, level, kappa, start, error):
+    grid = mm.make_grid(64)
+    params = mm.ModelParams(D=1e-3, kappa=kappa)
+    if start == "noise":
+        shape = 0.1 * np.random.default_rng(0).standard_normal(64)
+    else:
+        shape = 0.1 * np.cos(2.0 * np.pi * grid.nodes)
+    u0 = mm.Field(grid, level * (1.0 + shape))
+    new_steps = _record_steps(monkeypatch)
+    ref_steps = _record_steps(monkeypatch, oracles.ReferenceStepper)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(error) as new:
+            mm.simulate(u0, params, t_end=10.0, steady_tol=0.0)
+        with pytest.raises(error) as ref:
+            reference_simulate(u0, params, t_end=10.0, steady_tol=0.0)
+    assert str(new.value) == str(ref.value)
+    assert len(new_steps) == len(ref_steps)
+    assert (len(new_steps) > 1) == (start == "noise")
+    if error is DivergenceError:
+        assert new.value.t == ref.value.t
+        assert np.array_equal(new.value.last_state.values, ref.value.last_state.values)

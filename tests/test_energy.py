@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mechmorph as mm
 from mechmorph.errors import AmplitudeOverflowError, ConfigurationError
@@ -163,3 +165,55 @@ def test_bounds_rejects_bad_kappa():
         mm.bounds(0.0)
     with pytest.raises(ConfigurationError):
         mm.bounds(-2.0)
+
+
+@st.composite
+def smooth_fields(draw):
+    """A trigonometric polynomial below n/4 on a grid of n = 16..512 points,
+    even (cosines only) or generic, with its exact derivative; and (D, kappa)."""
+    n = draw(st.sampled_from([16, 32, 64, 128, 256, 512]))
+    even = draw(st.booleans())
+    n_modes = draw(st.integers(1, min(8, n // 4 - 1)))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    amplitude = draw(st.floats(0.01, 3.0))
+    mean = draw(st.floats(-2.0, 3.0))
+    params = mm.ModelParams(D=draw(st.floats(1e-4, 1.0)), kappa=draw(st.floats(0.1, 10.0)))
+    grid = mm.make_grid(n)
+    k = np.arange(1, n_modes + 1)
+    phase = 2.0 * np.pi * np.outer(k, grid.nodes)
+    a = rng.standard_normal(n_modes) / k
+    b = np.zeros(n_modes) if even else rng.standard_normal(n_modes) / k
+    shape = a @ np.cos(phase) + b @ np.sin(phase)
+    scale = amplitude / np.max(np.abs(shape))
+    slope = scale * 2.0 * np.pi * ((b * k) @ np.cos(phase) - (a * k) @ np.sin(phase))
+    return mm.Field(grid, mean + scale * shape), slope, params
+
+
+@given(smooth_fields())
+def test_energy_matches_quadrature_oracle(case):
+    # grid means are exact for these polynomials, so the Parseval dot must
+    # agree with the sampled terms to round-off; log(mean e^u) is only
+    # known to eps absolute, hence the floor of 1
+    u, slope, params = case
+    terms = (
+        0.5 * params.D * np.mean(slope**2),
+        0.5 * np.mean(u.values**2),
+        -params.kappa * np.log(np.mean(np.exp(u.values))),
+    )
+    scale = max(1.0, sum(abs(t) for t in terms))
+    assert abs(mm.energy(u, params) - sum(terms)) <= 1e-13 * scale
+
+
+def _reflected(u):
+    return mm.Field(u.grid, np.roll(u.values[::-1], 1))  # u(-x) on the grid
+
+
+@given(smooth_fields(), st.integers(1, 511))
+def test_energy_and_modes_are_translation_and_reflection_invariant(case, shift):
+    u, _, params = case
+    j = mm.energy(u, params)
+    scale = max(1.0, abs(j) + 0.5 * np.mean(u.values**2) + params.kappa * np.max(np.abs(u.values)))
+    modes = mm.count_modes(u)
+    for moved in (mm.Field(u.grid, np.roll(u.values, shift)), _reflected(u)):
+        assert abs(mm.energy(moved, params) - j) <= 1e-13 * scale
+        assert mm.count_modes(moved) == modes

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mechmorph as mm
 from mechmorph import stability
@@ -31,6 +33,19 @@ def test_dump_json_is_valid_and_exact():
     assert parsed["flag"] is True
     assert parsed["none"] is None
     assert parsed["name"] == 'quo"te'
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_dump_json_round_trips_finite_floats(x):
+    # every double, -0.0 and subnormals included, survives in at most 17
+    # significant digits; integral values print without a point, so JSON
+    # integers are read back as floats
+    text = dump_json({"x": x, "xs": [np.float64(x), -x]})
+    parsed = json.loads(text, parse_int=float)
+    for got, want in ((parsed["x"], x), (parsed["xs"][0], x), (parsed["xs"][1], -x)):
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    digits = fmt(x).lstrip("-").partition("e")[0].replace(".", "").lstrip("0")
+    assert len(digits) <= 17
 
 
 def run_cli(args):
