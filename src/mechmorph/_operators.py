@@ -1,6 +1,7 @@
 """Shared field-level operators: the shifted exponential, reaction density,
-free energy, PDE right-hand side, even projection, coefficients in the
-even (cosine) basis and the Galerkin assembly of the linearization.
+free energy, PDE right-hand side, even projection, the bump and
+noisy-constant seeds of the sweep and the CLI, coefficients in the even
+(cosine) basis and the Galerkin assembly of the linearization.
 
 Everything here works on raw value arrays so that the public modules can
 expose their own domain types without import cycles.  All quadratures are
@@ -114,6 +115,17 @@ def even_noise(rng: np.random.Generator, n: int) -> np.ndarray:
     even -= even.mean()
     peak = np.max(np.abs(even))
     return even / peak if peak > 0 else even
+
+
+def noisy_constant(rng: np.random.Generator, kappa: float, amplitude: float, n: int) -> np.ndarray:
+    """kappa (1 + amplitude ``even_noise``): the constant state, evenly perturbed."""
+    return kappa * (1.0 + amplitude * even_noise(rng, n))
+
+
+def bump_seed(kappa: float, nodes: np.ndarray) -> np.ndarray:
+    """kappa e^cos(2 pi x) / mean e^cos(2 pi x): one broad peak of mass kappa."""
+    bump = np.exp(np.cos(2.0 * np.pi * nodes))
+    return kappa * bump / bump.mean()
 
 
 def even_weights(n_points: int, n_modes: int) -> np.ndarray:

@@ -32,10 +32,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._operators import (
+    bump_seed,
     density,
     evolution_rhs,
-    even_noise,
     linearization_dense,
+    noisy_constant,
     project_even,
     synthesize_even,
 )
@@ -66,6 +67,8 @@ __all__ = [
 ]
 
 TYPE_TOL = 1e-12
+SEED_AMPLITUDE = 0.01  # relative amplitude of the sweep's random seeds
+HANDOFF_TOL = 1e-7  # the sweep's steady-state detector (relax_to_steady steady_tol)
 
 
 @dataclass(frozen=True)
@@ -144,14 +147,8 @@ def critical_kappas(D: float, n_max: int) -> list[BifPoint]:
 def predictor_from_normal_form(bp: BifPoint, s: float, grid: Grid | None = None) -> tuple[Field, float]:
     """Second-order branch predictor at amplitude s (|s| <= 0.2 recommended)."""
     grid = grid if grid is not None else make_grid()
-    kappa = bp.kappa_n + bp.curvature * s**2
-    x = grid.nodes
-    values = (
-        kappa
-        + s * np.sqrt(2.0) * np.cos(2.0 * np.pi * bp.n * x)
-        + s**2 * bp.z_amp * np.cos(4.0 * np.pi * bp.n * x)
-    )
-    return Field(grid, values), kappa
+    coeffs = _predictor_coefficients(bp, s, grid.n_points // 2 - 1)
+    return Field(grid, synthesize_even(coeffs[:-1], grid.n_points)), float(coeffs[-1])
 
 
 def _predictor_coefficients(bp: BifPoint, s: float, n_modes: int) -> np.ndarray:
@@ -226,7 +223,6 @@ def continue_branch(
     kappa_range: tuple[float, float] | None = None,
     grid: Grid | None = None,
     n_modes: int | None = None,
-    spectrum_modes: int | None = None,
 ) -> Branch:
     """Trace the branch emanating from (constant, kappa_n) at positive amplitude.
 
@@ -254,7 +250,7 @@ def continue_branch(
         state = _certify_steady(
             Field(grid, corrector.field_values(z)), ModelParams(D=bp.D, kappa=float(z[-1]))
         )
-        report = nonlocal_spectrum(state, n_modes=spectrum_modes)
+        report = nonlocal_spectrum(state)
         return BranchPoint(
             s=s_coord,
             kappa=float(z[-1]),
@@ -374,22 +370,18 @@ class SweepResult:
 
 
 def _classify_cell(args) -> SweepCell:
-    (d_val, kappa, trials, child_seed, n_points, dt, t_end, handoff_tol, amplitude) = args
+    (d_val, kappa, trials, child_seed, n_points, t_end) = args
     grid = make_grid(n_points)
     params = ModelParams(D=d_val, kappa=kappa)
     rng = np.random.Generator(np.random.PCG64(child_seed))
-    x = grid.nodes
-    bump = np.exp(np.cos(2.0 * np.pi * x))
-    seeds = [kappa * bump / bump.mean()]
+    seeds = [bump_seed(kappa, grid.nodes)]
     for _ in range(trials):
-        seeds.append(kappa * (1.0 + amplitude * even_noise(rng, n_points)))
+        seeds.append(noisy_constant(rng, kappa, SEED_AMPLITUDE, n_points))
     outcomes = set()
     failures = []
     for u0 in seeds:
         try:
-            state = relax_to_steady(
-                Field(grid, u0), params, dt=dt, t_end=t_end, steady_tol=handoff_tol
-            )
+            state = relax_to_steady(Field(grid, u0), params, t_end=t_end, steady_tol=HANDOFF_TOL)
         except MechmorphError as exc:
             failures.append(type(exc).__name__)
             continue
@@ -419,22 +411,20 @@ def sweep(
     trials: int = 3,
     seed: int = 0,
     n_points: int = 128,
-    dt: float = 1e-3,
     t_end: float = 400.0,
-    handoff_tol: float = 1e-7,
-    perturb_amplitude: float = 0.01,
     workers: int = 1,
 ) -> SweepResult:
     """Classify each (D, kappa) cell by the outcomes of relaxation runs.
 
     Each cell runs ``trials`` random even perturbations of the constant
-    state (relative amplitude ``perturb_amplitude``) plus one deterministic
-    large seed, the bump kappa e^cos(2 pi x) / int e^cos.  Solver failures
+    state (relative amplitude SEED_AMPLITUDE) plus one deterministic large
+    seed, the bump kappa e^cos(2 pi x) / int e^cos.  Solver failures
     are never raised: ``failures`` lists the exception class of each failed
     seed in seed order (the bump first), ``n_failed`` counts them, and a
     cell with a failed seed is ``unknown`` unless both outcomes were seen.
-    ``dt`` and ``t_end`` are the first step and the step budget of each
-    relaxation (see :func:`mechmorph.steady.relax_to_steady`).  Cells are
+    Each relaxation hands over to Newton at the detector HANDOFF_TOL, with
+    the default first step and the step budget ``t_end`` of
+    :func:`mechmorph.steady.relax_to_steady`.  Cells are
     independent; with workers > 1 they are distributed over a process pool.
     Results are deterministic for a fixed seed regardless of worker count.
     """
@@ -442,15 +432,14 @@ def sweep(
     kappa_values = np.asarray(list(kappa_values), dtype=float)
     if d_values.size == 0 or kappa_values.size == 0 or (d_values <= 0).any() or (kappa_values <= 0).any():
         raise ConfigurationError("d_values and kappa_values must be non-empty and positive")
+    if not 0.0 < t_end < math.inf:
+        raise ConfigurationError(f"t_end must be positive and finite, got {t_end}")
     cells_args = []
     children = np.random.SeedSequence(seed).spawn(d_values.size * kappa_values.size)
     idx = 0
     for d_val in d_values:
         for kappa in kappa_values:
-            cells_args.append(
-                (float(d_val), float(kappa), trials, children[idx],
-                 n_points, dt, t_end, handoff_tol, perturb_amplitude)
-            )
+            cells_args.append((float(d_val), float(kappa), trials, children[idx], n_points, t_end))
             idx += 1
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from ._operators import even_noise
+from ._operators import bump_seed, noisy_constant
 from .bifurcation import continue_branch, critical_kappas, sweep
 from .dynamics import simulate
 from .errors import ConfigurationError, MechmorphError
@@ -45,7 +46,8 @@ from .model import ModelParams
 from .stability import spectrum_crosscheck
 from .steady import relax_to_steady
 
-# built-in defaults; a config file and then flags override these
+# built-in defaults; a config file and then flags override these.  Each key
+# is one option: its flag, its config key and, by its default's type, its cast.
 DEFAULTS = {
     "common": {"D": 0.01, "kappa": 1.5, "grid": 256, "seed": 0, "out": "mechmorph-out"},
     "simulate": {"t_end": 200.0, "dt": 1e-3, "record_every": 100, "perturb": 0.01,
@@ -61,13 +63,9 @@ DEFAULTS = {
     "figure": {"kind": "fig1-left", "workers": 1},
 }
 
-_CASTS = {
-    "grid": int, "seed": int, "record_every": int, "n": int, "max_points": int,
-    "trials": int, "workers": int, "n_modes": int,
-    "D": float, "kappa": float, "t_end": float, "dt": float, "perturb": float,
-    "steady_tol": float, "step": float, "kappa_min": float, "kappa_max": float,
-    "out": str, "init": str, "D_values": str, "kappa_values": str, "kind": str,
-}
+_CASTS = {key: type(value) for options in DEFAULTS.values() for key, value in options.items()}
+# configparser lowercases option names; this maps them back
+_CONFIG_KEYS = {key.lower(): key for key in _CASTS}
 
 # simulate takes fixed steps; steady, spectrum and sweep relax adaptively
 _TIME_HELP = {
@@ -92,10 +90,14 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             raise ConfigurationError(f"config file not found: {config_path}")
         for section in ("common", command):
             if parser.has_section(section):
-                for key, raw in parser.items(section):
-                    if key not in _CASTS:
-                        raise ConfigurationError(f"unknown config key {key!r} in [{section}]")
-                    resolved[key] = _CASTS[key](raw)
+                for name, raw in parser.items(section):
+                    key = _CONFIG_KEYS.get(name)
+                    if key is None:
+                        raise ConfigurationError(f"unknown config key {name!r} in [{section}]")
+                    try:
+                        resolved[key] = _CASTS[key](raw)
+                    except ValueError as exc:
+                        raise ConfigurationError(f"config key {key!r} in [{section}]: {exc}") from exc
     for key in resolved:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -105,6 +107,9 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
 
 
 def _validate(cfg: dict) -> None:
+    for key, value in cfg.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"option {key} must be finite, got {value}")
     for key in ("D", "kappa", "t_end", "dt", "step"):
         if key in cfg and not cfg[key] > 0:
             raise ConfigurationError(f"option {key} must be positive, got {cfg[key]}")
@@ -121,13 +126,12 @@ def _validate(cfg: dict) -> None:
 
 def _initial_field(cfg: dict, grid, rng) -> Field:
     kappa = cfg["kappa"]
-    if cfg.get("init", "cosine") == "cosine":
+    if cfg["init"] == "cosine":
         vals = kappa * (1.0 + cfg["perturb"] * np.cos(2.0 * np.pi * grid.nodes))
     elif cfg["init"] == "random":
-        vals = kappa * (1.0 + cfg["perturb"] * even_noise(rng, grid.n_points))
+        vals = noisy_constant(rng, kappa, cfg["perturb"], grid.n_points)
     elif cfg["init"] == "bump":
-        bump = np.exp(np.cos(2.0 * np.pi * grid.nodes))
-        vals = kappa * bump / bump.mean()
+        vals = bump_seed(kappa, grid.nodes)
     else:
         raise ConfigurationError(f"unknown init profile {cfg['init']!r}")
     return Field(grid, vals)
@@ -146,6 +150,7 @@ def _parse_list(text: str) -> list[float]:
 
 
 def _cmd_simulate(cfg):
+    """integrate the evolution equation"""
     grid = make_grid(cfg["grid"])
     rng = np.random.Generator(np.random.PCG64(cfg["seed"]))
     params = ModelParams(D=cfg["D"], kappa=cfg["kappa"])
@@ -169,6 +174,7 @@ def _steady_state_for(cfg):
 
 
 def _cmd_steady(cfg):
+    """relax and polish a stationary solution"""
     state = _steady_state_for(cfg)
     out = ensure_dir(cfg["out"])
     write_json(os.path.join(out, "steady.json"), steady_record(state))
@@ -176,6 +182,7 @@ def _cmd_steady(cfg):
 
 
 def _cmd_spectrum(cfg):
+    """stability spectrum with cross-check"""
     state = _steady_state_for(cfg)
     check = spectrum_crosscheck(state, n_modes=cfg["n_modes"] or None)
     out = ensure_dir(cfg["out"])
@@ -187,6 +194,7 @@ def _cmd_spectrum(cfg):
 
 
 def _cmd_branch(cfg):
+    """pseudo-arclength branch continuation"""
     bp = critical_kappas(cfg["D"], cfg["n"])[cfg["n"] - 1]
     kappa_range = None
     if cfg["kappa_max"] > 0:
@@ -206,6 +214,7 @@ def _cmd_branch(cfg):
 
 
 def _cmd_sweep(cfg):
+    """classify (D, kappa) cells by relaxation"""
     workers = cfg["workers"] or (os.cpu_count() or 1)
     result = sweep(
         _parse_list(cfg["D_values"]), _parse_list(cfg["kappa_values"]),
@@ -218,6 +227,7 @@ def _cmd_sweep(cfg):
 
 
 def _cmd_bounds(cfg):
+    """variational diffusivity bounds"""
     report = bounds(cfg["kappa"])
     out = ensure_dir(cfg["out"])
     write_json(os.path.join(out, "bounds.json"), bounds_record(report))
@@ -225,10 +235,12 @@ def _cmd_bounds(cfg):
 
 
 def _cmd_figure(cfg):
+    """emit the data set for a named figure"""
     files = emit_figure_data(cfg["kind"], cfg["out"], workers=cfg["workers"], seed=cfg["seed"])
     return {"files": [os.path.basename(f) for f in files]}
 
 
+# each command's docstring is its line in --help
 COMMANDS = {
     "simulate": _cmd_simulate,
     "steady": _cmd_steady,
@@ -248,42 +260,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mechmorph {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--D", type=float, dest="D")
-        p.add_argument("--kappa", type=float)
-        p.add_argument("--grid", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", type=str)
-        p.add_argument("--config", type=str)
-
     choices = {"init": ["cosine", "random", "bump"], "kind": list(FIGURE_KINDS)}
-
-    def options(p, helps, *keys):
-        # one flag per config key, typed as the config file casts it
-        for key in keys:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
+        helps = _TIME_HELP["simulate" if name == "simulate" else "relax"]
+        # one flag per option, typed as the config file casts it; --config
+        # names the file and is not an option itself
+        for key in (*DEFAULTS["common"], "config", *DEFAULTS[name]):
             flag = "--" + key.replace("_", "-")
             if key in choices:
                 p.add_argument(flag, choices=choices[key])
             else:
-                p.add_argument(flag, type=_CASTS[key], dest=key, help=helps.get(key))
-
-    subcommands = (
-        ("simulate", "integrate the evolution equation",
-         ("t_end", "dt", "record_every", "perturb", "steady_tol", "init")),
-        ("steady", "relax and polish a stationary solution", ("t_end", "dt", "perturb", "init")),
-        ("spectrum", "stability spectrum with cross-check",
-         ("t_end", "dt", "perturb", "init", "n_modes")),
-        ("branch", "pseudo-arclength branch continuation",
-         ("n", "step", "max_points", "kappa_min", "kappa_max")),
-        ("sweep", "classify (D, kappa) cells by relaxation",
-         ("D_values", "kappa_values", "trials", "t_end", "workers")),
-        ("bounds", "variational diffusivity bounds", ()),
-        ("figure", "emit the data set for a named figure", ("kind", "workers")),
-    )
-    for name, help_text, keys in subcommands:
-        p = sub.add_parser(name, help=help_text)
-        common(p)
-        options(p, _TIME_HELP["simulate" if name == "simulate" else "relax"], *keys)
+                p.add_argument(flag, type=_CASTS.get(key, str), dest=key, help=helps.get(key))
     return parser
 
 

@@ -170,8 +170,8 @@ def simulate(
     detector fires: max |u_{n+1} - u_n| / dt < steady_tol.  Divergence raises
     :class:`DivergenceError` with the last finite state attached.
     """
-    if not (t_end > 0.0):
-        raise ConfigurationError(f"t_end must be positive, got {t_end}")
+    if not 0.0 < t_end < math.inf:
+        raise ConfigurationError(f"t_end must be positive and finite, got {t_end}")
     if record_every < 1:
         raise ConfigurationError(f"record_every must be >= 1, got {record_every}")
     stepper = _Stepper(u0.grid, params, dt)
@@ -253,8 +253,8 @@ def _relax(
     max |u_{n+1} - u_n| / h < steady_tol fired on it, and the counters of
     the run.
     """
-    if not (t_end > 0.0):
-        raise ConfigurationError(f"t_end must be positive, got {t_end}")
+    if not 0.0 < t_end < math.inf:
+        raise ConfigurationError(f"t_end must be positive and finite, got {t_end}")
     stepper = _Stepper(u0.grid, params, dt)
     budget = int(np.ceil(t_end / dt))
     p = stepper.start(u0.values)

@@ -85,15 +85,12 @@ def _fig1_left(out: str) -> list[str]:
 
 
 def _steady_profiles(out, name, cases) -> list[str]:
+    # one shared grid per file, fine enough for the sharpest profile
+    grid = make_grid(max(suggest_grid(d_val) for _, d_val, _ in cases))
     profiles = {}
-    grid = None
     for label, d_val, kappa in cases:
-        g = make_grid(suggest_grid(d_val))
-        if grid is not None and g.n_points != grid.n_points:
-            g = grid  # keep one shared grid per file (the finest comes first)
-        grid = g
         params = ModelParams(D=d_val, kappa=kappa)
-        u0 = Field(g, kappa * (1.0 + 0.01 * np.cos(2.0 * np.pi * g.nodes)))
+        u0 = Field(grid, kappa * (1.0 + 0.01 * np.cos(2.0 * np.pi * grid.nodes)))
         state = relax_to_steady(u0, params, t_end=600.0)
         profiles[label] = state.field.values
     path = os.path.join(out, name)
@@ -107,7 +104,6 @@ def _fig1_middle(out: str) -> list[str]:
 
 
 def _fig1_right(out: str) -> list[str]:
-    # list the smallest D first so the shared grid resolves every profile
     cases = [(f"D_{d:g}", d, 3.0) for d in sorted(PROFILE_DS)]
     return _steady_profiles(out, "fig1_right_profiles.csv", cases)
 

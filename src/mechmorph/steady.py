@@ -48,6 +48,7 @@ __all__ = [
 FLAT_TOL = 1e-7  # below this peak-to-peak range a field counts as constant
 MASS_TOL = 1e-6
 RESIDUAL_CERT = 1e-8  # certification threshold for SteadyState
+NEWTON_MAX_ITER = 50
 
 _log = logging.getLogger(__name__)
 
@@ -163,8 +164,6 @@ def newton_steady(
     guess: Field,
     params: ModelParams,
     tol: float = 1e-10,
-    max_iter: int = 50,
-    n_modes: int | None = None,
     history: list | None = None,
 ) -> SteadyState:
     """Damped Newton iteration on the stationary equation in the even subspace.
@@ -172,20 +171,17 @@ def newton_steady(
     The guess is recentered at its maximum and projected onto cosine modes,
     which fixes the translation phase and makes the Jacobian (the nonlocal
     linearization restricted to even modes) nonsingular away from folds.
-    The default basis holds every even grid mode, the Nyquist cosine
-    (-1)^j included, so the iteration can correct every component of the
-    full-grid residual it certifies.  On fine grids the tolerance is raised
-    to the round-off floor of the spectral residual, which the
-    certification threshold still sits far above.
+    The basis holds every even grid mode, the Nyquist cosine (-1)^j
+    included, so the iteration can correct every component of the
+    full-grid residual it certifies.  At most NEWTON_MAX_ITER iterations
+    are taken.  On fine grids the tolerance is raised to the round-off
+    floor of the spectral residual, which the certification threshold
+    still sits far above.
     """
     if tol < 1e-12:
         raise ConfigurationError(f"tol must be >= 1e-12, got {tol}")
     grid = guess.grid
     n = grid.n_points
-    if n_modes is None:
-        n_modes = n // 2
-    if n_modes < 1 or n_modes > n // 2:
-        raise ConfigurationError(f"n_modes must be in [1, n_points/2], got {n_modes}")
 
     values = _even_project(guess.values)
 
@@ -194,14 +190,14 @@ def newton_steady(
         return r, float(np.sqrt(np.mean(r**2)))
 
     residual, res_norm = residual_pair(values)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if history is not None:
             history.append(res_norm)
         if res_norm < max(tol, residual_floor(values, grid, params)):
             return _certify(Field(grid, values), params)
-        jac = linearization_dense(values, grid, params, n_modes, "even")
+        jac = linearization_dense(values, grid, params, n // 2, "even")
         try:
-            delta = np.linalg.solve(jac, -project_even(residual, n_modes))
+            delta = np.linalg.solve(jac, -project_even(residual, n // 2))
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(
                 "singular Jacobian in Newton iteration (possible fold)"
@@ -225,7 +221,7 @@ def newton_steady(
     if res_norm < max(tol, residual_floor(values, grid, params)):
         return _certify(Field(grid, values), params)
     raise ConvergenceError(
-        f"Newton did not reach tol={tol:g} within {max_iter} iterations "
+        f"Newton did not reach tol={tol:g} within {NEWTON_MAX_ITER} iterations "
         f"(residual {res_norm:.3e})"
     )
 
@@ -260,8 +256,6 @@ def relax_to_steady(
     dt: float = 1e-3,
     t_end: float = 500.0,
     steady_tol: float = 1e-9,
-    newton_tol: float = 1e-10,
-    n_modes: int | None = None,
 ) -> SteadyState:
     """Relax the gradient flow until quasi-steady, then polish with Newton.
 
@@ -283,7 +277,7 @@ def relax_to_steady(
             f"(t = {flow['flow_time']:.6g}, detector {steady_tol:g})"
         )
     history = []
-    state = newton_steady(relaxed, params, tol=newton_tol, n_modes=n_modes, history=history)
+    state = newton_steady(relaxed, params, history=history)
     # compare against the recentered even projection Newton actually started from
     baseline = _even_project(relaxed.values)
     moved = float(np.max(np.abs(state.field.values - baseline)))

@@ -64,6 +64,17 @@ def test_predictor_at_zero_amplitude(grid256):
     assert np.max(np.abs(field.values - bp.kappa_n)) < 1e-14
 
 
+def test_predictor_matches_the_closed_form(grid256):
+    bp = mm.critical_kappas(0.005, 1)[0]
+    x = grid256.nodes
+    for s in (0.05, 0.13, -0.2):
+        field, kappa = mm.predictor_from_normal_form(bp, s, grid256)
+        expected = (kappa + s * np.sqrt(2.0) * np.cos(2.0 * np.pi * x)
+                    + s**2 * bp.z_amp * np.cos(4.0 * np.pi * x))
+        assert kappa == bp.kappa_n + bp.curvature * s**2
+        assert np.max(np.abs(field.values - expected)) < 1e-14
+
+
 def test_predictor_mass_consistency(grid256):
     bp = mm.critical_kappas(0.02, 1)[0]
     field, kappa = mm.predictor_from_normal_form(bp, 0.1, grid256)
@@ -263,6 +274,14 @@ def test_sweep_validates_inputs():
         mm.sweep([], [1.0])
     with pytest.raises(ConfigurationError):
         mm.sweep([0.01], [-1.0])
+
+
+@pytest.mark.parametrize("t_end", [np.inf, np.nan, -1.0])
+def test_sweep_rejects_bad_t_end_before_any_cell(monkeypatch, t_end):
+    # checked up front: no cell may read "unknown" from swallowed failures
+    monkeypatch.setattr(bifurcation, "_classify_cell", lambda args: pytest.fail("cell ran"))
+    with pytest.raises(ConfigurationError, match="t_end must be positive and finite"):
+        mm.sweep([0.02], [2.0], trials=1, t_end=t_end)
 
 
 def test_sweep_counts_failed_seeds(monkeypatch):

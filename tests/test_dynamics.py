@@ -36,6 +36,16 @@ def test_step_rejects_bad_dt(grid256):
         mm.simulate(u, params, t_end=1.0, dt=0.0)
 
 
+@pytest.mark.parametrize("t_end", [np.inf, np.nan, 0.0])
+def test_flows_reject_bad_t_end(grid256, t_end):
+    params = mm.ModelParams(D=0.02, kappa=1.8)
+    u = mm.Field(grid256, np.full(256, 1.8))
+    with pytest.raises(ConfigurationError, match="t_end must be positive and finite"):
+        mm.simulate(u, params, t_end=t_end)
+    with pytest.raises(ConfigurationError, match="t_end must be positive and finite"):
+        mm.relax_to_steady(u, params, t_end=t_end)
+
+
 def test_linear_decay_is_mode_exact(grid256):
     # with a vanishing production term the scheme reduces to the exact
     # integrating factor exp(-(1 + 4 pi^2 k^2 D) dt) per mode

@@ -171,6 +171,32 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
     assert record["kappa"] == 3.0
 
 
+def test_cli_config_sets_mixed_case_keys(tmp_path):
+    # configparser lowercases option names; D and D_values keep their case,
+    # and keys match without regard to case
+    config = tmp_path / "run.ini"
+    config.write_text("[common]\nD = 0.02\n\n[sweep]\nD_values = 0.02\nKAPPA_VALUES = 2.2\n"
+                      "trials = 1\nt_end = 250\n")
+    out = tmp_path / "cfg_sweep"
+    assert run_cli(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    cfg = json.loads((out / "manifest.json").read_text())["config"]
+    assert (cfg["D"], cfg["D_values"], cfg["kappa_values"]) == (0.02, "0.02", "2.2")
+    assert cfg["trials"] == 1
+    assert (out / "sweep.csv").read_text().splitlines()[1].startswith("0.02,")
+
+
+@pytest.mark.parametrize("args", [
+    ["steady", "--t-end", "inf"],
+    ["branch", "--kappa-max", "inf"],
+    ["simulate", "--steady-tol", "nan"],
+    ["branch", "--kappa-min=-inf"],
+])
+def test_cli_rejects_non_finite_options(tmp_path, capsys, args):
+    assert run_cli(args + ["--out", str(tmp_path / "x")]) == 2
+    assert "must be finite" in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "x" / "manifest.json").exists()
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli(["simulate", "--D", "-1", "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
@@ -178,6 +204,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli(["bounds", "--kappa", "2", "--config",
                     str(tmp_path / "missing.ini")]) == 2
     assert run_cli(["simulate", "--grid", "100", "--out", str(tmp_path / "y")]) == 2
+    # a config value that does not parse as its option's type
+    config = tmp_path / "run.ini"
+    config.write_text("[common]\ngrid = 1.5\n")
+    capsys.readouterr()
+    assert run_cli(["bounds", "--config", str(config), "--out", str(tmp_path / "z")]) == 2
+    assert "'grid'" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_cli_solver_failure_exit_code(tmp_path, capsys):

@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mechmorph as mm
 from mechmorph.errors import ConfigurationError, ConvergenceError, ResolutionError
@@ -167,6 +169,28 @@ def test_newton_tolerance_validation(grid256):
     params = mm.ModelParams(D=0.01, kappa=1.5)
     with pytest.raises(ConfigurationError):
         mm.newton_steady(perturbed_constant(grid256, 1.5), params, tol=1e-13)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(1e-4, 0.02),
+    st.integers(0, 255),
+    st.booleans(),
+)
+def test_newton_is_translation_and_reflection_equivariant(unimodal_16, seed, amplitude, shift, flip):
+    # Newton recenters its guess at the maximum, so a shifted or reflected
+    # guess must polish to the same (node-0 centered) state as the original
+    rng = np.random.Generator(np.random.PCG64(seed))
+    grid = unimodal_16.field.grid
+    guess = unimodal_16.field.values + random_smooth_field(grid, rng, amplitude).values
+    moved = np.roll(guess, shift)
+    if flip:
+        moved = moved[-np.arange(grid.n_points)]  # u(-x)
+    base = mm.newton_steady(mm.Field(grid, guess), unimodal_16.params)
+    other = mm.newton_steady(mm.Field(grid, moved), unimodal_16.params)
+    assert np.max(np.abs(other.field.values - base.field.values)) < 1e-10
+    assert np.max(np.abs(base.field.values - unimodal_16.field.values)) < 1e-6
+    assert other.energy == pytest.approx(base.energy, abs=1e-12)
 
 
 def test_cross_validation_over_pattern_region(grid256):
