@@ -69,6 +69,8 @@ __all__ = [
 TYPE_TOL = 1e-12
 SEED_AMPLITUDE = 0.01  # relative amplitude of the sweep's random seeds
 HANDOFF_TOL = 1e-7  # the sweep's steady-state detector (relax_to_steady steady_tol)
+CORRECTOR_TOL = 1e-11  # norm of the corrector's even-projected residual
+CORRECTOR_MAX_ITER = 12
 
 
 @dataclass(frozen=True)
@@ -182,16 +184,16 @@ class _EvenCorrector:
         params = ModelParams(D=self.D, kappa=float(z[-1]))
         return project_even(evolution_rhs(self.field_values(z), self.grid, params), self.n_modes)
 
-    def solve(self, z0, tangent, anchor, ds, tol=1e-11, max_iter=12):
+    def solve(self, z0, tangent, anchor, ds):
         # convergence is measured on the residual projected into the even
         # subspace (the system Newton actually solves); the unprojected tail
         # is checked later by the steady-state certification
         z = z0.copy()
-        for _ in range(max_iter):
+        for _ in range(CORRECTOR_MAX_ITER):
             proj = self.residual(z)
             res_norm = float(np.linalg.norm(proj))
             norm_eq = float(tangent @ (z - anchor)) - ds
-            if res_norm < tol and abs(norm_eq) < 1e-12:
+            if res_norm < CORRECTOR_TOL and abs(norm_eq) < 1e-12:
                 return z, res_norm
             kappa = float(z[-1])
             if kappa <= 0:

@@ -120,6 +120,8 @@ def _validate(cfg: dict) -> None:
     for key in ("record_every", "trials", "max_points", "n"):
         if key in cfg and cfg[key] < 1:
             raise ConfigurationError(f"option {key} must be >= 1, got {cfg[key]}")
+    if "workers" in cfg and cfg["workers"] < 0:
+        raise ConfigurationError(f"option workers must be >= 0, got {cfg['workers']}")
     if "seed" in cfg and cfg["seed"] < 0:
         raise ConfigurationError(f"seed must be a non-negative integer, got {cfg['seed']}")
 
@@ -147,6 +149,11 @@ def _parse_list(text: str) -> list[float]:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigurationError(f"expected a comma-separated list of reals, got {text!r}") from exc
+
+
+def _workers(cfg) -> int:
+    """The configured worker count; 0 means one per CPU."""
+    return cfg["workers"] or (os.cpu_count() or 1)
 
 
 def _cmd_simulate(cfg):
@@ -215,10 +222,9 @@ def _cmd_branch(cfg):
 
 def _cmd_sweep(cfg):
     """classify (D, kappa) cells by relaxation"""
-    workers = cfg["workers"] or (os.cpu_count() or 1)
     result = sweep(
         _parse_list(cfg["D_values"]), _parse_list(cfg["kappa_values"]),
-        trials=cfg["trials"], seed=cfg["seed"], t_end=cfg["t_end"], workers=workers,
+        trials=cfg["trials"], seed=cfg["seed"], t_end=cfg["t_end"], workers=_workers(cfg),
     )
     out = ensure_dir(cfg["out"])
     write_sweep_csv(os.path.join(out, "sweep.csv"), result)
@@ -236,7 +242,7 @@ def _cmd_bounds(cfg):
 
 def _cmd_figure(cfg):
     """emit the data set for a named figure"""
-    files = emit_figure_data(cfg["kind"], cfg["out"], workers=cfg["workers"], seed=cfg["seed"])
+    files = emit_figure_data(cfg["kind"], cfg["out"], workers=_workers(cfg), seed=cfg["seed"])
     return {"files": [os.path.basename(f) for f in files]}
 
 

@@ -30,6 +30,7 @@ from .model import ModelParams
 __all__ = ["ModelParams", "BoundsReport", "energy", "first_variation", "hessian_matrix", "bounds"]
 
 MU_1 = 4.0 * np.pi**2
+D1_SCAN_CAP = 2_000_000  # largest mode count N the d1 scan tries
 
 
 def energy(u: Field, params: ModelParams) -> float:
@@ -88,7 +89,7 @@ class BoundsReport:
             raise ConfigurationError("bounds report requires d_min < d_max")
 
 
-def _d1_scan(kappa: float, n_cap: int = 2_000_000) -> tuple[float, int]:
+def _d1_scan(kappa: float) -> tuple[float, int]:
     # The summand tends to 0 as N -> infinity and is positive for large N,
     # so the max is attained at finite N; stop after the expression has been
     # decreasing for 10 consecutive N past the running max.
@@ -96,7 +97,7 @@ def _d1_scan(kappa: float, n_cap: int = 2_000_000) -> tuple[float, int]:
     best_n = 1
     decreasing = 0
     n = 1
-    while n < n_cap:
+    while n < D1_SCAN_CAP:
         log4n = np.log(4.0 * n)
         value = (kappa * n * (np.sqrt(2.0) - 1.0) - log4n) / (MU_1 * n**2 * log4n)
         if value > best:

@@ -11,9 +11,9 @@ phase of harmonic ``modality``) and L is assembled in two blocks, each
 from the Fourier coefficients of e^U (one rfft, no sampled basis).  The
 cosine block carries the local part and the whole rank-one coupling.  The
 sine block is purely local (int e^U sin = 0); the sine eigenvector that
-overlaps U_x most is the translation mode.  The local eigenfunctions are
-synthesized together by one batched irfft into a single array, and their
-sign changes are counted in one vectorized pass.
+overlaps U_x most is the translation mode.  The local eigenvectors are
+kept as rfft coefficient rows; only the leading N_VERIFY rows, which the
+oscillation check reads, are synthesized on the grid and counted.
 
 The direct route takes the eigenvalues of the cosine block of L and keeps
 the sine eigenvalues.  The secular route removes the rank-one coupling: with
@@ -70,6 +70,8 @@ BRACKET_INSET = 1e-10
 PROBE_INSETS = (BRACKET_INSET, BRACKET_INSET * 1e-3, BRACKET_INSET * 1e-3 * 1e-3)
 N_VERIFY = 5  # leading local eigenfunctions checked against the oscillation pattern
 INTERLACE_TOL = 1e-12  # relative to max(1, max |lambda|)
+CROSSCHECK_TOL = 1e-6  # largest direct-vs-secular deviation spectrum_crosscheck accepts
+N_COMPARE = 10  # leading eigenvalues spectrum_crosscheck compares
 
 _log = logging.getLogger(__name__)
 
@@ -94,15 +96,25 @@ def _default_modes(state) -> int:
 class LocalSpectrum:
     """Spectrum of the local problem D psi_xx + A(x) psi = lambda psi.
 
-    lambdas are sorted decreasing.  eigenfunctions is a read-only
-    (len(lambdas), n_points) array of grid values whose row i belongs to
-    lambdas[i]; the rows are orthonormal under the grid mean.  zero_counts
-    holds the number of sign changes per period of each row.
+    lambdas are sorted decreasing.  coefficients holds one row of rfft
+    coefficients (norm="forward") per eigenfunction, row i belonging to
+    lambdas[i].  zero_counts holds the sign changes per period of the
+    leading min(5, len(lambdas)) eigenfunctions, the rows the oscillation
+    check reads.
     """
 
     lambdas: np.ndarray
-    eigenfunctions: np.ndarray = field(repr=False)
+    coefficients: np.ndarray = field(repr=False)
+    n_points: int
     zero_counts: np.ndarray
+
+    @property
+    def eigenfunctions(self) -> np.ndarray:
+        """Read-only (len(lambdas), n_points) grid values, synthesized when
+        read; the rows are orthonormal under the grid mean."""
+        functions = np.fft.irfft(self.coefficients, self.n_points, norm="forward")
+        functions.flags.writeable = False
+        return functions
 
 
 @dataclass(frozen=True)
@@ -150,31 +162,13 @@ class CrosscheckReport:
 def _zero_counts(functions: np.ndarray, floors: np.ndarray) -> np.ndarray:
     """Cyclic sign changes of each row among its significant entries.
 
-    An entry is significant where |f| > max(1e-9 max|row|, floor of the
-    row).  Only bool arrays of the full size are made: the signs of the
-    significant entries are compressed row after row into one vector, and
-    every entry is compared with the one before it, the first of a row with
-    the last of the same row.
+    An entry is significant where |f| > max(1e-9 max|row|, floor of the row).
     """
-    peak = np.maximum(functions.max(axis=1), -functions.min(axis=1))
-    threshold = np.maximum(1e-9 * peak, floors)[:, None]
-    significant = functions > threshold
-    significant |= functions < -threshold
-    positive = (functions > 0.0)[significant]
-    sizes = np.count_nonzero(significant, axis=1)
-    counts = np.zeros(sizes.size, dtype=int)
-    filled = sizes > 0
-    if not filled.any():
-        return counts
-    first = (np.cumsum(sizes) - sizes)[filled]
-    last = first + sizes[filled] - 1
-    change = np.empty_like(positive)
-    np.not_equal(positive[1:], positive[:-1], out=change[1:])
-    change[first] = positive[first] != positive[last]
-    # changes per row from the sorted change positions: no integer array
-    # of the full size
-    bounds = np.searchsorted(np.flatnonzero(change), np.append(first, change.size))
-    counts[filled] = np.diff(bounds)
+    counts = np.zeros(len(functions), dtype=int)
+    for i, (row, floor) in enumerate(zip(functions, floors)):
+        magnitude = np.abs(row)
+        positive = row[magnitude > max(1e-9 * magnitude.max(), floor)] > 0.0
+        counts[i] = np.count_nonzero(positive != np.roll(positive, 1))
     return counts
 
 
@@ -200,14 +194,12 @@ def assemble_linearization(state: SteadyState, n_modes: int | None = None) -> np
     return linearization_dense(state.field.values, grid, state.params, n_modes, "full")
 
 
-def _eigenfunctions(cos_vecs, sin_vecs, order, back, n_points: int) -> np.ndarray:
-    """Grid values of the block eigenvectors, in the sorted ``order``.
+def _coefficient_rows(cos_vecs, sin_vecs, order, back) -> np.ndarray:
+    """rfft coefficients of the block eigenvectors, in the sorted ``order``.
 
-    One irfft of their coefficients (sqrt2 cos k -> 1/sqrt2, sqrt2 sin k
-    -> -i/sqrt2), rotated by ``back`` from the axis onto the state.  Rows
-    go straight into sorted order (rank[j] is the row of block eigenvector
-    j), which saves a permuted copy, and the coefficients are freed on
-    return, before the zero counts run.  The result is read-only.
+    sqrt2 cos k -> 1/sqrt2 and sqrt2 sin k -> -i/sqrt2, rotated by ``back``
+    from the axis onto the state (rank[j] is the row of block eigenvector
+    j).  The result is read-only.
     """
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
@@ -216,9 +208,8 @@ def _eigenfunctions(cos_vecs, sin_vecs, order, back, n_points: int) -> np.ndarra
     spec[rank[: n_modes + 1]] = cos_vecs.T
     spec[rank[n_modes + 1 :], 1:] = -1j * sin_vecs.T
     spec[:, 1:] *= back[1 : n_modes + 1] / np.sqrt(2.0)
-    functions = np.fft.irfft(spec, n_points, norm="forward")
-    functions.flags.writeable = False
-    return functions
+    spec.flags.writeable = False
+    return spec
 
 
 def _local_split(state: SteadyState, n_modes: int):
@@ -244,12 +235,14 @@ def _local_split(state: SteadyState, n_modes: int):
     order = np.argsort(np.concatenate([cos_vals, sin_vals]))[::-1]
     eigvals = np.concatenate([cos_vals, sin_vals])[order]
 
-    functions = _eigenfunctions(cos_vecs, sin_vecs, order, back, grid.n_points)
+    spec = _coefficient_rows(cos_vecs, sin_vecs, order, back)
+    checked = order[:N_VERIFY]
     # significance floor per eigenfunction: truncation ripples in the flat
     # exponential tails scale with the energy in the last coefficients
-    tail = max(2, n_modes // 4)
-    floors = 10.0 * np.linalg.norm(np.hstack([cos_vecs[-tail:], sin_vecs[-tail:]]), axis=0)[order]
-    counts = _zero_counts(functions, floors)
+    tail = min(n_modes, max(2, n_modes // 4))
+    last = np.hstack([cos_vecs[-tail:], sin_vecs[-tail:]])[:, checked]
+    functions = np.fft.irfft(spec[: checked.size], grid.n_points, norm="forward")
+    counts = _zero_counts(functions, 10.0 * np.linalg.norm(last, axis=0))
 
     # the oscillation pattern is only checkable for eigenvalues that are
     # numerically isolated: inside degenerate clusters (cos/sin pairs of the
@@ -260,13 +253,13 @@ def _local_split(state: SteadyState, n_modes: int):
     isolated = np.concatenate([gaps, [True]]) & np.concatenate([[True], gaps])
     if state.modality <= 1 and eigvals.size >= 2 and eigvals[0] - eigvals[1] <= 1e-10:
         raise ResolutionError("leading local eigenvalue is not simple at this resolution")
-    for i in range(min(N_VERIFY, eigvals.size)):
+    for i in range(checked.size):
         expected = 0 if i == 0 else 2 * ((i + 1) // 2)
         if isolated[i] and counts[i] != expected:
             raise ResolutionError(
                 f"local eigenfunction {i} has {counts[i]} sign changes, expected {expected}"
             )
-    local = LocalSpectrum(lambdas=eigvals, eigenfunctions=functions, zero_counts=counts)
+    local = LocalSpectrum(eigvals, spec, grid.n_points, counts)
 
     u_max = float(values.max())
     betas = np.concatenate([np.exp(u_max) * (cos_vecs.T @ cos_parts[1]), np.zeros(n_modes)])
@@ -534,17 +527,12 @@ def _interlaces(lambdas: np.ndarray, nus: np.ndarray) -> bool:
     return bool(np.all(nus <= lambdas + tol) and np.all(nus[:-1] >= lambdas[1:] - tol))
 
 
-def spectrum_crosscheck(
-    state: SteadyState,
-    n_modes: int | None = None,
-    tol: float = 1e-6,
-    n_compare: int = 10,
-) -> CrosscheckReport:
+def spectrum_crosscheck(state: SteadyState, n_modes: int | None = None) -> CrosscheckReport:
     """Compare the direct and secular spectra on the leading eigenvalues.
 
     Raises :class:`ResolutionError` (with both lists attached) if the
-    maximum pairwise deviation over the leading ``n_compare`` eigenvalues
-    exceeds ``tol``.  Also checks that the direct eigenvalues interlace the
+    maximum pairwise deviation over the leading 10 eigenvalues reaches
+    1e-6.  Also checks that the direct eigenvalues interlace the
     local ones (L is the local operator minus a positive rank-one term), a
     test of the direct route against the local spectrum of the secular one.
     Logs the :class:`SecularStats` of the secular solve at DEBUG on the
@@ -556,13 +544,13 @@ def spectrum_crosscheck(
                extra={"secular_stats": solution.stats})
     secular = solution.all_sorted()
     direct = report.nonlocal_eigs
-    k = min(n_compare, direct.size, secular.size)
+    k = min(N_COMPARE, direct.size, secular.size)
     max_dev = float(np.max(np.abs(direct[:k] - secular[:k])))
     interlacing_ok = _interlaces(report.local.lambdas, direct)
 
-    if max_dev >= tol:
+    if max_dev >= CROSSCHECK_TOL:
         err = ResolutionError(
-            f"spectrum cross-check deviation {max_dev:.3e} exceeds {tol:g} "
+            f"spectrum cross-check deviation {max_dev:.3e} exceeds {CROSSCHECK_TOL:g} "
             f"on the leading {k} eigenvalues"
         )
         err.direct = direct[:k]

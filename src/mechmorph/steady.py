@@ -301,7 +301,7 @@ def rescale_modal(state: SteadyState, m: int) -> SteadyState:
     means the grid cannot represent the compression (aliasing) and raises
     ResolutionError.
     """
-    if m < 1 or not isinstance(m, (int, np.integer)):
+    if not isinstance(m, (int, np.integer)) or m < 1:
         raise ConfigurationError(f"m must be a positive integer, got {m!r}")
     if m == 1:
         return state

@@ -116,7 +116,7 @@ def test_criterion_5_spectrum_crossvalidation(grid256, unimodal_16, twomodal_16)
     worst = 0.0
     interlacing = True
     for state in (constant, unimodal_16, twomodal_16):
-        check = mm.spectrum_crosscheck(state, tol=1e-6, n_compare=10)
+        check = mm.spectrum_crosscheck(state)
         worst = max(worst, check.max_deviation)
         interlacing &= check.interlacing_ok
     record(

@@ -8,6 +8,7 @@ from mechmorph.errors import AmplitudeOverflowError, ConfigurationError
 
 from oracles import (
     bessel_i0,
+    density_form_hessian,
     directional_derivative,
     gauss_legendre_integral,
     random_smooth_field,
@@ -217,3 +218,14 @@ def test_energy_and_modes_are_translation_and_reflection_invariant(case, shift):
     for moved in (mm.Field(u.grid, np.roll(u.values, shift)), _reflected(u)):
         assert abs(mm.energy(moved, params) - j) <= 1e-13 * scale
         assert mm.count_modes(moved) == modes
+
+
+@given(smooth_fields(), st.floats(1e-4, 0.1), st.floats(0.2, 5.0), st.data())
+def test_hessian_matches_density_form_oracle(case, D, kappa, data):
+    # hessian_matrix is -L as the package assembles it from A, C and M
+    u = case[0]
+    n_modes = data.draw(st.integers(1, u.grid.n_points // 4))
+    params = mm.ModelParams(D=D, kappa=kappa)
+    expected = density_form_hessian(u, params, n_modes)
+    error = np.max(np.abs(mm.hessian_matrix(u, params, n_modes) - expected))
+    assert error <= 1e-10 * np.max(np.abs(expected))

@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mechmorph as mm
-from mechmorph import stability
+from mechmorph import cli, figures, stability
 from mechmorph.cli import main
+from mechmorph.errors import ConvergenceError
 from mechmorph.io import dump_json, fmt
 
 
@@ -210,6 +211,28 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["bounds", "--config", str(config), "--out", str(tmp_path / "z")]) == 2
     assert "'grid'" in json.loads(capsys.readouterr().err)["message"]
+    # a negative worker count; 0 means one per CPU
+    assert run_cli(["sweep", "--workers", "-1", "--D-values", "0.02", "--kappa-values", "2.2",
+                    "--trials", "1", "--out", str(tmp_path / "w")]) == 2
+    assert "workers" in json.loads(capsys.readouterr().err)["message"]
+    assert run_cli(["figure", "--kind", "fig2-top", "--workers", "-2",
+                    "--out", str(tmp_path / "w")]) == 2
+    assert "workers" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_cli_workers_zero_means_one_per_cpu(tmp_path, monkeypatch):
+    seen = []
+
+    def stop(*args, workers, **kwargs):
+        seen.append(workers)
+        raise ConvergenceError("stop after recording the worker count")
+
+    monkeypatch.setattr(cli, "sweep", stop)
+    monkeypatch.setattr(figures, "sweep", stop)
+    assert run_cli(["sweep", "--workers", "0", "--out", str(tmp_path / "s")]) == 3
+    assert run_cli(["figure", "--kind", "fig2-top", "--workers", "0",
+                    "--out", str(tmp_path / "f")]) == 3
+    assert seen == [os.cpu_count() or 1] * 2
 
 
 def test_cli_solver_failure_exit_code(tmp_path, capsys):

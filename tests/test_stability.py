@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mechmorph as mm
+from mechmorph import stability
 from mechmorph.errors import ConfigurationError, ResolutionError
 from mechmorph.stability import _interlaces, _secular_solve, _zero_counts
 from mechmorph.steady import _certify
@@ -123,6 +124,33 @@ def test_batched_zero_counts_match_scalar_loop():
     assert list(_zero_counts(rows, floors)) == expected
 
 
+@pytest.mark.parametrize("row, expected", [(0, 0), (1, 2), (4, 4)])
+def test_oscillation_check_rejects_a_wrong_count(monkeypatch, unimodal_16, row, expected):
+    counts = stability._zero_counts
+
+    def one_extra_on_row(functions, floors):
+        result = counts(functions, floors)
+        result[row] += 1
+        return result
+
+    monkeypatch.setattr(stability, "_zero_counts", one_extra_on_row)
+    message = f"eigenfunction {row} has {expected + 1} sign changes, expected {expected}"
+    with pytest.raises(ResolutionError, match=message):
+        mm.local_spectrum(unimodal_16)
+
+
+def test_zero_counts_cover_the_checked_rows(grid256, unimodal_16, twomodal_16):
+    # the tunneling pair of the 2-modal state ripples in its flat tails:
+    # without the significance floors its row 1 reads 6 sign changes
+    for state in (unimodal_16, twomodal_16):
+        assert list(mm.local_spectrum(state).zero_counts) == [0, 2, 2, 4, 4]
+    # fewer rows than N_VERIFY: one count per row; at K = 1 the sine block
+    # has one coefficient, fewer than the floors' usual two-mode tail
+    constant = mm.constant_state(mm.ModelParams(D=0.01, kappa=1.2), grid256)
+    report = mm.nonlocal_spectrum(constant, n_modes=1)
+    assert report.nonlocal_eigs.size == report.local.zero_counts.size == 3
+
+
 def test_eigenfunctions_are_a_read_only_orthonormal_array(unimodal_16):
     local = mm.local_spectrum(unimodal_16)
     functions = local.eigenfunctions
@@ -154,7 +182,7 @@ def test_translation_mode_in_nonlocal_spectrum(unimodal_16, twomodal_16):
 def test_single_term_secular_equation():
     lam0, beta, m_coef = 2.0, 0.7, 3.0
     local = mm.LocalSpectrum(
-        lambdas=np.array([lam0]), eigenfunctions=[], zero_counts=np.array([0])
+        lambdas=np.array([lam0]), coefficients=[], n_points=0, zero_counts=np.array([0])
     )
     roots = mm.secular_roots(local, np.array([beta]), m_coef)
     assert roots.size == 1
@@ -163,7 +191,7 @@ def test_single_term_secular_equation():
 
 def test_secular_requires_positive_m():
     local = mm.LocalSpectrum(
-        lambdas=np.array([1.0]), eigenfunctions=[], zero_counts=np.array([0])
+        lambdas=np.array([1.0]), coefficients=[], n_points=0, zero_counts=np.array([0])
     )
     with pytest.raises(ConfigurationError):
         mm.secular_roots(local, np.array([1.0]), 0.0)
@@ -174,7 +202,9 @@ def test_secular_merge_rule():
     # keeps the shared value as an eigenvalue of the full problem
     lam = np.array([1.0, 1.0, -1.0])
     betas = np.array([0.6, 0.8, 0.5])
-    local = mm.LocalSpectrum(lambdas=lam, eigenfunctions=[], zero_counts=np.zeros(3, int))
+    local = mm.LocalSpectrum(
+        lambdas=lam, coefficients=[], n_points=0, zero_counts=np.zeros(3, int)
+    )
     m_coef = 0.5
     roots = mm.secular_roots(local, betas, m_coef)
     assert roots.size == 3
@@ -258,7 +288,7 @@ def secular_problems(draw):
 def test_secular_roots_match_dense_rank_one_update(problem):
     lambdas, betas, m_coef = problem
     local = mm.LocalSpectrum(
-        lambdas=lambdas, eigenfunctions=[], zero_counts=np.zeros(lambdas.size, int)
+        lambdas=lambdas, coefficients=[], n_points=0, zero_counts=np.zeros(lambdas.size, int)
     )
     roots = mm.secular_roots(local, betas, m_coef)
     dense = np.linalg.eigvalsh(np.diag(lambdas) - m_coef * np.outer(betas, betas))[::-1]

@@ -149,8 +149,9 @@ def test_rescale_rejects_unresolvable_compression(grid256):
 
 
 def test_rescale_rejects_bad_m(unimodal_15):
-    with pytest.raises(ConfigurationError):
-        mm.rescale_modal(unimodal_15, 0)
+    for m in (0, "2", None):
+        with pytest.raises(ConfigurationError):
+            mm.rescale_modal(unimodal_15, m)
 
 
 def test_steady_state_certification_rejects_large_residual(grid256):
