@@ -50,9 +50,8 @@ from .errors import (
 )
 from .grid import Field, Grid, make_grid
 from .model import ModelParams
-from .stability import nonlocal_spectrum
-from .steady import relax_to_steady
-from .steady import _certify as _certify_steady
+from .stability import MARGINAL_TOL, nonlocal_spectrum
+from .steady import SteadyState, relax_to_steady
 
 __all__ = [
     "BifPoint",
@@ -116,16 +115,20 @@ class Branch:
     reason: str | None
 
 
+def _threshold(D, n: int = 1):
+    """kappa_n = 1 + 4 pi^2 n^2 D, where the constant state loses cos(2 pi n x)."""
+    return 1.0 + 4.0 * np.pi**2 * n**2 * D
+
+
 def critical_kappas(D: float, n_max: int) -> list[BifPoint]:
     """Closed-form bifurcation data for modes n = 1 .. n_max."""
-    if not (D > 0):
-        raise ConfigurationError(f"D must be positive, got {D}")
+    if not 0 < D < math.inf:
+        raise ConfigurationError(f"D must be positive and finite, got {D}")
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
     points = []
     for n in range(1, n_max + 1):
-        q = 4.0 * np.pi**2 * n**2 * D
-        kappa_n = 1.0 + q
+        kappa_n = _threshold(D, n)
         alpha_pp = 0.25 - 1.0 / (16.0 * D * n**2 * np.pi**2) + 2.0 * D * n**2 * np.pi**2
         if alpha_pp < -TYPE_TOL:
             kind = "subcritical"
@@ -235,8 +238,13 @@ def continue_branch(
     step) after four easy successes.  Stability is evaluated at every point
     through the full nonlocal spectrum.
     """
-    if step <= 0:
-        raise ConfigurationError(f"step must be positive, got {step}")
+    if not 0 < step < math.inf:
+        raise ConfigurationError(f"step must be positive and finite, got {step}")
+    if max_points < 1:
+        raise ConfigurationError(f"max_points must be >= 1, got {max_points}")
+    lo, hi = kappa_range if kappa_range is not None else (0.0, math.inf)
+    if not lo <= hi:
+        raise ConfigurationError(f"kappa_range must be (lo, hi) with lo <= hi, got {kappa_range}")
     grid = grid if grid is not None else make_grid()
     n = grid.n_points
     if n_modes is None:
@@ -245,11 +253,10 @@ def continue_branch(
         raise ConfigurationError(
             f"n_modes must be in [2 n, n_points/2 - 1] for mode number {bp.n}, got {n_modes}"
         )
-    lo, hi = kappa_range if kappa_range is not None else (0.0, math.inf)
     corrector = _EvenCorrector(grid, bp.D, n_modes)
 
     def make_point(z, s_coord) -> BranchPoint:
-        state = _certify_steady(
+        state = SteadyState(
             Field(grid, corrector.field_values(z)), ModelParams(D=bp.D, kappa=float(z[-1]))
         )
         report = nonlocal_spectrum(state)
@@ -258,7 +265,7 @@ def continue_branch(
             kappa=float(z[-1]),
             field=state.field,
             amplitude=float(z[bp.n]),
-            stable=report.leading_nu <= 1e-8,
+            stable=report.leading_nu <= MARGINAL_TOL,
             leading_nu=report.leading_nu,
             energy=state.energy,
         )
@@ -402,7 +409,7 @@ def _classify_cell(args) -> SweepCell:
         kappa=kappa,
         classification=classification,
         n_outcomes=len(outcomes),
-        kappa_c=1.0 + 4.0 * np.pi**2 * d_val,
+        kappa_c=_threshold(d_val),
         failures=tuple(failures),
     )
 
@@ -449,7 +456,7 @@ def sweep(
     else:
         cells = [_classify_cell(a) for a in cells_args]
     overlays = {
-        "kappa_c": 1.0 + 4.0 * np.pi**2 * d_values,
+        "kappa_c": _threshold(d_values),
         "d_min": np.array([bounds(k).d_min for k in kappa_values]),
         "d_max": np.array([bounds(k).d_max for k in kappa_values]),
     }

@@ -155,6 +155,13 @@ class _Stepper:
         return float(self._diff.max()) / h
 
 
+def _check_run(t_end: float, steady_tol: float) -> None:
+    if not 0.0 < t_end < math.inf:
+        raise ConfigurationError(f"t_end must be positive and finite, got {t_end}")
+    if math.isnan(steady_tol):
+        raise ConfigurationError("steady_tol must be a number, got nan")
+
+
 def simulate(
     u0: Field,
     params: ModelParams,
@@ -170,8 +177,7 @@ def simulate(
     detector fires: max |u_{n+1} - u_n| / dt < steady_tol.  Divergence raises
     :class:`DivergenceError` with the last finite state attached.
     """
-    if not 0.0 < t_end < math.inf:
-        raise ConfigurationError(f"t_end must be positive and finite, got {t_end}")
+    _check_run(t_end, steady_tol)
     if record_every < 1:
         raise ConfigurationError(f"record_every must be >= 1, got {record_every}")
     stepper = _Stepper(u0.grid, params, dt)
@@ -253,8 +259,7 @@ def _relax(
     max |u_{n+1} - u_n| / h < steady_tol fired on it, and the counters of
     the run.
     """
-    if not 0.0 < t_end < math.inf:
-        raise ConfigurationError(f"t_end must be positive and finite, got {t_end}")
+    _check_run(t_end, steady_tol)
     stepper = _Stepper(u0.grid, params, dt)
     budget = int(np.ceil(t_end / dt))
     p = stepper.start(u0.values)

@@ -188,7 +188,8 @@ def assemble_linearization(state: SteadyState, n_modes: int | None = None) -> np
 
     Basis ordering matches :func:`mechmorph.energy.hessian_matrix`
     (constant, then alternating cos/sin), of which this matrix is the
-    negative; here it is assembled independently from A, C and M.
+    negative: both are one ``linearization_dense(..., "full")`` assembly,
+    which checks the split spectra against the unsplit basis.
     """
     grid, n_modes = state.field.grid, _check_modes(state, n_modes)
     return linearization_dense(state.field.values, grid, state.params, n_modes, "full")

@@ -10,14 +10,18 @@ end state, so the step is set by the energy alone, not by trajectory
 accuracy.  Every stationary solution carries mass int U = kappa; this is
 verified a posteriori rather than imposed.
 
+A :class:`SteadyState` computes its certificate (residual, modality,
+energy) from its field when it is built; every solver returns one built
+from the field it found.
+
 ``relax_to_steady`` logs a :class:`RelaxStats` record at DEBUG on the
 ``mechmorph.steady`` logger.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from ._operators import (
 from .dynamics import _relax
 from .energy import energy
 from .errors import ConfigurationError, ConvergenceError, ResolutionError, SingularJacobianError
-from .grid import Field, integrate
+from .grid import Field, Grid, integrate, make_grid
 from .model import ModelParams
 
 __all__ = [
@@ -53,56 +57,62 @@ NEWTON_MAX_ITER = 50
 _log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class SteadyState:
-    """A Field certified as a stationary solution.
+def _residual(values: np.ndarray, grid: Grid, params: ModelParams) -> tuple[np.ndarray, float]:
+    """The full-grid stationary residual and its RMS, the norm that is certified."""
+    residual = evolution_rhs(values, grid, params)
+    return residual, float(np.sqrt(np.mean(residual**2)))
 
-    residual_norm is the L^2 norm of the full-grid stationary residual,
-    modality the number of peaks per period (0 for the constant state).
+
+@dataclasses.dataclass(frozen=True)
+class SteadyState:
+    """A Field certified as a stationary solution of the given parameters.
+
+    The certificate is computed from the field, never passed in:
+    residual_norm is the RMS of the full-grid stationary residual, modality
+    ``count_modes(field)`` (0 for the constant state) and energy J(field).
+    Raises ConvergenceError for residual_norm >= RESIDUAL_CERT and
+    ResolutionError for |int U - kappa| >= MASS_TOL.
     """
 
     field: Field
     params: ModelParams
-    residual_norm: float
-    modality: int
-    energy: float
+    residual_norm: float = dataclasses.field(init=False)
+    modality: int = dataclasses.field(init=False)
+    energy: float = dataclasses.field(init=False)
 
     def __post_init__(self):
-        if self.residual_norm >= RESIDUAL_CERT:
-            raise ConvergenceError(
-                f"residual norm {self.residual_norm:.3e} exceeds {RESIDUAL_CERT:g}"
-            )
+        residual_norm = _residual(self.field.values, self.field.grid, self.params)[1]
+        if residual_norm >= RESIDUAL_CERT:
+            raise ConvergenceError(f"residual norm {residual_norm:.3e} exceeds {RESIDUAL_CERT:g}")
         mass_defect = abs(integrate(self.field) - self.params.kappa)
         if mass_defect >= MASS_TOL:
             raise ResolutionError(
                 f"stationary mass defect |int U - kappa| = {mass_defect:.3e} exceeds {MASS_TOL:g}"
             )
+        object.__setattr__(self, "residual_norm", residual_norm)
+        object.__setattr__(self, "modality", count_modes(self.field))
+        object.__setattr__(self, "energy", energy(self.field, self.params))
 
 
-def _certify(field: Field, params: ModelParams) -> SteadyState:
-    residual = evolution_rhs(field.values, field.grid, params)
-    return SteadyState(
-        field=field,
-        params=params,
-        residual_norm=float(np.sqrt(np.mean(residual**2))),
-        modality=count_modes(field),
-        energy=energy(field, params),
-    )
-
-
-def constant_state(params: ModelParams, grid=None) -> SteadyState:
-    """The homogeneous state U = kappa (residual identically zero)."""
-    from .grid import make_grid
-
+def constant_state(params: ModelParams, grid: Grid | None = None) -> SteadyState:
+    """The homogeneous state U = kappa: residual exactly 0.0, energy exactly
+    -kappa^2/2.  Its certificate evaluates e^U like that of every other
+    state, so kappa > 700 trips the exp() range guard (AmplitudeOverflowError).
+    """
     grid = grid if grid is not None else make_grid()
-    field = Field(grid, np.full(grid.n_points, params.kappa))
-    return SteadyState(
-        field=field,
-        params=params,
-        residual_norm=0.0,
-        modality=0,
-        energy=-0.5 * params.kappa**2,
-    )
+    return SteadyState(Field(grid, np.full(grid.n_points, params.kappa)), params)
+
+
+def turning_directions(v: np.ndarray) -> np.ndarray:
+    """Signs of v[j+1] - v[j] around the circle; an exact tie takes the previous
+    nonzero direction, cyclically (leading ties take the last one)."""
+    direction = np.sign(np.roll(v, -1) - v)
+    nonzero = np.flatnonzero(direction)
+    if nonzero.size == 0:
+        return direction
+    # forward fill of indices; leading ties start from the last, as a negative index
+    source = np.where(direction != 0.0, np.arange(v.size), nonzero[-1] - v.size)
+    return direction[np.maximum.accumulate(source)]
 
 
 def count_modes(u: Field) -> int:
@@ -116,23 +126,7 @@ def count_modes(u: Field) -> int:
     span = float(v.max() - v.min())
     if span < FLAT_TOL:
         return 0
-    n = v.size
-    # turning points on the circle; exact ties inherit the previous direction
-    diffs = np.roll(v, -1) - v
-    direction = np.sign(diffs)
-    last = 0.0
-    for j in range(n):
-        if direction[j] == 0.0:
-            direction[j] = last
-        else:
-            last = direction[j]
-    if last == 0.0:
-        return 0
-    for j in range(n):  # resolve leading ties using the wrapped direction
-        if direction[j] == 0.0:
-            direction[j] = last
-        else:
-            break
+    direction = turning_directions(v)
     flips = np.nonzero(direction != np.roll(direction, 1))[0]
     extrema = [(int(j), direction[j] < 0) for j in flips]  # True = maximum
     if not extrema:
@@ -178,23 +172,18 @@ def newton_steady(
     floor of the spectral residual, which the certification threshold
     still sits far above.
     """
-    if tol < 1e-12:
-        raise ConfigurationError(f"tol must be >= 1e-12, got {tol}")
+    if not 1e-12 <= tol < np.inf:
+        raise ConfigurationError(f"tol must be finite and >= 1e-12, got {tol}")
     grid = guess.grid
     n = grid.n_points
 
     values = _even_project(guess.values)
-
-    def residual_pair(vals):
-        r = evolution_rhs(vals, grid, params)
-        return r, float(np.sqrt(np.mean(r**2)))
-
-    residual, res_norm = residual_pair(values)
+    residual, res_norm = _residual(values, grid, params)
     for _ in range(NEWTON_MAX_ITER):
         if history is not None:
             history.append(res_norm)
         if res_norm < max(tol, residual_floor(values, grid, params)):
-            return _certify(Field(grid, values), params)
+            return SteadyState(Field(grid, values), params)
         jac = linearization_dense(values, grid, params, n // 2, "even")
         try:
             delta = np.linalg.solve(jac, -project_even(residual, n // 2))
@@ -209,7 +198,7 @@ def newton_steady(
         scale = 1.0
         for _halving in range(21):
             trial = values + scale * step
-            trial_res, trial_norm = residual_pair(trial)
+            trial_res, trial_norm = _residual(trial, grid, params)
             if trial_norm < res_norm:
                 values, residual, res_norm = trial, trial_res, trial_norm
                 break
@@ -219,14 +208,14 @@ def newton_steady(
                 f"Newton line search stalled at residual {res_norm:.3e}"
             )
     if res_norm < max(tol, residual_floor(values, grid, params)):
-        return _certify(Field(grid, values), params)
+        return SteadyState(Field(grid, values), params)
     raise ConvergenceError(
         f"Newton did not reach tol={tol:g} within {NEWTON_MAX_ITER} iterations "
         f"(residual {res_norm:.3e})"
     )
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RelaxStats:
     """What one ``relax_to_steady`` call did.
 
@@ -296,35 +285,27 @@ def rescale_modal(state: SteadyState, m: int) -> SteadyState:
 
     A 1-modal input at diffusivity m^2 D yields an m-modal steady state at
     diffusivity D (compressing the profile lowers the effective diffusivity
-    by m^2).  The result is sampled on the same grid and re-verified against
-    the stationary equation at the new diffusivity; a residual above 1e-7
-    means the grid cannot represent the compression (aliasing) and raises
-    ResolutionError.
+    by m^2).  The result is sampled on the same grid and certified at the
+    new diffusivity like every SteadyState.  A failed certificate (a
+    residual of 1e-8 or more included) or a peak count other than m times
+    the input's means the grid cannot represent the compression (aliasing)
+    and raises ResolutionError.
     """
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ConfigurationError(f"m must be a positive integer, got {m!r}")
     if m == 1:
         return state
     grid = state.field.grid
-    n = grid.n_points
-    values = state.field.values[(m * np.arange(n)) % n]
-    new_params = ModelParams(D=state.params.D / m**2, kappa=state.params.kappa)
-    residual = evolution_rhs(values, grid, new_params)
-    res_norm = float(np.sqrt(np.mean(residual**2)))
-    if res_norm >= 1e-7:
+    values = state.field.values[(m * np.arange(grid.n_points)) % grid.n_points]
+    params = ModelParams(D=state.params.D / m**2, kappa=state.params.kappa)
+    try:
+        rescaled = SteadyState(Field(grid, values), params)
+    except ConvergenceError as exc:
         raise ResolutionError(
-            f"rescaled state residual {res_norm:.3e} >= 1e-7; grid too coarse for m={m}"
-        )
-    field = Field(grid, values)
-    modality = count_modes(field)
-    if modality != m * state.modality:
+            f"rescaled state not certified ({exc}); grid too coarse for m={m}"
+        ) from exc
+    if rescaled.modality != m * state.modality:
         raise ResolutionError(
-            f"rescaled state has {modality} peaks, expected {m * state.modality}"
+            f"rescaled state has {rescaled.modality} peaks, expected {m * state.modality}"
         )
-    return SteadyState(
-        field=field,
-        params=new_params,
-        residual_norm=res_norm,
-        modality=modality,
-        energy=energy(field, new_params),
-    )
+    return rescaled

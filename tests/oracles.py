@@ -5,8 +5,9 @@ routes: integrals use composite Gauss-Legendre panels, Bessel values come
 from the defining power series, derivatives of the energy are taken by
 central finite differences, Galerkin integrals by sampled trigonometric
 bases, zero counts by one loop per function, secular roots by one scalar
-bisection per bracket, and fixed-step trajectories by the step that
-allocates every intermediate array.
+bisection per bracket, fixed-step trajectories by the step that
+allocates every intermediate array, and peak counts by filling ties with
+one loop over the nodes.
 """
 
 from typing import NamedTuple
@@ -23,6 +24,7 @@ from mechmorph.errors import (
     DivergenceError,
 )
 from mechmorph.stability import BETA_TOL, BISECT_TOL, BRACKET_INSET, MERGE_TOL
+from mechmorph.steady import FLAT_TOL
 
 
 def gauss_legendre_integral(f, n_panels=64, order=10):
@@ -132,6 +134,55 @@ def count_sign_changes(values, floor=0.0):
     if signs.size == 0:
         return 0
     return int(np.sum(signs != np.roll(signs, 1)))
+
+
+def loop_turning_directions(v):
+    """Signs of v[j+1] - v[j] on the circle, exact ties filled node by node
+    with the previous nonzero direction (leading ties: the wrapped last)."""
+    n = v.size
+    direction = np.sign(np.roll(v, -1) - v)
+    last = 0.0
+    for j in range(n):
+        if direction[j] == 0.0:
+            direction[j] = last
+        else:
+            last = direction[j]
+    if last == 0.0:
+        return direction
+    for j in range(n):
+        if direction[j] == 0.0:
+            direction[j] = last
+        else:
+            break
+    return direction
+
+
+def reference_count_modes(u):
+    """``count_modes`` with the loop fill of ties: strict local maxima over
+    the periodic index set after pruning extrema pairs closer than
+    FLAT_TOL * (max - min)."""
+    v = u.values
+    span = float(v.max() - v.min())
+    if span < FLAT_TOL:
+        return 0
+    direction = loop_turning_directions(v)
+    flips = np.nonzero(direction != np.roll(direction, 1))[0]
+    values = [float(v[j]) for j in flips]
+    kinds = [bool(direction[j] < 0) for j in flips]  # True = maximum
+    if not kinds:
+        return 0
+    tol = FLAT_TOL * span
+    while len(kinds) > 2:
+        gaps = [abs(values[i] - values[(i + 1) % len(values)]) for i in range(len(values))]
+        i = int(np.argmin(gaps))
+        if gaps[i] >= tol:
+            break
+        for idx in sorted((i, (i + 1) % len(values)), reverse=True):
+            del values[idx]
+            del kinds[idx]
+    if len(kinds) == 2 and abs(values[0] - values[1]) < tol:
+        return 0
+    return sum(kinds)
 
 
 def density_form_hessian(u, params, n_modes):

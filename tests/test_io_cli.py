@@ -82,6 +82,26 @@ def test_cli_simulate_and_determinism(tmp_path):
     assert header == "t,mass,energy,max_u,min_u"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["steady"], ["spectrum", "--kappa", "1.6"], ["branch", "--D", "0.02"], ["sweep"],
+     ["bounds", "--kappa", "2"]],
+    ids=lambda args: args[0],
+)
+def test_cli_artifacts_are_byte_identical(tmp_path, monkeypatch, capsys, args):
+    # manifest.json records --out, so both runs use the same relative path
+    runs = []
+    for name in ("first", "second"):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert run_cli(args + ["--out", "out"]) == 0
+        files = {p.relative_to(cwd): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}
+        runs.append((files, capsys.readouterr().out))
+    assert os.path.join("out", "manifest.json") in {str(p) for p in runs[0][0]}
+    assert runs[0] == runs[1]
+
+
 def test_cli_random_init_reproducible(tmp_path):
     args = ["simulate", "--D", "0.02", "--kappa", "1.2", "--t-end", "1",
             "--grid", "64", "--seed", "11", "--init", "random"]

@@ -2,14 +2,20 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mechmorph as mm
-from mechmorph.errors import ConfigurationError, ConvergenceError, ResolutionError
+from mechmorph.errors import (
+    AmplitudeOverflowError,
+    ConfigurationError,
+    ConvergenceError,
+    ResolutionError,
+)
+from mechmorph.steady import turning_directions
 
 from conftest import perturbed_constant
-from oracles import random_smooth_field
+from oracles import loop_turning_directions, random_smooth_field, reference_count_modes
 
 
 def test_constant_state_record(grid256):
@@ -157,13 +163,89 @@ def test_rescale_rejects_bad_m(unimodal_15):
 def test_steady_state_certification_rejects_large_residual(grid256):
     params = mm.ModelParams(D=0.01, kappa=1.5)
     with pytest.raises(ConvergenceError):
-        mm.SteadyState(
-            field=perturbed_constant(grid256, 1.5),
-            params=params,
-            residual_norm=1e-3,
-            modality=1,
-            energy=0.0,
+        mm.SteadyState(perturbed_constant(grid256, 1.5), params)
+
+
+def test_certificate_comes_from_the_field(grid256, unimodal_16, twomodal_16):
+    field, params = unimodal_16.field, unimodal_16.params
+    with pytest.raises(TypeError):
+        mm.SteadyState(field, params, residual_norm=0.0)
+    # a reflection-asymmetric field far from any steady state
+    x = grid256.nodes
+    values = 1.6 + 0.3 * np.cos(2.0 * np.pi * x) + 0.2 * np.sin(4.0 * np.pi * x)
+    with pytest.raises(ConvergenceError):
+        mm.SteadyState(mm.Field(grid256, values), mm.ModelParams(D=0.01, kappa=1.6))
+    # rebuilding a certified state reproduces its numbers bit for bit, and
+    # they are the residual, peak count and energy of the field itself
+    for state in (unimodal_16, twomodal_16):
+        again = mm.SteadyState(state.field, state.params)
+        assert (again.residual_norm, again.modality, again.energy) == (
+            state.residual_norm, state.modality, state.energy
         )
+        residual = mm.first_variation(state.field, state.params).values
+        assert 0.0 < state.residual_norm == float(np.sqrt(np.mean(residual**2)))
+        assert state.modality == reference_count_modes(state.field)
+        assert state.energy == mm.energy(state.field, state.params)
+    assert (unimodal_16.modality, twomodal_16.modality) == (1, 2)
+
+
+@settings(max_examples=200)
+@given(st.integers(3, 11), st.floats(1e-3, 700.0), st.floats(1e-5, 1.0))
+def test_constant_state_certificate_is_exact(log_n, kappa, D):
+    state = mm.constant_state(mm.ModelParams(D=D, kappa=kappa), mm.make_grid(2**log_n))
+    assert state.residual_norm == 0.0
+    assert state.modality == 0
+    assert state.energy == -0.5 * kappa**2
+
+
+def test_constant_state_beyond_the_exp_guard(grid256):
+    with pytest.raises(AmplitudeOverflowError):
+        mm.constant_state(mm.ModelParams(D=0.01, kappa=700.5), grid256)
+
+
+@settings(max_examples=200)
+@given(st.integers(3, 9), st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8))
+def test_count_modes_fill_matches_the_loop(log_n, seed, levels, repeat):
+    # rounded smooth samples, each repeated: long runs of exact ties,
+    # plateaus at the peaks and ties across the wrap
+    n = 2**log_n
+    rng = np.random.Generator(np.random.PCG64(seed))
+    coarse = random_smooth_field(mm.make_grid(n), rng).values[::repeat]
+    values = np.repeat(np.round(coarse * levels) / levels, repeat)[:n]
+    values = np.roll(values, int(rng.integers(n)))
+    np.testing.assert_array_equal(turning_directions(values), loop_turning_directions(values))
+    field = mm.Field(mm.make_grid(n), values)
+    assert mm.count_modes(field) == reference_count_modes(field)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, p, bp: mm.newton_steady(perturbed_constant(g, 1.5), p, tol=NAN),
+        lambda g, p, bp: mm.continue_branch(bp, step=NAN, grid=g),
+        lambda g, p, bp: mm.continue_branch(bp, step=INF, grid=g),
+        lambda g, p, bp: mm.continue_branch(bp, max_points=0, grid=g),
+        lambda g, p, bp: mm.continue_branch(bp, kappa_range=(0.0, NAN), grid=g),
+        lambda g, p, bp: mm.continue_branch(bp, kappa_range=(NAN, INF), grid=g),
+        lambda g, p, bp: mm.continue_branch(bp, kappa_range=(2.0, 1.0), grid=g),
+        lambda g, p, bp: mm.relax_to_steady(perturbed_constant(g, 1.5), p, steady_tol=NAN),
+        lambda g, p, bp: mm.simulate(perturbed_constant(g, 1.5), p, t_end=1.0, steady_tol=NAN),
+        lambda g, p, bp: mm.critical_kappas(INF, 1),
+    ],
+    ids=[
+        "newton-tol-nan", "branch-step-nan", "branch-step-inf", "branch-max-points-0",
+        "branch-kappa-max-nan", "branch-kappa-min-nan", "branch-kappa-range-reversed",
+        "relax-steady-tol-nan", "simulate-steady-tol-nan", "critical-kappas-d-inf",
+    ],
+)
+def test_entry_points_reject_invalid_numbers(grid256, call):
+    params = mm.ModelParams(D=0.01, kappa=1.5)
+    bp = mm.critical_kappas(0.02, 1)[0]
+    with pytest.raises(ConfigurationError):
+        call(grid256, params, bp)
 
 
 def test_newton_tolerance_validation(grid256):
