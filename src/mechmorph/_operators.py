@@ -13,7 +13,7 @@ Galerkin integrals all come from rfft coefficients.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import AmplitudeOverflowError
 from .grid import Grid
@@ -81,14 +81,17 @@ def free_energy(
     return float(np.dot(weights * v, v)) - params.kappa * log_int
 
 
-def evolution_rhs(values: np.ndarray, grid: Grid, params: ModelParams) -> np.ndarray:
-    """D u_xx - u + kappa p(u); also the stationary residual."""
+def evolution_rhs(
+    values: np.ndarray, p: np.ndarray, grid: Grid, params: ModelParams
+) -> np.ndarray:
+    """D u_xx - u + kappa p, with p = ``density(values)``; also the
+    stationary residual."""
     uxx = np.fft.irfft(
         -grid.laplacian_eigenvalues * np.fft.rfft(values, norm="forward"),
         grid.n_points,
         norm="forward",
     )
-    return params.D * uxx - values + params.kappa * density(values)
+    return params.D * uxx - values + params.kappa * p
 
 
 def residual_floor(values: np.ndarray, grid: Grid, params: ModelParams) -> float:
@@ -162,30 +165,38 @@ def _moments(coef: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:
 
 def _toeplitz(seq: np.ndarray, n_cols: int) -> np.ndarray:
     # T[i, j] = seq[i - j + n_cols - 1], a view
-    return sliding_window_view(seq, n_cols)[:, ::-1]
+    step = seq.strides[0]
+    return as_strided(seq[n_cols - 1 :], (seq.size - n_cols + 1, n_cols), (step, -step),
+                      writeable=False)
 
 
 def _hankel(seq: np.ndarray, n_cols: int) -> np.ndarray:
     # H[i, j] = seq[i + j], a view
-    return sliding_window_view(seq, n_cols)
+    step = seq.strides[0]
+    return as_strided(seq, (seq.size - n_cols + 1, n_cols), (step, step), writeable=False)
 
 
 def linearization_parts(
-    values: np.ndarray, grid: Grid, params: ModelParams, n_modes: int, kind: str
-) -> tuple[np.ndarray, np.ndarray, float]:
+    exp_u: tuple[np.ndarray, float, float], grid: Grid, params: ModelParams, n_modes: int,
+    kind: str,
+) -> tuple:
     """Galerkin parts of the linearization L h = D h_xx + A h - M C int(C h).
 
-    A = kappa e^U / int e^U - 1, C = e^U, M = kappa / (int e^U)^2.  The
-    orthonormal Laplacian eigenbasis is, by ``kind``: "even", the constant
-    and sqrt2 cos(2 pi k x) for k = 1..n_modes (n_modes + 1 rows; at
-    n_modes = n_points/2 the last is the Nyquist cosine (-1)^j, of grid
-    norm 1); "odd", sqrt2 sin(2 pi k x) for k = 1..n_modes; "full", the
-    constant followed by alternating (cos k, sin k) pairs (2 n_modes + 1
-    rows).  Returns the local block diag(-D mu) + int A f_i f_j, the
-    coupling vector int C f_i and M, all with the exponential shifted by
-    max(U): C and M then stand for e^(U - max U) and
-    kappa / (int e^(U - max U))^2, which leaves the rank-one term
-    M C(x) C(y) unchanged and cannot overflow.
+    A = kappa e^U / int e^U - 1, C = e^U, M = kappa / (int e^U)^2, and
+    exp_u is ``shifted_exp(U)``, so that a caller that also needs e^U
+    evaluates it once.  The orthonormal Laplacian eigenbasis is, by
+    ``kind``: "even", the constant and sqrt2 cos(2 pi k x) for
+    k = 1..n_modes (n_modes + 1 rows; at n_modes = n_points/2 the last is
+    the Nyquist cosine (-1)^j, of grid norm 1); "full", the constant
+    followed by alternating (cos k, sin k) pairs (2 n_modes + 1 rows).
+    Both return the local block diag(-D mu) + int A f_i f_j, the coupling
+    vector int C f_i and M.  "split" returns the "even" parts followed by
+    the local block over sqrt2 sin(2 pi k x), k = 1..n_modes: the two
+    blocks of L under the reflection x -> -x of an even U, from one
+    transform of e^U (the sine coupling vanishes for an even U and is not
+    returned).  All parts have the exponential shifted by max(U): C and M
+    then stand for e^(U - max U) and kappa / (int e^(U - max U))^2, which
+    leaves the rank-one term M C(x) C(y) unchanged and cannot overflow.
 
     Nothing is sampled: with c_m the Fourier coefficients of C (one rfft),
     a_m = kappa c_m / int C - [m = 0] are those of A, and products of
@@ -196,11 +207,13 @@ def linearization_parts(
     with the weight 1 of the constant and the Nyquist rows in place of sqrt2.
     These identities hold for grid means with the indices taken mod
     n_points, so the result is the grid quadrature over the sampled basis.
+    The Toeplitz and Hankel matrices are strided views of one moment
+    sequence, a_{-n_modes} .. a_{2 n_modes}.
     """
-    if kind not in ("even", "odd", "full"):
+    if kind not in ("even", "split", "full"):
         raise ValueError(f"unknown basis kind {kind!r}")
     n, k = grid.n_points, n_modes
-    shifted, mean_c, _ = shifted_exp(values)
+    shifted, mean_c, _ = exp_u
     c_hat = np.fft.rfft(shifted, norm="forward")
     a_hat = params.kappa / mean_c * c_hat
     a_hat[0] -= 1.0
@@ -210,32 +223,30 @@ def linearization_parts(
     mu = (2.0 * np.pi * freq) ** 2
     w = even_weights(n, k)
     scale = w / np.sqrt(2.0)  # w_i w_j / 2 = scale_i scale_j
-    if kind != "odd":
-        cos = _toeplitz(re[: 2 * k + 1], k + 1) + _hankel(re[k:], k + 1)
-        cos *= scale
-        cos *= scale[:, None]
-        cos_c = w * c_hat[: k + 1].real
-    if kind != "even":
-        sin = _toeplitz(re[1 : 2 * k], k) - _hankel(re[k + 2 :], k)
-        sin_c = -np.sqrt(2.0) * c_hat[1 : k + 1].imag
+    cos = _toeplitz(re[: 2 * k + 1], k + 1) + _hankel(re[k:], k + 1)
+    cos *= scale
+    cos *= scale[:, None]
+    cos[np.diag_indices_from(cos)] -= params.D * mu
+    cos_c, m_coef = w * c_hat[: k + 1].real, params.kappa / mean_c**2
     if kind == "even":
-        local, c_vec = cos, cos_c
-    elif kind == "odd":
-        local, c_vec, mu = sin, sin_c, mu[1:]
-    else:
-        cross = (_toeplitz(im[: 2 * k], k) - _hankel(im[k + 1 :], k)) * scale[:, None]
-        # block order (cos 0..K, sin 1..K) -> (1, cos 1, sin 1, cos 2, sin 2, ...)
-        order = np.concatenate([[0], np.stack([freq[1:], freq[1:] + k], axis=1).ravel()])
-        local = np.block([[cos, cross], [cross.T, sin]])[np.ix_(order, order)]
-        c_vec = np.concatenate([cos_c, sin_c])[order]
-        mu = np.repeat(mu, 2)[1:]
-    local[np.diag_indices_from(local)] -= params.D * mu
-    return local, c_vec, params.kappa / mean_c**2
+        return cos, cos_c, m_coef
+    sin = _toeplitz(re[1 : 2 * k], k) - _hankel(re[k + 2 :], k)
+    sin[np.diag_indices_from(sin)] -= params.D * mu[1:]
+    if kind == "split":
+        return cos, cos_c, m_coef, sin
+    cross = (_toeplitz(im[: 2 * k], k) - _hankel(im[k + 1 :], k)) * scale[:, None]
+    sin_c = -np.sqrt(2.0) * c_hat[1 : k + 1].imag
+    # block order (cos 0..K, sin 1..K) -> (1, cos 1, sin 1, cos 2, sin 2, ...)
+    order = np.concatenate([[0], np.stack([freq[1:], freq[1:] + k], axis=1).ravel()])
+    local = np.block([[cos, cross], [cross.T, sin]])[np.ix_(order, order)]
+    return local, np.concatenate([cos_c, sin_c])[order], m_coef
 
 
 def linearization_dense(
-    values: np.ndarray, grid: Grid, params: ModelParams, n_modes: int, kind: str
+    exp_u: tuple[np.ndarray, float, float], grid: Grid, params: ModelParams, n_modes: int,
+    kind: str,
 ) -> np.ndarray:
-    """Galerkin matrix of the linearization L in the given basis."""
-    local, c_vec, m_coef = linearization_parts(values, grid, params, n_modes, kind)
+    """Galerkin matrix of the linearization L in the "even" or "full" basis
+    (exp_u = ``shifted_exp(U)``, see ``linearization_parts``)."""
+    local, c_vec, m_coef = linearization_parts(exp_u, grid, params, n_modes, kind)
     return local - m_coef * np.outer(c_vec, c_vec)

@@ -33,11 +33,11 @@ import numpy as np
 
 from ._operators import (
     bump_seed,
-    density,
     evolution_rhs,
     linearization_dense,
     noisy_constant,
     project_even,
+    shifted_exp,
     synthesize_even,
 )
 from .energy import bounds
@@ -183,29 +183,26 @@ class _EvenCorrector:
     def field_values(self, z: np.ndarray) -> np.ndarray:
         return synthesize_even(z[:-1], self.grid.n_points)
 
-    def residual(self, z: np.ndarray) -> np.ndarray:
-        params = ModelParams(D=self.D, kappa=float(z[-1]))
-        return project_even(evolution_rhs(self.field_values(z), self.grid, params), self.n_modes)
-
     def solve(self, z0, tangent, anchor, ds):
         # convergence is measured on the residual projected into the even
         # subspace (the system Newton actually solves); the unprojected tail
-        # is checked later by the steady-state certification
+        # is checked later by the steady-state certification.  Each iterate
+        # is synthesized once, and its one e^(U - max U) serves the
+        # residual, the kappa column and the Jacobian.
         z = z0.copy()
         for _ in range(CORRECTOR_MAX_ITER):
-            proj = self.residual(z)
+            params = ModelParams(D=self.D, kappa=float(z[-1]))  # rejects kappa <= 0
+            vals = self.field_values(z)
+            exp_u = shifted_exp(vals)
+            p = exp_u[0] / exp_u[1]
+            proj = project_even(evolution_rhs(vals, p, self.grid, params), self.n_modes)
             res_norm = float(np.linalg.norm(proj))
             norm_eq = float(tangent @ (z - anchor)) - ds
             if res_norm < CORRECTOR_TOL and abs(norm_eq) < 1e-12:
                 return z, res_norm
-            kappa = float(z[-1])
-            if kappa <= 0:
-                raise ConvergenceError("corrector left the kappa > 0 domain")
-            params = ModelParams(D=self.D, kappa=kappa)
-            vals = self.field_values(z)
             jac = np.empty((self.n_unknowns, self.n_unknowns))
-            jac[:-1, :-1] = linearization_dense(vals, self.grid, params, self.n_modes, "even")
-            jac[:-1, -1] = project_even(density(vals), self.n_modes)
+            jac[:-1, :-1] = linearization_dense(exp_u, self.grid, params, self.n_modes, "even")
+            jac[:-1, -1] = project_even(p, self.n_modes)
             jac[-1, :] = tangent
             rhs = -np.concatenate([proj, [norm_eq]])
             try:

@@ -3,10 +3,12 @@
 Subcommands: simulate, steady, spectrum, branch, sweep, bounds, figure.
 Options resolve with the precedence flag > config file > built-in default;
 the config file is INI-style with one section per command plus [common].
-Every run writes its artifacts plus a manifest.json echoing the fully
-resolved configuration, so identical config + seed reproduces the output
-byte for byte.  Random perturbations use the seedable PCG64 generator and
-are even-symmetrized after sampling.
+Each command takes a flag only for the options it reads; a [common] key
+that it does not read is skipped.  Every run writes its artifacts plus a
+manifest.json echoing the resolved configuration of the options it read,
+so identical config + seed reproduces the output byte for byte.  Random
+perturbations use the seedable PCG64 generator and are even-symmetrized
+after sampling.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 I/O error.
 """
@@ -63,6 +65,18 @@ DEFAULTS = {
     "figure": {"kind": "fig1-left", "workers": 1},
 }
 
+# the common options each command reads besides --out; it takes no flag for
+# the others and neither uses nor records their [common] config keys
+COMMON_READ = {
+    "simulate": ("D", "kappa", "grid", "seed"),
+    "steady": ("D", "kappa", "grid", "seed"),
+    "spectrum": ("D", "kappa", "grid", "seed"),
+    "branch": ("D", "grid"),
+    "sweep": ("seed",),
+    "bounds": ("kappa",),
+    "figure": ("seed",),
+}
+
 _CASTS = {key: type(value) for options in DEFAULTS.values() for key, value in options.items()}
 # configparser lowercases option names; this maps them back
 _CONFIG_KEYS = {key.lower(): key for key in _CASTS}
@@ -78,10 +92,16 @@ _TIME_HELP = {
 }
 
 
+def _options(command: str) -> dict:
+    """Defaults of the options a command reads: the common ones, then its own."""
+    common = DEFAULTS["common"]
+    read = {key: common[key] for key in common if key == "out" or key in COMMON_READ[command]}
+    return {**read, **DEFAULTS[command]}
+
+
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """Merge defaults, config file values and flags into one plain dict."""
-    resolved = dict(DEFAULTS["common"])
-    resolved.update(DEFAULTS[command])
+    resolved = _options(command)
     config_path = getattr(args, "config", None)
     if config_path:
         parser = configparser.ConfigParser()
@@ -94,6 +114,10 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
                     key = _CONFIG_KEYS.get(name)
                     if key is None:
                         raise ConfigurationError(f"unknown config key {name!r} in [{section}]")
+                    if key not in resolved:
+                        if section == "common":
+                            continue
+                        raise ConfigurationError(f"{command} does not read config key {key!r}")
                     try:
                         resolved[key] = _CASTS[key](raw)
                     except ValueError as exc:
@@ -268,11 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     choices = {"init": ["cosine", "random", "bump"], "kind": list(FIGURE_KINDS)}
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.__doc__)
+        # no prefix matching, so that --D is never read as --D-values
+        p = sub.add_parser(name, help=command.__doc__, allow_abbrev=False)
         helps = _TIME_HELP["simulate" if name == "simulate" else "relax"]
-        # one flag per option, typed as the config file casts it; --config
-        # names the file and is not an option itself
-        for key in (*DEFAULTS["common"], "config", *DEFAULTS[name]):
+        # one flag per option the command reads, typed as the config file
+        # casts it; --config names the file and is not an option itself
+        for key in (*_options(name), "config"):
             flag = "--" + key.replace("_", "-")
             if key in choices:
                 p.add_argument(flag, choices=choices[key])

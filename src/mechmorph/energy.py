@@ -17,11 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._operators import (
+    density,
     energy_weights,
     evolution_rhs,
     free_energy,
     linearization_dense,
     log_mean_exp,
+    shifted_exp,
 )
 from .errors import ConfigurationError
 from .grid import Field, to_spectral
@@ -47,7 +49,7 @@ def first_variation(u: Field, params: ModelParams) -> Field:
     This is the negative of the PDE right-hand side:
     grad J(u) = -(D u_xx - u + kappa e^u / int e^u).
     """
-    return Field(u.grid, -evolution_rhs(u.values, u.grid, params))
+    return Field(u.grid, -evolution_rhs(u.values, density(u.values), u.grid, params))
 
 
 def hessian_matrix(u: Field, params: ModelParams, n_modes: int) -> np.ndarray:
@@ -64,7 +66,7 @@ def hessian_matrix(u: Field, params: ModelParams, n_modes: int) -> np.ndarray:
         raise ConfigurationError(
             f"n_modes must be in [1, n_points/4], got {n_modes} at n_points={u.grid.n_points}"
         )
-    return -linearization_dense(u.values, u.grid, params, n_modes, "full")
+    return -linearization_dense(shifted_exp(u.values), u.grid, params, n_modes, "full")
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,12 @@ Two independent routes to the spectrum of the linearization
 
 Steady states are even about a peak, so L splits under the reflection
 about it.  The state is recentered (its rfft coefficients rotated by the
-phase of harmonic ``modality``) and L is assembled in two blocks, each
-from the Fourier coefficients of e^U (one rfft, no sampled basis).  The
-cosine block carries the local part and the whole rank-one coupling.  The
-sine block is purely local (int e^U sin = 0); the sine eigenvector that
-overlaps U_x most is the translation mode.  The local eigenvectors are
+phase of harmonic ``modality``) and L is assembled in two blocks from the
+Fourier coefficients of e^U: one shifted exponential and one rfft serve
+both blocks, and no basis is sampled.  The cosine block carries the
+local part and the whole rank-one coupling.  The sine block is purely
+local (int e^U sin = 0); the sine eigenvector that overlaps U_x most is
+the translation mode.  The local eigenvectors are
 kept as rfft coefficient rows; only the leading N_VERIFY rows, which the
 oscillation check reads, are synthesized on the grid and counted.
 
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._operators import linearization_dense, linearization_parts
+from ._operators import linearization_dense, linearization_parts, shifted_exp
 from .errors import BracketError, ConfigurationError, ResolutionError
 from .steady import SteadyState
 
@@ -168,7 +169,10 @@ def _zero_counts(functions: np.ndarray, floors: np.ndarray) -> np.ndarray:
     for i, (row, floor) in enumerate(zip(functions, floors)):
         magnitude = np.abs(row)
         positive = row[magnitude > max(1e-9 * magnitude.max(), floor)] > 0.0
-        counts[i] = np.count_nonzero(positive != np.roll(positive, 1))
+        # neighbours, then the pair that wraps around the period
+        counts[i] = np.count_nonzero(positive[1:] != positive[:-1]) + np.count_nonzero(
+            positive[:1] != positive[-1:]
+        )
     return counts
 
 
@@ -192,7 +196,8 @@ def assemble_linearization(state: SteadyState, n_modes: int | None = None) -> np
     which checks the split spectra against the unsplit basis.
     """
     grid, n_modes = state.field.grid, _check_modes(state, n_modes)
-    return linearization_dense(state.field.values, grid, state.params, n_modes, "full")
+    exp_u = shifted_exp(state.field.values)
+    return linearization_dense(exp_u, grid, state.params, n_modes, "full")
 
 
 def _coefficient_rows(cos_vecs, sin_vecs, order, back) -> np.ndarray:
@@ -229,8 +234,8 @@ def _local_split(state: SteadyState, n_modes: int):
     if np.max(np.abs(coef.imag)) > SYMMETRY_TOL * np.max(np.abs(coef)):
         raise ResolutionError("steady state is not reflection-symmetric about a peak")
     values = np.fft.irfft(coef.real, grid.n_points, norm="forward")
-    cos_parts = linearization_parts(values, grid, params, n_modes, "even")
-    sin_local = linearization_parts(values, grid, params, n_modes, "odd")[0]
+    exp_u = shifted_exp(values)  # both reflection blocks from one e^U and one rfft
+    *cos_parts, sin_local = linearization_parts(exp_u, grid, params, n_modes, "split")
     cos_vals, cos_vecs = np.linalg.eigh(cos_parts[0])
     sin_vals, sin_vecs = np.linalg.eigh(sin_local)
     order = np.argsort(np.concatenate([cos_vals, sin_vals]))[::-1]

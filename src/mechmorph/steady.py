@@ -26,11 +26,13 @@ import logging
 import numpy as np
 
 from ._operators import (
+    density,
     even_part,
     evolution_rhs,
     linearization_dense,
     project_even,
     residual_floor,
+    shifted_exp,
     synthesize_even,
 )
 from .dynamics import _relax
@@ -59,7 +61,7 @@ _log = logging.getLogger(__name__)
 
 def _residual(values: np.ndarray, grid: Grid, params: ModelParams) -> tuple[np.ndarray, float]:
     """The full-grid stationary residual and its RMS, the norm that is certified."""
-    residual = evolution_rhs(values, grid, params)
+    residual = evolution_rhs(values, density(values), grid, params)
     return residual, float(np.sqrt(np.mean(residual**2)))
 
 
@@ -184,7 +186,7 @@ def newton_steady(
             history.append(res_norm)
         if res_norm < max(tol, residual_floor(values, grid, params)):
             return SteadyState(Field(grid, values), params)
-        jac = linearization_dense(values, grid, params, n // 2, "even")
+        jac = linearization_dense(shifted_exp(values), grid, params, n // 2, "even")
         try:
             delta = np.linalg.solve(jac, -project_even(residual, n // 2))
         except np.linalg.LinAlgError as exc:

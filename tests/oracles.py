@@ -7,21 +7,34 @@ central finite differences, Galerkin integrals by sampled trigonometric
 bases, zero counts by one loop per function, secular roots by one scalar
 bisection per bracket, fixed-step trajectories by the step that
 allocates every intermediate array, and peak counts by filling ties with
-one loop over the nodes.
+one loop over the nodes.  The Galerkin assembly from sliding windows, one
+kind per call, and the branch corrector that synthesizes each iterate
+twice and evaluates e^U three times are kept as bit-identity references.
 """
 
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 import mechmorph as mm
-from mechmorph._operators import EXP_GUARD
+from mechmorph._operators import (
+    EXP_GUARD,
+    _moments,
+    density,
+    even_weights,
+    project_even,
+    shifted_exp,
+)
+from mechmorph.bifurcation import CORRECTOR_MAX_ITER, CORRECTOR_TOL
 from mechmorph.dynamics import MAX_STEP, TrajectorySummary
 from mechmorph.errors import (
     AmplitudeOverflowError,
     BracketError,
     ConfigurationError,
+    ConvergenceError,
     DivergenceError,
+    SingularJacobianError,
 )
 from mechmorph.stability import BETA_TOL, BISECT_TOL, BRACKET_INSET, MERGE_TOL
 from mechmorph.steady import FLAT_TOL
@@ -123,6 +136,103 @@ def sampled_linearization_parts(values, grid, params, n_modes, kind):
     a = params.kappa * shifted / mean_c - 1.0
     local = np.diag(-params.D * mu) + (basis * a) @ basis.T / grid.n_points
     return local, basis @ shifted / grid.n_points, params.kappa / mean_c**2
+
+
+def window_linearization_parts(values, grid, params, n_modes, kind):
+    """The Galerkin parts of L as assembled one kind per call.
+
+    kind "even", "odd" (sqrt2 sin k, k = 1..n_modes) or "full"; each call
+    takes its own shifted exponential and rfft, and the Toeplitz and Hankel
+    matrices are ``sliding_window_view`` windows of the moment sequence.
+    Returns (local block, coupling vector, M) with the max(U) shift.
+    """
+    n, k = grid.n_points, n_modes
+    shifted, mean_c, _ = shifted_exp(values)
+    c_hat = np.fft.rfft(shifted, norm="forward")
+    a_hat = params.kappa / mean_c * c_hat
+    a_hat[0] -= 1.0
+    seq = _moments(a_hat, -k, 2 * k, n)
+    re, im = seq.real, seq.imag
+
+    def toeplitz(part, cols):
+        return sliding_window_view(part, cols)[:, ::-1]
+
+    def hankel(part, cols):
+        return sliding_window_view(part, cols)
+
+    freq = np.arange(k + 1)
+    mu = (2.0 * np.pi * freq) ** 2
+    w = even_weights(n, k)
+    scale = w / np.sqrt(2.0)
+    if kind != "odd":
+        cos = toeplitz(re[: 2 * k + 1], k + 1) + hankel(re[k:], k + 1)
+        cos *= scale
+        cos *= scale[:, None]
+        cos_c = w * c_hat[: k + 1].real
+    if kind != "even":
+        sin = toeplitz(re[1 : 2 * k], k) - hankel(re[k + 2 :], k)
+        sin_c = -np.sqrt(2.0) * c_hat[1 : k + 1].imag
+    if kind == "even":
+        local, c_vec = cos, cos_c
+    elif kind == "odd":
+        local, c_vec, mu = sin, sin_c, mu[1:]
+    else:
+        cross = (toeplitz(im[: 2 * k], k) - hankel(im[k + 1 :], k)) * scale[:, None]
+        order = np.concatenate([[0], np.stack([freq[1:], freq[1:] + k], axis=1).ravel()])
+        local = np.block([[cos, cross], [cross.T, sin]])[np.ix_(order, order)]
+        c_vec = np.concatenate([cos_c, sin_c])[order]
+        mu = np.repeat(mu, 2)[1:]
+    local[np.diag_indices_from(local)] -= params.D * mu
+    return local, c_vec, params.kappa / mean_c**2
+
+
+def two_pass_corrector_solve(self, z0, tangent, anchor, ds):
+    """``_EvenCorrector.solve`` evaluating each iterate in two passes.
+
+    The residual pass synthesizes the field and evaluates e^U for the
+    density; the Jacobian pass synthesizes it again and evaluates e^U for
+    the assembly and again for the kappa column.  Monkeypatched over the
+    method, it must leave every branch point unchanged.
+    """
+
+    def residual(z):
+        params = mm.ModelParams(D=self.D, kappa=float(z[-1]))
+        values = self.field_values(z)
+        uxx = np.fft.irfft(
+            -self.grid.laplacian_eigenvalues * np.fft.rfft(values, norm="forward"),
+            self.grid.n_points,
+            norm="forward",
+        )
+        rhs = params.D * uxx - values + params.kappa * density(values)
+        return project_even(rhs, self.n_modes)
+
+    z = z0.copy()
+    for _ in range(CORRECTOR_MAX_ITER):
+        proj = residual(z)
+        res_norm = float(np.linalg.norm(proj))
+        norm_eq = float(tangent @ (z - anchor)) - ds
+        if res_norm < CORRECTOR_TOL and abs(norm_eq) < 1e-12:
+            return z, res_norm
+        kappa = float(z[-1])
+        if kappa <= 0:
+            raise ConvergenceError("corrector left the kappa > 0 domain")
+        params = mm.ModelParams(D=self.D, kappa=kappa)
+        vals = self.field_values(z)
+        jac = np.empty((self.n_unknowns, self.n_unknowns))
+        local, c_vec, m_coef = window_linearization_parts(
+            vals, self.grid, params, self.n_modes, "even"
+        )
+        jac[:-1, :-1] = local - m_coef * np.outer(c_vec, c_vec)
+        jac[:-1, -1] = project_even(density(vals), self.n_modes)
+        jac[-1, :] = tangent
+        rhs = -np.concatenate([proj, [norm_eq]])
+        try:
+            z = z + np.linalg.solve(jac, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobianError("singular extended Jacobian") from exc
+        if not np.all(np.isfinite(z)):
+            raise ConvergenceError("corrector diverged")
+    raise ConvergenceError("corrector did not converge")
 
 
 def count_sign_changes(values, floor=0.0):

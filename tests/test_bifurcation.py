@@ -11,6 +11,8 @@ from mechmorph.errors import (
     SingularJacobianError,
 )
 
+from oracles import two_pass_corrector_solve
+
 DEGENERATE_D = 1.0 / (8.0 * np.pi**2)
 
 
@@ -173,6 +175,33 @@ def test_subcritical_branch_fold_and_exchange(grid256):
     assert all(post)
 
 
+def test_fold_law_near_the_type_flip(grid256):
+    # the normal form kappa = kappa_1 + c2 s^2 + c4 s^4 puts the fold at
+    # kappa_1 - c2^2 / (4 c4); with c2 = alpha_pp / 3 ~ 2 pi^2 (D - D*) the
+    # ratio (kappa_1 - kappa_f) / (D* - D)^2 tends to pi^4 / c4, which
+    # alpha_pp in place of alpha_pp / 3 would make 9 times larger
+    flat = mm.continue_branch(
+        mm.critical_kappas(DEGENERATE_D, 1)[0], step=0.02, max_points=9, grid=grid256
+    )
+    s = np.array([p.s for p in flat.points])
+    kappa = np.array([p.kappa for p in flat.points])
+    assert s.size == 9 and s.max() <= 0.18 + 1e-12
+    c4, _ = np.linalg.lstsq(np.stack([s**4, s**6], axis=1), kappa - 1.5, rcond=None)[0]
+    limit = np.pi**4 / c4
+    gaps, drops = [], []
+    for d_val in (0.0120, 0.0123, 0.0125):
+        bp = mm.critical_kappas(d_val, 1)[0]
+        branch = mm.continue_branch(bp, step=0.02, max_points=40, grid=grid256)
+        assert len(branch.folds) == 1
+        gaps.append(DEGENERATE_D - d_val)
+        drops.append(bp.kappa_n - branch.folds[0][1])
+    ratios = np.array(drops) / np.array(gaps) ** 2
+    assert np.all(np.diff(ratios) < 0) and np.all(ratios > limit)
+    assert np.all(np.abs(ratios / limit - 1.0) < 0.03)
+    slope = np.polyfit(np.log(gaps), np.log(drops), 1)[0]
+    assert abs(slope - 2.0) < 0.05
+
+
 def test_uncertifiable_branch_point_reports_resolution():
     # the README call: the corrected point near kappa = 1.2645 has a
     # full-grid residual of 1.65e-8 with 96 of the 127 modes solved
@@ -197,6 +226,23 @@ def test_corrector_failure_keeps_its_cause(monkeypatch, grid256):
     branch = mm.continue_branch(mm.critical_kappas(0.02, 1)[0], step=0.05, grid=grid256)
     assert len(branch.points) == 1
     assert (branch.terminated_by, branch.reason) == ("failure", "SingularJacobianError: injected")
+
+
+def test_corrector_matches_the_two_pass_oracle(monkeypatch, grid256):
+    # one synthesis and one e^(U - max U) per iterate, shared by the
+    # residual, the kappa column and the Jacobian, change no bit of a point
+    bp = mm.critical_kappas(0.005, 1)[0]
+    lean = mm.continue_branch(bp, max_points=15, grid=grid256)
+    monkeypatch.setattr(bifurcation._EvenCorrector, "solve", two_pass_corrector_solve)
+    reference = mm.continue_branch(bp, max_points=15, grid=grid256)
+    assert len(lean.points) == len(reference.points) == 15
+    for got, want in zip(lean.points, reference.points):
+        assert got.field.values.tobytes() == want.field.values.tobytes()
+        assert (got.s, got.kappa, got.leading_nu, got.energy) == (
+            want.s, want.kappa, want.leading_nu, want.energy
+        )
+    assert lean.folds == reference.folds
+    assert (lean.terminated_by, lean.reason) == (reference.terminated_by, reference.reason)
 
 
 def test_branch_points_are_certified_steady_states(grid256):

@@ -62,8 +62,8 @@ def test_cli_bounds_writes_artifacts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "bounds"
     assert manifest["config"]["kappa"] == 2.0
-    for key in ("D", "kappa", "grid", "seed", "out"):
-        assert key in manifest["config"]
+    # bounds reads kappa and out of the common options, and records only those
+    assert set(manifest["config"]) == {"kappa", "out"}
 
 
 def test_cli_simulate_and_determinism(tmp_path):
@@ -201,7 +201,9 @@ def test_cli_config_sets_mixed_case_keys(tmp_path):
     out = tmp_path / "cfg_sweep"
     assert run_cli(["sweep", "--config", str(config), "--out", str(out)]) == 0
     cfg = json.loads((out / "manifest.json").read_text())["config"]
-    assert (cfg["D"], cfg["D_values"], cfg["kappa_values"]) == (0.02, "0.02", "2.2")
+    # sweep does not read the [common] D, so the manifest does not record it
+    assert "D" not in cfg
+    assert (cfg["D_values"], cfg["kappa_values"]) == ("0.02", "2.2")
     assert cfg["trials"] == 1
     assert (out / "sweep.csv").read_text().splitlines()[1].startswith("0.02,")
 
@@ -225,11 +227,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli(["bounds", "--kappa", "2", "--config",
                     str(tmp_path / "missing.ini")]) == 2
     assert run_cli(["simulate", "--grid", "100", "--out", str(tmp_path / "y")]) == 2
-    # a config value that does not parse as its option's type
+    # a config value that does not parse as its option's type (simulate
+    # reads grid; bounds does not, and skips the key)
     config = tmp_path / "run.ini"
     config.write_text("[common]\ngrid = 1.5\n")
     capsys.readouterr()
-    assert run_cli(["bounds", "--config", str(config), "--out", str(tmp_path / "z")]) == 2
+    assert run_cli(["simulate", "--config", str(config), "--out", str(tmp_path / "z")]) == 2
     assert "'grid'" in json.loads(capsys.readouterr().err)["message"]
     # a negative worker count; 0 means one per CPU
     assert run_cli(["sweep", "--workers", "-1", "--D-values", "0.02", "--kappa-values", "2.2",
@@ -290,3 +293,36 @@ def test_cli_spectrum_computes_one_spectrum(tmp_path, monkeypatch):
     record = json.loads((out / "spectrum.json").read_text())
     assert record["leading_nu"] < 0.0
     assert record["crosscheck_error"] < 1e-6
+
+
+# (command, common option it does not read)
+IGNORED_COMMON = [
+    ("branch", "kappa"), ("branch", "seed"),
+    ("sweep", "D"), ("sweep", "kappa"), ("sweep", "grid"),
+    ("bounds", "D"), ("bounds", "grid"), ("bounds", "seed"),
+    ("figure", "D"), ("figure", "kappa"), ("figure", "grid"),
+]
+
+
+@pytest.mark.parametrize("command, key", IGNORED_COMMON)
+def test_cli_rejects_a_common_flag_the_command_ignores(tmp_path, capsys, command, key):
+    # sweep --D must not be taken as an abbreviation of --D-values either
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli([command, f"--{key}", "2", "--out", str(tmp_path / "x")])
+    assert exit_info.value.code == 2
+    assert f"--{key}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_skips_common_config_keys_the_command_ignores(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[common]\nD = 0.02\nkappa = 2.0\ngrid = 512\nseed = 3\n")
+    out = tmp_path / "cfg_bounds"
+    assert run_cli(["bounds", "--config", str(config), "--out", str(out)]) == 0
+    cfg = json.loads((out / "manifest.json").read_text())["config"]
+    assert cfg == {"kappa": 2.0, "out": str(out)}
+    # in the command's own section such a key is an error
+    config.write_text("[bounds]\ngrid = 512\n")
+    capsys.readouterr()
+    assert run_cli(["bounds", "--config", str(config), "--out", str(tmp_path / "y")]) == 2
+    assert "'grid'" in json.loads(capsys.readouterr().err)["message"]

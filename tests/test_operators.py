@@ -1,11 +1,17 @@
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mechmorph as mm
-from mechmorph._operators import linearization_parts, project_even, synthesize_even
+from mechmorph._operators import (
+    linearization_dense,
+    linearization_parts,
+    project_even,
+    shifted_exp,
+    synthesize_even,
+)
 
-from oracles import sampled_linearization_parts, trig_basis
+from oracles import sampled_linearization_parts, trig_basis, window_linearization_parts
 
 
 def close(got, want):
@@ -29,15 +35,63 @@ def test_assembly_matches_sampled_basis(log_n, seed, amplitude, D, kappa, fracti
     rng = np.random.Generator(np.random.PCG64(seed))
     values = kappa + amplitude * rng.standard_normal(n)
     k = 1 + int(fraction * (n // 2 - 1))
-    for kind, n_modes in (("even", k), ("even", n // 2), ("odd", k), ("full", k)):
-        got = linearization_parts(values, grid, params, n_modes, kind)
+    exp_u = shifted_exp(values)
+    for kind, n_modes in (("even", k), ("even", n // 2), ("full", k)):
+        got = linearization_parts(exp_u, grid, params, n_modes, kind)
         want = sampled_linearization_parts(values, grid, params, n_modes, kind)
         assert got[0].shape == want[0].shape
         assert close(got[0], want[0]), (kind, n_modes)
         assert close(got[1], want[1]), (kind, n_modes)
         assert got[2] == want[2]
+    # the split kind: the even parts, then the sine block
+    cos, c_vec, m_coef, sin = linearization_parts(exp_u, grid, params, k, "split")
+    want = sampled_linearization_parts(values, grid, params, k, "even")
+    assert cos.shape == want[0].shape and close(cos, want[0])
+    assert close(c_vec, want[1]) and m_coef == want[2]
+    want_sin = sampled_linearization_parts(values, grid, params, k, "odd")[0]
+    assert sin.shape == want_sin.shape and close(sin, want_sin)
     for n_modes in (k, n // 2):
         basis, _ = trig_basis(grid, n_modes, "even")
         assert close(project_even(values, n_modes), basis @ values / n)
         coef = rng.standard_normal(n_modes + 1)
         assert close(synthesize_even(coef, n), coef @ basis)
+
+
+def same(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100)
+@given(
+    log_n=st.integers(4, 9),
+    seed=st.integers(0, 2**32 - 1),
+    amplitude=st.floats(0.01, 5.0),
+    D=st.floats(1e-4, 0.1),
+    kappa=st.floats(0.2, 5.0),
+    fraction=st.floats(0.0, 1.0),
+)
+def test_split_assembly_is_bit_identical_to_one_kind_per_call(
+    log_n, seed, amplitude, D, kappa, fraction
+):
+    # even fields as the spectra see them: real cosine coefficients with a
+    # decaying tail; n_modes from 1 to n/4
+    n = 2**log_n
+    grid = mm.make_grid(n)
+    params = mm.ModelParams(D=D, kappa=kappa)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    decay = np.exp(-0.2 * np.arange(n // 2 + 1))
+    coef = kappa * np.eye(1, n // 2 + 1)[0] + amplitude * decay * rng.standard_normal(n // 2 + 1)
+    values = np.fft.irfft(coef, n, norm="forward")
+    k = 1 + int(fraction * (n // 4 - 1))
+    exp_u = shifted_exp(values)
+    cos, c_vec, m_coef, sin = linearization_parts(exp_u, grid, params, k, "split")
+    even = window_linearization_parts(values, grid, params, k, "even")
+    odd = window_linearization_parts(values, grid, params, k, "odd")
+    assert same(cos, even[0]) and same(c_vec, even[1]) and m_coef == even[2]
+    assert same(sin, odd[0]) and m_coef == odd[2]
+    for kind, n_modes in (("even", k), ("even", n // 2), ("full", k)):
+        got = linearization_parts(exp_u, grid, params, n_modes, kind)
+        want = window_linearization_parts(values, grid, params, n_modes, kind)
+        assert same(got[0], want[0]) and same(got[1], want[1]) and got[2] == want[2]
+        dense = linearization_dense(exp_u, grid, params, n_modes, kind)
+        assert same(dense, want[0] - want[2] * np.outer(want[1], want[1]))
