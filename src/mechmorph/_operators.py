@@ -179,7 +179,7 @@ def _hankel(seq: np.ndarray, n_cols: int) -> np.ndarray:
 def linearization_parts(
     exp_u: tuple[np.ndarray, float, float], grid: Grid, params: ModelParams, n_modes: int,
     kind: str,
-) -> tuple:
+) -> tuple[np.ndarray, np.ndarray, float] | tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """Galerkin parts of the linearization L h = D h_xx + A h - M C int(C h).
 
     A = kappa e^U / int e^U - 1, C = e^U, M = kappa / (int e^U)^2, and
@@ -248,5 +248,7 @@ def linearization_dense(
 ) -> np.ndarray:
     """Galerkin matrix of the linearization L in the "even" or "full" basis
     (exp_u = ``shifted_exp(U)``, see ``linearization_parts``)."""
+    if kind not in ("even", "full"):
+        raise ValueError(f"unknown basis kind {kind!r}")
     local, c_vec, m_coef = linearization_parts(exp_u, grid, params, n_modes, kind)
     return local - m_coef * np.outer(c_vec, c_vec)

@@ -206,6 +206,15 @@ def test_cli_config_sets_mixed_case_keys(tmp_path):
     assert (cfg["D_values"], cfg["kappa_values"]) == ("0.02", "2.2")
     assert cfg["trials"] == 1
     assert (out / "sweep.csv").read_text().splitlines()[1].startswith("0.02,")
+    # branch reads the [common] D: it is recorded and the branch starts at
+    # its onset 1 + 4 pi^2 D = 1.79 (1.39 at the default D = 0.01)
+    config.write_text("[common]\nD = 0.02\n\n[branch]\nMAX_POINTS = 2\n")
+    out = tmp_path / "cfg_branch"
+    assert run_cli(["branch", "--config", str(config), "--out", str(out)]) == 0
+    cfg = json.loads((out / "manifest.json").read_text())["config"]
+    assert (cfg["D"], cfg["max_points"]) == (0.02, 2)
+    first = (out / "branch.csv").read_text().splitlines()[1].split(",")
+    assert float(first[1]) > 1.78
 
 
 @pytest.mark.parametrize("args", [

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,3 +96,14 @@ def test_split_assembly_is_bit_identical_to_one_kind_per_call(
         assert same(got[0], want[0]) and same(got[1], want[1]) and got[2] == want[2]
         dense = linearization_dense(exp_u, grid, params, n_modes, kind)
         assert same(dense, want[0] - want[2] * np.outer(want[1], want[1]))
+
+
+@pytest.mark.parametrize("assemble, kind", [
+    (linearization_parts, "odd"), (linearization_dense, "odd"), (linearization_dense, "split"),
+])
+def test_assembly_rejects_an_unknown_kind(assemble, kind):
+    # "split" returns two blocks, so it has no single dense matrix
+    grid = mm.make_grid(16)
+    exp_u = shifted_exp(np.cos(2.0 * np.pi * grid.nodes))
+    with pytest.raises(ValueError, match="unknown basis kind"):
+        assemble(exp_u, grid, mm.ModelParams(D=0.01, kappa=1.5), 2, kind)
