@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import AmplitudeOverflowError
-from .grid import Grid
+from .grid import Grid, irfft, rfft
 from .model import ModelParams
 
 EXP_GUARD = 700.0  # stay inside double-precision exp() range
@@ -69,16 +69,18 @@ def energy_weights(grid: Grid, D: float) -> np.ndarray:
 
 
 def free_energy(
-    u_hat: np.ndarray, params: ModelParams, weights: np.ndarray, log_int: float
+    u_hat: np.ndarray, params: ModelParams, weights: np.ndarray, log_int: float,
+    out: np.ndarray | None = None,
 ) -> float:
     """J(u) = (D/2) int u_x^2 + (1/2) int u^2 - kappa log(int e^u).
 
     u_hat is the forward-normalized rfft of the grid values; the quadratic
     part is one dot product with ``energy_weights`` over it, and log_int is
-    log(int e^u) (``log_mean_exp``).
+    log(int e^u) (``log_mean_exp``).  ``out``, if given, receives the
+    product of the weights and u_hat.view(float).
     """
     v = u_hat.view(float)
-    return float(np.dot(weights * v, v)) - params.kappa * log_int
+    return float(np.dot(np.multiply(weights, v, out=out), v)) - params.kappa * log_int
 
 
 def evolution_rhs(
@@ -86,11 +88,7 @@ def evolution_rhs(
 ) -> np.ndarray:
     """D u_xx - u + kappa p, with p = ``density(values)``; also the
     stationary residual."""
-    uxx = np.fft.irfft(
-        -grid.laplacian_eigenvalues * np.fft.rfft(values, norm="forward"),
-        grid.n_points,
-        norm="forward",
-    )
+    uxx = irfft(-grid.laplacian_eigenvalues * rfft(values), grid.n_points)
     return params.D * uxx - values + params.kappa * p
 
 
@@ -108,8 +106,7 @@ def residual_floor(values: np.ndarray, grid: Grid, params: ModelParams) -> float
 
 def even_part(values: np.ndarray) -> np.ndarray:
     """Even (cosine) part (u(x) + u(-x)) / 2 of a periodic sample about node 0."""
-    coef = np.fft.rfft(values, norm="forward")
-    return np.fft.irfft(coef.real.astype(complex), values.size, norm="forward")
+    return irfft(rfft(values).real, values.size)
 
 
 def even_noise(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -143,7 +140,7 @@ def even_weights(n_points: int, n_modes: int) -> np.ndarray:
 
 def project_even(values: np.ndarray, n_modes: int) -> np.ndarray:
     """Grid-mean inner products of values with the even basis, k = 0..n_modes."""
-    coef = np.fft.rfft(values, norm="forward")[: n_modes + 1].real
+    coef = rfft(values)[: n_modes + 1].real
     return even_weights(values.size, n_modes) * coef
 
 
@@ -151,7 +148,7 @@ def synthesize_even(coef: np.ndarray, n_points: int) -> np.ndarray:
     """Grid values of sum_k coef_k f_k over the even basis (inverse of ``project_even``)."""
     spec = np.zeros(n_points // 2 + 1, dtype=complex)
     spec[: coef.size] = coef / even_weights(n_points, coef.size - 1)
-    return np.fft.irfft(spec, n_points, norm="forward")
+    return irfft(spec, n_points)
 
 
 def _moments(coef: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:
@@ -214,7 +211,7 @@ def linearization_parts(
         raise ValueError(f"unknown basis kind {kind!r}")
     n, k = grid.n_points, n_modes
     shifted, mean_c, _ = exp_u
-    c_hat = np.fft.rfft(shifted, norm="forward")
+    c_hat = rfft(shifted)
     a_hat = params.kappa / mean_c * c_hat
     a_hat[0] -= 1.0
     seq = _moments(a_hat, -k, 2 * k, n)  # a_m at index m + k

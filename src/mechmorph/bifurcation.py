@@ -136,16 +136,8 @@ def critical_kappas(D: float, n_max: int) -> list[BifPoint]:
             kind = "supercritical"
         else:
             kind = "degenerate"
-        points.append(
-            BifPoint(
-                n=n,
-                D=float(D),
-                kappa_n=kappa_n,
-                alpha_pp=alpha_pp,
-                z_amp=kappa_n / (24.0 * np.pi**2 * n**2 * D),
-                type=kind,
-            )
-        )
+        points.append(BifPoint(n=n, D=float(D), kappa_n=kappa_n, alpha_pp=alpha_pp,
+                               z_amp=kappa_n / (24.0 * np.pi**2 * n**2 * D), type=kind))
     return points
 
 
@@ -285,8 +277,7 @@ def continue_branch(
 
     # secant anchor behind the first point: the bifurcation point itself
     z_origin = np.zeros(corrector.n_unknowns)
-    z_origin[0] = bp.kappa_n
-    z_origin[-1] = bp.kappa_n
+    z_origin[[0, -1]] = bp.kappa_n
 
     ds = step
     easy = 0
@@ -440,13 +431,9 @@ def sweep(
         raise ConfigurationError("d_values and kappa_values must be non-empty and positive")
     if not 0.0 < t_end < math.inf:
         raise ConfigurationError(f"t_end must be positive and finite, got {t_end}")
-    cells_args = []
-    children = np.random.SeedSequence(seed).spawn(d_values.size * kappa_values.size)
-    idx = 0
-    for d_val in d_values:
-        for kappa in kappa_values:
-            cells_args.append((float(d_val), float(kappa), trials, children[idx], n_points, t_end))
-            idx += 1
+    children = iter(np.random.SeedSequence(seed).spawn(d_values.size * kappa_values.size))
+    cells_args = [(float(d_val), float(kappa), trials, next(children), n_points, t_end)
+                  for d_val in d_values for kappa in kappa_values]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_classify_cell, cells_args))

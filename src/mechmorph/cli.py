@@ -282,8 +282,21 @@ COMMANDS = {
 }
 
 
+def _report(error: str, message: str, code: int) -> int:
+    """Write the error JSON to stderr; returns the exit code."""
+    sys.stderr.write(dump_json({"error": error, "message": message}) + "\n")
+    return code
+
+
+class _Parser(argparse.ArgumentParser):
+    """A rejected command line is a configuration error (subparsers share the class)."""
+
+    def error(self, message):
+        raise SystemExit(_report("configuration", message, 2))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mechmorph",
         description="Nonlocal mechanochemical pattern formation toolkit",
     )
@@ -315,16 +328,11 @@ def main(argv=None) -> int:
         result = COMMANDS[args.command](cfg)
         _write_manifest(out, args.command, cfg)
     except ConfigurationError as exc:
-        sys.stderr.write(dump_json({"error": "configuration", "message": str(exc)}) + "\n")
-        return 2
+        return _report("configuration", str(exc), 2)
     except MechmorphError as exc:
-        sys.stderr.write(
-            dump_json({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
-        return 3
+        return _report(type(exc).__name__, str(exc), 3)
     except OSError as exc:
-        sys.stderr.write(dump_json({"error": "io", "message": str(exc)}) + "\n")
-        return 4
+        return _report("io", str(exc), 4)
     summary = {"command": args.command, "out": cfg["out"]}
     summary.update(result)
     sys.stdout.write(dump_json(summary) + "\n")

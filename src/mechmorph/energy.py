@@ -117,17 +117,6 @@ def bounds(kappa: float) -> BoundsReport:
     if not (np.isfinite(kappa) and kappa > 0):
         raise ConfigurationError(f"kappa must be a finite positive real, got {kappa!r}")
     d1, argmax_n = _d1_scan(kappa)
-    if kappa > 1.0:
-        d2 = (kappa - 1.0) / MU_1
-        d_min = max(d1, d2)
-    else:
-        d2 = None
-        d_min = d1
-    return BoundsReport(
-        kappa=float(kappa),
-        d1=d1,
-        d2=d2,
-        d_min=d_min,
-        d_max=15.0 * kappa / MU_1,
-        argmax_n=argmax_n,
-    )
+    d2 = (kappa - 1.0) / MU_1 if kappa > 1.0 else None  # concavity at the constant state
+    return BoundsReport(kappa=float(kappa), d1=d1, d2=d2, d_min=d1 if d2 is None else max(d1, d2),
+                        d_max=15.0 * kappa / MU_1, argmax_n=argmax_n)

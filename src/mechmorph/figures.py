@@ -32,15 +32,6 @@ from .steady import relax_to_steady
 
 __all__ = ["FIGURE_KINDS", "emit_figure_data", "suggest_grid"]
 
-FIGURE_KINDS = (
-    "fig1-left",
-    "fig1-middle",
-    "fig1-right",
-    "fig2-top",
-    "fig2-bottom-left",
-    "fig2-bottom-right",
-)
-
 PROFILE_KAPPAS = (1.0, 1.5, 2.0, 2.5, 3.0)  # at D = 1e-3
 PROFILE_DS = (1e-3, 3e-4, 1e-4)  # at kappa = 3.0
 SNAPSHOT_TIMES = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0)
@@ -129,19 +120,20 @@ def _fig2_bottom(out: str, D: float, tag: str) -> list[str]:
     return [path]
 
 
+# each preset writes its CSV set into a directory: (out, workers, seed) -> paths
+_PRESETS = {
+    "fig1-left": lambda out, workers, seed: _fig1_left(out),
+    "fig1-middle": lambda out, workers, seed: _fig1_middle(out),
+    "fig1-right": lambda out, workers, seed: _fig1_right(out),
+    "fig2-top": _fig2_top,
+    "fig2-bottom-left": lambda out, workers, seed: _fig2_bottom(out, D=0.005, tag="left"),
+    "fig2-bottom-right": lambda out, workers, seed: _fig2_bottom(out, D=0.02, tag="right"),
+}
+FIGURE_KINDS = tuple(_PRESETS)
+
+
 def emit_figure_data(kind: str, out_dir: str, workers: int = 1, seed: int = 0) -> list[str]:
     """Write the CSV set for one figure preset; returns the file paths."""
     if kind not in FIGURE_KINDS:
         raise ConfigurationError(f"unknown figure kind {kind!r}; choose from {FIGURE_KINDS}")
-    out = ensure_dir(out_dir)
-    if kind == "fig1-left":
-        return _fig1_left(out)
-    if kind == "fig1-middle":
-        return _fig1_middle(out)
-    if kind == "fig1-right":
-        return _fig1_right(out)
-    if kind == "fig2-top":
-        return _fig2_top(out, workers=workers, seed=seed)
-    if kind == "fig2-bottom-left":
-        return _fig2_bottom(out, D=0.005, tag="left")
-    return _fig2_bottom(out, D=0.02, tag="right")
+    return _PRESETS[kind](ensure_dir(out_dir), workers, seed)

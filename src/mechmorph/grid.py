@@ -6,13 +6,21 @@ The transform convention is ``norm="forward"``: coefficient ``k`` multiplies
 the basis function ``exp(2*pi*1j*k*x)``, so the k = 0 coefficient is the
 mean of the field.  The trapezoid rule degenerates to the plain grid mean
 here and is spectrally accurate for smooth periodic integrands.
+
+Every real FFT of the package is one of ``rfft``/``irfft`` below: the
+pocketfft gufuncs of ``numpy.fft._pocketfft_umath`` (numpy >= 2.0), scaled
+by 1/n (exact for a power of two) and 1, as ``np.fft.rfft``/``irfft`` call
+them for ``norm="forward"``.  Results are bit-identical; the wrapper's
+argument handling, about half the cost of a transform at n = 256, is gone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import ConfigurationError
 
@@ -31,32 +39,46 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid x_j = j / n_points, j = 0 .. n_points - 1."""
+    """Uniform periodic grid x_j = j / n_points; its arrays are read-only, built once."""
 
     n_points: int
     spacing: float
     nodes: np.ndarray
 
     def __post_init__(self):
-        self.nodes.setflags(write=False)
+        for a in (self.nodes, self.wavenumbers, self.laplacian_eigenvalues, self.parseval_weights):
+            a.setflags(write=False)
 
-    @property
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
         """Integer wavenumbers 0 .. n_points // 2 of the half spectrum."""
         return np.arange(self.n_points // 2 + 1)
 
-    @property
+    @cached_property
     def laplacian_eigenvalues(self) -> np.ndarray:
         """mu_k = (2 pi k)^2 for the half-spectrum wavenumbers."""
         return (2.0 * np.pi * self.wavenumbers) ** 2
 
-    @property
+    @cached_property
     def parseval_weights(self) -> np.ndarray:
         """Weights w_k with mean(f^2) = sum_k w_k |c_k|^2 for real fields."""
         w = np.full(self.n_points // 2 + 1, 2.0)
-        w[0] = 1.0
-        w[-1] = 1.0  # Nyquist coefficient appears once for even n
+        w[[0, -1]] = 1.0  # the mean and the Nyquist coefficient appear once
         return w
+
+
+def rfft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Forward real FFT over the last axis (even length n), scaled by 1/n."""
+    n = values.shape[-1]
+    out = np.empty((*values.shape[:-1], n // 2 + 1), complex) if out is None else out
+    return _pocketfft.rfft_n_even(values, 1.0 / n, out=out)
+
+
+def irfft(coef: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of ``rfft`` onto n points over the last axis; shorter rows
+    are zero-padded and real ones read as complex."""
+    out = np.empty((*coef.shape[:-1], n)) if out is None else out
+    return _pocketfft.irfft(coef, 1.0, out=out)
 
 
 def make_grid(n_points: int = 256) -> Grid:
@@ -119,12 +141,12 @@ class Spectrum:
 
 def to_spectral(f: Field) -> Spectrum:
     """Forward real FFT; coefficient k multiplies exp(2*pi*1j*k*x)."""
-    return Spectrum(f.grid, np.fft.rfft(f.values, norm="forward"))
+    return Spectrum(f.grid, rfft(f.values))
 
 
 def from_spectral(s: Spectrum) -> Field:
     """Inverse of :func:`to_spectral`."""
-    return Field(s.grid, np.fft.irfft(s.coefficients, s.grid.n_points, norm="forward"))
+    return Field(s.grid, irfft(s.coefficients, s.grid.n_points))
 
 
 def second_derivative(s: Spectrum) -> Spectrum:
@@ -138,10 +160,8 @@ def first_derivative(s: Spectrum) -> Spectrum:
     The Nyquist coefficient is zeroed (its derivative is not representable
     on the grid), which is the usual convention for real data.
     """
-    n = s.grid.n_points
-    mult = 2.0j * np.pi * s.grid.wavenumbers
-    coef = mult * s.coefficients
-    coef[-1] = 0.0 if n % 2 == 0 else coef[-1]
+    coef = 2.0j * np.pi * s.grid.wavenumbers * s.coefficients
+    coef[-1] = 0.0  # n_points is even
     return Spectrum(s.grid, coef)
 
 

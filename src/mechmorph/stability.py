@@ -47,6 +47,7 @@ import numpy as np
 
 from ._operators import linearization_dense, linearization_parts, shifted_exp
 from .errors import BracketError, ConfigurationError, ResolutionError
+from .grid import irfft, rfft
 from .steady import SteadyState
 
 __all__ = [
@@ -86,7 +87,7 @@ def _default_modes(state) -> int:
     n_points/4 where the Galerkin quadrature stays alias-safe).
     """
     n = state.field.grid.n_points
-    coef = np.abs(np.fft.rfft(state.field.values, norm="forward"))
+    coef = np.abs(rfft(state.field.values))
     top = coef.max()
     significant = np.nonzero(coef > 1e-12 * top)[0]
     bandwidth = int(significant.max()) if significant.size else 0
@@ -113,7 +114,7 @@ class LocalSpectrum:
     def eigenfunctions(self) -> np.ndarray:
         """Read-only (len(lambdas), n_points) grid values, synthesized when
         read; the rows are orthonormal under the grid mean."""
-        functions = np.fft.irfft(self.coefficients, self.n_points, norm="forward")
+        functions = irfft(self.coefficients, self.n_points)
         functions.flags.writeable = False
         return functions
 
@@ -227,13 +228,13 @@ def _local_split(state: SteadyState, n_modes: int):
     """
     grid, params = state.field.grid, state.params
     # rotate a peak to x = 0, where an even state has real coefficients
-    coef = np.fft.rfft(state.field.values, norm="forward")
+    coef = rfft(state.field.values)
     m = state.modality
     back = np.exp(1j * np.arange(coef.size) * np.angle(coef[m]) / m) if m else np.ones(coef.size)
     coef = coef * back.conj()
     if np.max(np.abs(coef.imag)) > SYMMETRY_TOL * np.max(np.abs(coef)):
         raise ResolutionError("steady state is not reflection-symmetric about a peak")
-    values = np.fft.irfft(coef.real, grid.n_points, norm="forward")
+    values = irfft(coef.real, grid.n_points)
     exp_u = shifted_exp(values)  # both reflection blocks from one e^U and one rfft
     *cos_parts, sin_local = linearization_parts(exp_u, grid, params, n_modes, "split")
     cos_vals, cos_vecs = np.linalg.eigh(cos_parts[0])
@@ -247,7 +248,7 @@ def _local_split(state: SteadyState, n_modes: int):
     # exponential tails scale with the energy in the last coefficients
     tail = min(n_modes, max(2, n_modes // 4))
     last = np.hstack([cos_vecs[-tail:], sin_vecs[-tail:]])[:, checked]
-    functions = np.fft.irfft(spec[: checked.size], grid.n_points, norm="forward")
+    functions = irfft(spec[: checked.size], grid.n_points)
     counts = _zero_counts(functions, 10.0 * np.linalg.norm(last, axis=0))
 
     # the oscillation pattern is only checkable for eigenvalues that are

@@ -26,7 +26,6 @@ import logging
 import numpy as np
 
 from ._operators import (
-    density,
     even_part,
     evolution_rhs,
     linearization_dense,
@@ -59,10 +58,12 @@ NEWTON_MAX_ITER = 50
 _log = logging.getLogger(__name__)
 
 
-def _residual(values: np.ndarray, grid: Grid, params: ModelParams) -> tuple[np.ndarray, float]:
-    """The full-grid stationary residual and its RMS, the norm that is certified."""
-    residual = evolution_rhs(values, density(values), grid, params)
-    return residual, float(np.sqrt(np.mean(residual**2)))
+def _residual(values: np.ndarray, grid: Grid, params: ModelParams):
+    """The full-grid stationary residual, its RMS (the norm that is
+    certified) and ``shifted_exp(values)``, which the density came from."""
+    exp_u = shifted_exp(values)
+    residual = evolution_rhs(values, exp_u[0] / exp_u[1], grid, params)
+    return residual, float(np.sqrt(np.mean(residual**2))), exp_u
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,13 +181,13 @@ def newton_steady(
     n = grid.n_points
 
     values = _even_project(guess.values)
-    residual, res_norm = _residual(values, grid, params)
+    residual, res_norm, exp_u = _residual(values, grid, params)
     for _ in range(NEWTON_MAX_ITER):
         if history is not None:
             history.append(res_norm)
         if res_norm < max(tol, residual_floor(values, grid, params)):
             return SteadyState(Field(grid, values), params)
-        jac = linearization_dense(shifted_exp(values), grid, params, n // 2, "even")
+        jac = linearization_dense(exp_u, grid, params, n // 2, "even")
         try:
             delta = np.linalg.solve(jac, -project_even(residual, n // 2))
         except np.linalg.LinAlgError as exc:
@@ -200,9 +201,9 @@ def newton_steady(
         scale = 1.0
         for _halving in range(21):
             trial = values + scale * step
-            trial_res, trial_norm = _residual(trial, grid, params)
+            trial_res, trial_norm, trial_exp = _residual(trial, grid, params)
             if trial_norm < res_norm:
-                values, residual, res_norm = trial, trial_res, trial_norm
+                values, residual, res_norm, exp_u = trial, trial_res, trial_norm, trial_exp
                 break
             scale *= 0.5
         else:

@@ -3,6 +3,7 @@ import pytest
 
 import mechmorph as mm
 from mechmorph.errors import ConfigurationError
+from mechmorph.grid import irfft, rfft
 
 from oracles import bessel_i0, gauss_legendre_integral
 
@@ -132,3 +133,35 @@ def test_first_derivative(grid256):
     out = mm.from_spectral(mm.first_derivative(mm.to_spectral(f)))
     expected = 2.0 * np.pi * np.cos(2.0 * np.pi * x)
     assert np.max(np.abs(out.values - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2**p for p in range(3, 13)])
+def test_fft_pair_is_bit_identical_to_numpy(n):
+    # np.fft stays the independent reference for the package's one FFT pair
+    rng = np.random.Generator(np.random.PCG64(n))
+    rows = rng.standard_normal((3, n))
+    coef = np.fft.rfft(rows, norm="forward")
+    short = coef[:, : n // 4 + 1]  # zero-padded up to n // 2 + 1
+    strided = rng.standard_normal((6, 2 * n))[::2, ::2]
+    for values in (rows[0], rows, strided, strided[1]):
+        assert np.array_equal(rfft(values), np.fft.rfft(values, norm="forward"))
+    for c in (coef[0], coef, short, short[0], coef.real, coef[:, ::-1], coef[::2, :]):
+        assert np.array_equal(irfft(c, n), np.fft.irfft(c, n, norm="forward"))
+    out = np.empty(n // 2 + 1, dtype=complex)
+    assert rfft(rows[1], out=out) is out
+    assert np.array_equal(out, coef[1])
+    back = np.empty(n)
+    assert irfft(coef[1], n, out=back) is back
+    assert np.array_equal(back, np.fft.irfft(coef[1], n, norm="forward"))
+
+
+def test_half_spectrum_arrays_are_built_once_and_read_only():
+    g = mm.make_grid(16)
+    for name in ("wavenumbers", "laplacian_eigenvalues", "parseval_weights"):
+        first = getattr(g, name)
+        assert getattr(g, name) is first
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+    assert np.array_equal(g.wavenumbers, np.arange(9))
+    assert np.array_equal(g.laplacian_eigenvalues, (2.0 * np.pi * np.arange(9)) ** 2)
+    assert np.array_equal(g.parseval_weights, [1.0] + [2.0] * 7 + [1.0])

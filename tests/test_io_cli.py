@@ -252,6 +252,34 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "workers" in json.loads(capsys.readouterr().err)["message"]
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["sweep", "--D", "0.02"], "--D"),
+    (["simulate", "--grid", "x"], "--grid"),
+    (["simulate", "--t-e", "20"], "--t-e"),
+    (["nosuch"], "nosuch"),
+    ([], "command"),
+])
+def test_cli_rejected_command_line_is_a_configuration_error(tmp_path, capsys, args, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(args + (["--out", str(tmp_path / "x")] if args else []))
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)
+    assert error["error"] == "configuration"
+    assert flag in error["message"]
+    assert "usage" not in captured.err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("args", [["--help"], ["--version"], ["simulate", "--help"]])
+def test_cli_help_and_version_exit_zero(capsys, args):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(args)
+    assert exit_info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out and not captured.err
+
+
 def test_cli_workers_zero_means_one_per_cpu(tmp_path, monkeypatch):
     seen = []
 
