@@ -223,12 +223,12 @@ def linearization_parts(
     cos = _toeplitz(re[: 2 * k + 1], k + 1) + _hankel(re[k:], k + 1)
     cos *= scale
     cos *= scale[:, None]
-    cos[np.diag_indices_from(cos)] -= params.D * mu
+    cos.reshape(-1)[:: k + 2] -= params.D * mu  # the diagonal, as a strided view
     cos_c, m_coef = w * c_hat[: k + 1].real, params.kappa / mean_c**2
     if kind == "even":
         return cos, cos_c, m_coef
     sin = _toeplitz(re[1 : 2 * k], k) - _hankel(re[k + 2 :], k)
-    sin[np.diag_indices_from(sin)] -= params.D * mu[1:]
+    sin.reshape(-1)[:: k + 1] -= params.D * mu[1:]
     if kind == "split":
         return cos, cos_c, m_coef, sin
     cross = (_toeplitz(im[: 2 * k], k) - _hankel(im[k + 1 :], k)) * scale[:, None]

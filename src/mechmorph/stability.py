@@ -12,9 +12,15 @@ Fourier coefficients of e^U: one shifted exponential and one rfft serve
 both blocks, and no basis is sampled.  The cosine block carries the
 local part and the whole rank-one coupling.  The sine block is purely
 local (int e^U sin = 0); the sine eigenvector that overlaps U_x most is
-the translation mode.  The local eigenvectors are
-kept as rfft coefficient rows; only the leading N_VERIFY rows, which the
-oscillation check reads, are synthesized on the grid and counted.
+the translation mode.  A 1/m-periodic state (m >= 2 peaks) makes L commute
+with the shift by 1/m, so both blocks split further into the Bloch classes
+of wavenumbers k = +-r (mod m), one eigensolve each.  Only the class r = 0
+meets the coupling (int e^U cos k = 0 unless m divides k): the classes
+r != 0 are purely local, so the strain-conservation inhibition does not act
+on their coarsening modes, and there the instability of multimodal states
+lives.  The local eigenvectors are kept as rfft coefficient rows; only the
+leading N_VERIFY rows, which the oscillation check reads, are synthesized
+on the grid and counted.
 
 The direct route takes the eigenvalues of the cosine block of L and keeps
 the sine eigenvalues.  The secular route removes the rank-one coupling: with
@@ -125,7 +131,10 @@ class EigenReport:
 
     nonlocal_eigs (sorted decreasing) are those of the cosine block of L
     and of the purely local sine block; betas align with local.lambdas and
-    are exactly 0.0 on the sines.  verdict follows the thresholds
+    are exactly 0.0 on the sines.  For an m-modal state (m >= 2) only the
+    cosines of wavenumbers k = 0 (mod m) couple: the other period classes
+    carry the coarsening modes, on which the nonlocal inhibition does not
+    act, and their betas are round-off.  verdict follows the thresholds
     max nu > 1e-8 (unstable) and |max nu| <= 1e-8 (marginal); a nonconstant
     state always carries a translation eigenvalue at zero, so a pattern that
     is stable modulo shifts reports "marginal".  translation_nu is the sine
@@ -219,12 +228,34 @@ def _coefficient_rows(cos_vecs, sin_vecs, order, back) -> np.ndarray:
     return spec
 
 
+def _period(coef: np.ndarray, m: int) -> int:
+    """p = m when m > 1 and every recentered coefficient off the multiples
+    of m is within SYMMETRY_TOL of the largest (U is 1/m-periodic), else 1."""
+    off = np.abs(coef)
+    top, off[:: max(m, 1)] = off.max(), 0.0
+    return m if m > 1 and off.max() <= SYMMETRY_TOL * top else 1
+
+
+def _class_eigh(matrix: np.ndarray, classes: list) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a matrix that couples no two index classes, one block per
+    class; the block eigenvectors are scattered into full-size columns."""
+    if len(classes) == 1:
+        return np.linalg.eigh(matrix)
+    vals, vecs, start = np.empty(len(matrix)), np.zeros_like(matrix), 0
+    for idx in classes:
+        stop = start + idx.size
+        vals[start:stop], vecs[idx, start:stop] = np.linalg.eigh(matrix[np.ix_(idx, idx)])
+        start = stop
+    return vals, vecs
+
+
 def _local_split(state: SteadyState, n_modes: int):
     """Checked local spectrum from the cosine and sine blocks of L.
 
     Returns it with its betas, the cosine parts of L (local block, coupling,
-    M; e^U shifted by u_max), u_max, the sine eigenvalues and the index of
-    the translation mode among them (None for the constant state).
+    M; e^U shifted by u_max), u_max, the sine eigenvalues, the index of
+    the translation mode among them (None for the constant state) and the
+    cosine index classes.
     """
     grid, params = state.field.grid, state.params
     # rotate a peak to x = 0, where an even state has real coefficients
@@ -237,8 +268,10 @@ def _local_split(state: SteadyState, n_modes: int):
     values = irfft(coef.real, grid.n_points)
     exp_u = shifted_exp(values)  # both reflection blocks from one e^U and one rfft
     *cos_parts, sin_local = linearization_parts(exp_u, grid, params, n_modes, "split")
-    cos_vals, cos_vecs = np.linalg.eigh(cos_parts[0])
-    sin_vals, sin_vecs = np.linalg.eigh(sin_local)
+    p, k = _period(coef, m), np.arange(n_modes + 1)  # classes r = min(k mod p, -k mod p)
+    classes = [np.flatnonzero(np.minimum(k % p, -k % p) == r) for r in range(p // 2 + 1)]
+    cos_vals, cos_vecs = _class_eigh(cos_parts[0], classes)
+    sin_vals, sin_vecs = _class_eigh(sin_local, [idx[idx > 0] - 1 for idx in classes])
     order = np.argsort(np.concatenate([cos_vals, sin_vals]))[::-1]
     eigvals = np.concatenate([cos_vals, sin_vals])[order]
 
@@ -275,7 +308,7 @@ def _local_split(state: SteadyState, n_modes: int):
         # sine coefficients of U_x are -2 pi k a_k for the cosine coefficients a_k
         ux = np.arange(1, n_modes + 1) * coef.real[1 : n_modes + 1]
         translation = int(np.argmax(np.abs(sin_vecs.T @ ux)))
-    return local, betas[order], cos_parts, u_max, sin_vals, translation
+    return local, betas[order], cos_parts, u_max, sin_vals, translation, classes
 
 
 def local_spectrum(state: SteadyState, n_modes: int | None = None) -> LocalSpectrum:
@@ -307,13 +340,15 @@ def nonlocal_spectrum(state: SteadyState, n_modes: int | None = None) -> EigenRe
     thresholds).
     """
     split = _local_split(state, _check_modes(state, n_modes))
-    local, betas, (cos_local, c_vec, m_shifted), u_max, sin_vals, translation = split
+    local, betas, (cos_local, c_vec, m_shifted), u_max, sin_vals, translation, classes = split
     # undo the max(U) shift: M = kappa / (int e^U)^2
     m_coef = m_shifted * np.exp(-2.0 * u_max)
     if m_coef < np.finfo(float).tiny:
         raise ConfigurationError("state too large to represent the coupling constant M")
 
-    cos_eigs = np.linalg.eigvalsh(cos_local - m_shifted * np.outer(c_vec, c_vec))
+    coupled = cos_local - m_shifted * np.outer(c_vec, c_vec)
+    blocks = [coupled] if len(classes) == 1 else [coupled[np.ix_(i, i)] for i in classes]
+    cos_eigs = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
     eigvals = np.sort(np.concatenate([cos_eigs, sin_vals]))[::-1]
     translation_nu = None if translation is None else float(sin_vals[translation])
     others = sin_vals if translation is None else np.delete(sin_vals, translation)

@@ -26,8 +26,10 @@ import logging
 import numpy as np
 
 from ._operators import (
+    energy_weights,
     even_part,
     evolution_rhs,
+    free_energy,
     linearization_dense,
     project_even,
     residual_floor,
@@ -35,9 +37,8 @@ from ._operators import (
     synthesize_even,
 )
 from .dynamics import _relax
-from .energy import energy
 from .errors import ConfigurationError, ConvergenceError, ResolutionError, SingularJacobianError
-from .grid import Field, Grid, integrate, make_grid
+from .grid import Field, Grid, integrate, make_grid, rfft
 from .model import ModelParams
 
 __all__ = [
@@ -84,7 +85,7 @@ class SteadyState:
     energy: float = dataclasses.field(init=False)
 
     def __post_init__(self):
-        residual_norm = _residual(self.field.values, self.field.grid, self.params)[1]
+        _, residual_norm, exp_u = _residual(self.field.values, self.field.grid, self.params)
         if residual_norm >= RESIDUAL_CERT:
             raise ConvergenceError(f"residual norm {residual_norm:.3e} exceeds {RESIDUAL_CERT:g}")
         mass_defect = abs(integrate(self.field) - self.params.kappa)
@@ -94,7 +95,10 @@ class SteadyState:
             )
         object.__setattr__(self, "residual_norm", residual_norm)
         object.__setattr__(self, "modality", count_modes(self.field))
-        object.__setattr__(self, "energy", energy(self.field, self.params))
+        # J takes log(int e^U) from the residual's e^U instead of a second exp
+        weights = energy_weights(self.field.grid, self.params.D)
+        energy = free_energy(rfft(self.field.values), self.params, weights, exp_u[2])
+        object.__setattr__(self, "energy", energy)
 
 
 def constant_state(params: ModelParams, grid: Grid | None = None) -> SteadyState:

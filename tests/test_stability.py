@@ -360,17 +360,66 @@ def test_betas_of_odd_eigenfunctions_vanish(unimodal_16):
     assert report.M > 0
 
 
-@pytest.mark.parametrize("name", ["constant", "unimodal_16", "twomodal_16"])
+def named_state(request, name):
+    """A test state by fixture name; "modal_family_k2[3]" is the 3-modal
+    member of that family."""
+    if name == "modal_family_k2[3]":
+        return request.getfixturevalue("modal_family_k2")[3]
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize(
+    "name", ["constant", "unimodal_16", "twomodal_16", "modal_family_k2[3]"]
+)
 def test_split_spectrum_matches_full_basis_matrix(request, grid256, name):
-    # the unsplit full-basis assembly is the oracle for the cosine/sine split
+    # the unsplit full-basis assembly is the oracle for the reflection split
+    # and, for the multimodal states, for the period classes within it
     if name == "constant":
         state = mm.constant_state(mm.ModelParams(D=0.01, kappa=1.2), grid256)
     else:
-        state = request.getfixturevalue(name)
+        state = named_state(request, name)
     full = np.sort(np.linalg.eigvalsh(mm.assemble_linearization(state)))[::-1]
     split = mm.nonlocal_spectrum(state).nonlocal_eigs
     assert full.shape == split.shape
     assert np.max(np.abs(full - split)) <= 1e-10 * max(1.0, np.max(np.abs(full)))
+
+
+@pytest.mark.parametrize("name", ["twomodal_16", "modal_family_k2[3]"])
+def test_only_class_zero_cosines_couple(request, name):
+    # a 1/m-periodic state couples only the eigenfunctions that are even
+    # and 1/m-periodic, the cosines of wavenumbers k = 0 mod m
+    state = named_state(request, name)
+    m = state.modality
+    report = mm.nonlocal_spectrum(state)
+    rows = report.local.coefficients
+    k = np.arange(rows.shape[1])
+    # the fixtures peak at x = 0, so cosine rows are real and sine rows imaginary
+    cosine = np.abs(rows.real).max(axis=1) > np.abs(rows.imag).max(axis=1)
+    class0 = np.abs(rows[:, k % m == 0]).max(axis=1) > np.abs(rows[:, k % m != 0]).max(axis=1)
+    coupled = cosine & class0
+    small = np.abs(report.betas) <= 1e-13 * np.max(np.abs(report.betas))
+    assert np.count_nonzero(~coupled) == 2 * (k.size - 1) - (k.size - 1) // m
+    assert np.all(small[~coupled])
+    # the coupling of a deep class-0 cosine decays with the coefficients of
+    # e^U; in the leading half of the spectrum every one of them couples
+    lead = np.arange(small.size) < small.size // 2
+    assert not np.any(small[coupled & lead])
+    # the unstable leading mode is a coarsening mode that the coupling misses
+    scale = max(1.0, np.max(np.abs(report.local.lambdas)))
+    gap = np.abs(report.local.lambdas[~coupled] - report.nonlocal_eigs[0])
+    assert report.verdict == "unstable" and np.min(gap) <= 1e-10 * scale
+
+
+def test_period_needs_every_off_class_coefficient_below_tolerance(twomodal_16):
+    coef = np.fft.rfft(twomodal_16.field.values)  # a peak sits at x = 0
+    top = np.max(np.abs(coef))
+    assert stability._period(coef, 2) == 2
+    assert stability._period(coef, 1) == stability._period(coef, 0) == 1
+    leaky = coef.copy()
+    leaky[5] = 0.5 * stability.SYMMETRY_TOL * top
+    assert stability._period(leaky, 2) == 2
+    leaky[5] = 2.0 * stability.SYMMETRY_TOL * top
+    assert stability._period(leaky, 2) == 1
 
 
 def test_shifted_copies_keep_the_spectrum(unimodal_16):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mechmorph as mm
+from mechmorph import _operators, steady
 from mechmorph.errors import (
     AmplitudeOverflowError,
     ConfigurationError,
@@ -187,6 +188,23 @@ def test_certificate_comes_from_the_field(grid256, unimodal_16, twomodal_16):
         assert state.modality == reference_count_modes(state.field)
         assert state.energy == mm.energy(state.field, state.params)
     assert (unimodal_16.modality, twomodal_16.modality) == (1, 2)
+
+
+def test_certificate_evaluates_exp_once(monkeypatch, unimodal_16, twomodal_16):
+    # the residual's e^U also gives log(int e^U) for the energy
+    calls, shifted_exp = [], _operators.shifted_exp
+
+    def counting(values):
+        calls.append(values.size)
+        return shifted_exp(values)
+
+    for module in (steady, _operators):
+        monkeypatch.setattr(module, "shifted_exp", counting)
+    for state in (unimodal_16, twomodal_16):
+        calls.clear()
+        again = mm.SteadyState(state.field, state.params)
+        assert calls == [state.field.grid.n_points]
+        assert again.energy == state.energy == mm.energy(state.field, state.params)
 
 
 @settings(max_examples=200)
