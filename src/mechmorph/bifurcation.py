@@ -33,10 +33,10 @@ import numpy as np
 
 from ._operators import (
     bump_seed,
+    even_weights,
     evolution_rhs,
     linearization_dense,
     noisy_constant,
-    project_even,
     shifted_exp,
     synthesize_even,
 )
@@ -48,7 +48,7 @@ from .errors import (
     ResolutionError,
     SingularJacobianError,
 )
-from .grid import Field, Grid, make_grid
+from .grid import Field, Grid, irfft, make_grid, rfft
 from .model import ModelParams
 from .stability import MARGINAL_TOL, nonlocal_spectrum
 from .steady import SteadyState, relax_to_steady
@@ -171,9 +171,15 @@ class _EvenCorrector:
         self.D = D
         self.n_modes = n_modes
         self.n_unknowns = n_modes + 2
+        self.weights = even_weights(grid.n_points, n_modes)  # norms of the even basis
 
-    def field_values(self, z: np.ndarray) -> np.ndarray:
-        return synthesize_even(z[:-1], self.grid.n_points)
+    def field_values(self, z: np.ndarray) -> np.ndarray:  # synthesize_even of a_0..a_K
+        spec = np.zeros(self.grid.n_points // 2 + 1, dtype=complex)
+        spec[: self.n_modes + 1] = z[:-1] / self.weights
+        return irfft(spec, self.grid.n_points)
+
+    def project(self, values: np.ndarray) -> np.ndarray:  # project_even onto a_0..a_K
+        return self.weights * rfft(values)[: self.n_modes + 1].real
 
     def solve(self, z0, tangent, anchor, ds):
         # convergence is measured on the residual projected into the even
@@ -187,14 +193,14 @@ class _EvenCorrector:
             vals = self.field_values(z)
             exp_u = shifted_exp(vals)
             p = exp_u[0] / exp_u[1]
-            proj = project_even(evolution_rhs(vals, p, self.grid, params), self.n_modes)
+            proj = self.project(evolution_rhs(vals, p, self.grid, params))
             res_norm = float(np.linalg.norm(proj))
             norm_eq = float(tangent @ (z - anchor)) - ds
             if res_norm < CORRECTOR_TOL and abs(norm_eq) < 1e-12:
                 return z, res_norm
             jac = np.empty((self.n_unknowns, self.n_unknowns))
             jac[:-1, :-1] = linearization_dense(exp_u, self.grid, params, self.n_modes, "even")
-            jac[:-1, -1] = project_even(p, self.n_modes)
+            jac[:-1, -1] = self.project(p)
             jac[-1, :] = tangent
             rhs = -np.concatenate([proj, [norm_eq]])
             try:

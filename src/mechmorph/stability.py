@@ -18,9 +18,9 @@ of wavenumbers k = +-r (mod m), one eigensolve each.  Only the class r = 0
 meets the coupling (int e^U cos k = 0 unless m divides k): the classes
 r != 0 are purely local, so the strain-conservation inhibition does not act
 on their coarsening modes, and there the instability of multimodal states
-lives.  The local eigenvectors are kept as rfft coefficient rows; only the
-leading N_VERIFY rows, which the oscillation check reads, are synthesized
-on the grid and counted.
+lives; they keep their local eigenvalues.  The local eigenvectors are kept
+as the blocks give them; a spectrum builds the rfft rows of only the leading
+N_VERIFY, which the oscillation check synthesizes and counts.
 
 The direct route takes the eigenvalues of the cosine block of L and keeps
 the sine eigenvalues.  The secular route removes the rank-one coupling: with
@@ -104,17 +104,24 @@ def _default_modes(state) -> int:
 class LocalSpectrum:
     """Spectrum of the local problem D psi_xx + A(x) psi = lambda psi.
 
-    lambdas are sorted decreasing.  coefficients holds one row of rfft
-    coefficients (norm="forward") per eigenfunction, row i belonging to
-    lambdas[i].  zero_counts holds the sign changes per period of the
-    leading min(5, len(lambdas)) eigenfunctions, the rows the oscillation
-    check reads.
+    lambdas are sorted decreasing.  zero_counts holds the sign changes per
+    period of the leading min(5, len(lambdas)) eigenfunctions, the rows the
+    oscillation check reads.  vectors = (cos_vecs, sin_vecs, order, back)
+    are the eigenvectors as the blocks give them: cosine coefficients
+    k = 0..K and sine coefficients k = 1..K in columns, lambdas[i] belonging
+    to column order[i] of the two side by side, and the phase that rotates
+    them from the axis onto the state.
     """
 
     lambdas: np.ndarray
-    coefficients: np.ndarray = field(repr=False)
     n_points: int
     zero_counts: np.ndarray
+    vectors: tuple = field(repr=False)
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Read-only rfft coefficients (norm="forward"), row i of lambdas[i]; built when read."""
+        return _coefficient_rows(*self.vectors, self.lambdas.size)
 
     @property
     def eigenfunctions(self) -> np.ndarray:
@@ -129,18 +136,18 @@ class LocalSpectrum:
 class EigenReport:
     """Stability report for one stationary solution.
 
-    nonlocal_eigs (sorted decreasing) are those of the cosine block of L
-    and of the purely local sine block; betas align with local.lambdas and
-    are exactly 0.0 on the sines.  For an m-modal state (m >= 2) only the
+    nonlocal_eigs (sorted decreasing) are those of the cosine block of L and
+    of the purely local sine block; betas align with local.lambdas and are
+    exactly 0.0 on the sines.  For an m-modal state (m >= 2) only the
     cosines of wavenumbers k = 0 (mod m) couple: the other period classes
     carry the coarsening modes, on which the nonlocal inhibition does not
-    act, and their betas are round-off.  verdict follows the thresholds
-    max nu > 1e-8 (unstable) and |max nu| <= 1e-8 (marginal); a nonconstant
-    state always carries a translation eigenvalue at zero, so a pattern that
-    is stable modulo shifts reports "marginal".  translation_nu is the sine
-    eigenvalue whose eigenvector overlaps U_x most (None for the constant
-    state); leading_nu, the largest eigenvalue without it, changes sign at
-    folds.
+    act, their betas are round-off and their local eigenvalues are nonlocal
+    ones.  verdict follows the thresholds max nu > 1e-8 (unstable) and
+    |max nu| <= 1e-8 (marginal); a nonconstant state always carries a
+    translation eigenvalue at zero, so a pattern that is stable modulo
+    shifts reports "marginal".  translation_nu is the sine eigenvalue whose
+    eigenvector overlaps U_x most (None for the constant state); leading_nu,
+    the largest eigenvalue without it, changes sign at folds.
     """
 
     local: LocalSpectrum
@@ -210,19 +217,18 @@ def assemble_linearization(state: SteadyState, n_modes: int | None = None) -> np
     return linearization_dense(exp_u, grid, state.params, n_modes, "full")
 
 
-def _coefficient_rows(cos_vecs, sin_vecs, order, back) -> np.ndarray:
-    """rfft coefficients of the block eigenvectors, in the sorted ``order``.
+def _coefficient_rows(cos_vecs, sin_vecs, order, back, rows: int) -> np.ndarray:
+    """rfft coefficients of the leading ``rows`` eigenvectors in ``order``.
 
-    sqrt2 cos k -> 1/sqrt2 and sqrt2 sin k -> -i/sqrt2, rotated by ``back``
-    from the axis onto the state (rank[j] is the row of block eigenvector
-    j).  The result is read-only.
+    Block column j <= K is cosine eigenvector j, column K + 1 + j sine
+    eigenvector j.  sqrt2 cos k -> 1/sqrt2 and sqrt2 sin k -> -i/sqrt2,
+    rotated by ``back`` from the axis onto the state.  Read-only.
     """
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    n_modes = sin_vecs.shape[0]
-    spec = np.zeros((order.size, n_modes + 1), dtype=complex)
-    spec[rank[: n_modes + 1]] = cos_vecs.T
-    spec[rank[n_modes + 1 :], 1:] = -1j * sin_vecs.T
+    n_modes, cols = sin_vecs.shape[0], order[:rows]
+    sine = cols > n_modes
+    spec = np.zeros((cols.size, n_modes + 1), dtype=complex)
+    spec[~sine] = cos_vecs[:, cols[~sine]].T
+    spec[sine, 1:] = -1j * sin_vecs[:, cols[sine] - n_modes - 1].T
     spec[:, 1:] *= back[1 : n_modes + 1] / np.sqrt(2.0)
     spec.flags.writeable = False
     return spec
@@ -253,9 +259,9 @@ def _local_split(state: SteadyState, n_modes: int):
     """Checked local spectrum from the cosine and sine blocks of L.
 
     Returns it with its betas, the cosine parts of L (local block, coupling,
-    M; e^U shifted by u_max), u_max, the sine eigenvalues, the index of
-    the translation mode among them (None for the constant state) and the
-    cosine index classes.
+    M; e^U shifted by u_max), u_max, the cosine eigenvalues class by class,
+    the sine eigenvalues, the index of the translation mode among them
+    (None for the constant state) and the cosine index classes.
     """
     grid, params = state.field.grid, state.params
     # rotate a peak to x = 0, where an even state has real coefficients
@@ -275,13 +281,13 @@ def _local_split(state: SteadyState, n_modes: int):
     order = np.argsort(np.concatenate([cos_vals, sin_vals]))[::-1]
     eigvals = np.concatenate([cos_vals, sin_vals])[order]
 
-    spec = _coefficient_rows(cos_vecs, sin_vecs, order, back)
     checked = order[:N_VERIFY]
     # significance floor per eigenfunction: truncation ripples in the flat
     # exponential tails scale with the energy in the last coefficients
     tail = min(n_modes, max(2, n_modes // 4))
-    last = np.hstack([cos_vecs[-tail:], sin_vecs[-tail:]])[:, checked]
-    functions = irfft(spec[: checked.size], grid.n_points)
+    last = np.column_stack([sin_vecs[-tail:, j - n_modes - 1] if j > n_modes
+                            else cos_vecs[-tail:, j] for j in checked])
+    functions = irfft(_coefficient_rows(cos_vecs, sin_vecs, order, back, N_VERIFY), grid.n_points)
     counts = _zero_counts(functions, 10.0 * np.linalg.norm(last, axis=0))
 
     # the oscillation pattern is only checkable for eigenvalues that are
@@ -299,7 +305,7 @@ def _local_split(state: SteadyState, n_modes: int):
             raise ResolutionError(
                 f"local eigenfunction {i} has {counts[i]} sign changes, expected {expected}"
             )
-    local = LocalSpectrum(eigvals, spec, grid.n_points, counts)
+    local = LocalSpectrum(eigvals, grid.n_points, counts, (cos_vecs, sin_vecs, order, back))
 
     u_max = float(values.max())
     betas = np.concatenate([np.exp(u_max) * (cos_vecs.T @ cos_parts[1]), np.zeros(n_modes)])
@@ -308,7 +314,7 @@ def _local_split(state: SteadyState, n_modes: int):
         # sine coefficients of U_x are -2 pi k a_k for the cosine coefficients a_k
         ux = np.arange(1, n_modes + 1) * coef.real[1 : n_modes + 1]
         translation = int(np.argmax(np.abs(sin_vecs.T @ ux)))
-    return local, betas[order], cos_parts, u_max, sin_vals, translation, classes
+    return local, betas[order], cos_parts, u_max, cos_vals, sin_vals, translation, classes
 
 
 def local_spectrum(state: SteadyState, n_modes: int | None = None) -> LocalSpectrum:
@@ -334,21 +340,25 @@ def nonlocal_spectrum(state: SteadyState, n_modes: int | None = None) -> EigenRe
     """Direct-route spectrum of the full linearization, with verdict.
 
     The cosine block of L is diagonalized with its rank-one term; the sine
-    block is local, so its eigenvalues enter unchanged.  For a nonconstant
-    state the translation mode U_x is a sine eigenvector with an eigenvalue
-    at zero; it is excluded from ``leading_nu`` (but not from the verdict
+    block is local, so its eigenvalues enter unchanged, and so do those of
+    the uncoupled period classes r != 0 (a local eigenvalue whose coupling
+    vanishes is one of the rank-one update).  For a nonconstant state the
+    translation mode U_x is a sine eigenvector with an eigenvalue at zero;
+    it is excluded from ``leading_nu`` (but not from the verdict
     thresholds).
     """
-    split = _local_split(state, _check_modes(state, n_modes))
-    local, betas, (cos_local, c_vec, m_shifted), u_max, sin_vals, translation, classes = split
+    (local, betas, (cos_local, c_vec, m_shifted), u_max, cos_vals, sin_vals, translation,
+     classes) = _local_split(state, _check_modes(state, n_modes))
     # undo the max(U) shift: M = kappa / (int e^U)^2
     m_coef = m_shifted * np.exp(-2.0 * u_max)
     if m_coef < np.finfo(float).tiny:
         raise ConfigurationError("state too large to represent the coupling constant M")
 
+    zero = classes[0]
+    if len(classes) > 1:
+        cos_local, c_vec = cos_local[np.ix_(zero, zero)], c_vec[zero]
     coupled = cos_local - m_shifted * np.outer(c_vec, c_vec)
-    blocks = [coupled] if len(classes) == 1 else [coupled[np.ix_(i, i)] for i in classes]
-    cos_eigs = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
+    cos_eigs = np.concatenate([np.linalg.eigvalsh(coupled), cos_vals[zero.size :]])
     eigvals = np.sort(np.concatenate([cos_eigs, sin_vals]))[::-1]
     translation_nu = None if translation is None else float(sin_vals[translation])
     others = sin_vals if translation is None else np.delete(sin_vals, translation)
@@ -397,15 +407,16 @@ class _SecularSolution:
         return np.sort(np.concatenate([self.verbatim, self.roots]))[::-1]
 
 
-def _secular_values(nu: np.ndarray, poles: np.ndarray, weights: np.ndarray, target: float):
+def _secular_values(nu, poles, weights, target, work) -> np.ndarray:
     """sum_n weights_n / (poles_n - nu) - target for each nu.
 
-    One (nu x poles) array; each row is summed exactly as the 1-D sum over
-    the poles would be, so a value does not depend on which other nu are
-    evaluated with it.
+    One (nu x poles) array, written into the leading rows of ``work``; each
+    row is summed exactly as the 1-D sum over the poles would be, so a value
+    does not depend on which other nu are evaluated with it.
     """
+    terms = np.subtract(poles, nu[:, None], out=work[: nu.size])
     with np.errstate(divide="ignore"):
-        return np.sum(weights / (poles - nu[:, None]), axis=1) - target
+        return np.sum(np.divide(weights, terms, out=terms), axis=1) - target
 
 
 def _probe(g, poles: np.ndarray, side: float, want_negative: bool):
@@ -505,9 +516,10 @@ def _secular_solve(local: LocalSpectrum, betas: np.ndarray, M: float) -> _Secula
     scale = np.max(np.abs(b))
     weights = (b / scale) ** 2
     target = (1.0 / M) / scale / scale
+    work = np.empty((poles.size, poles.size))  # no call evaluates more nu than poles
 
     def g(nu):
-        return _secular_values(nu, poles, weights, target)
+        return _secular_values(nu, poles, weights, target, work)
 
     # root i lies between poles[i+1] (or -inf) and poles[i]: probe below
     # every pole and above every pole but the first

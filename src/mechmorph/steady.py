@@ -113,7 +113,7 @@ def constant_state(params: ModelParams, grid: Grid | None = None) -> SteadyState
 def turning_directions(v: np.ndarray) -> np.ndarray:
     """Signs of v[j+1] - v[j] around the circle; an exact tie takes the previous
     nonzero direction, cyclically (leading ties take the last one)."""
-    direction = np.sign(np.roll(v, -1) - v)
+    direction = np.sign(np.append(v[1:], v[0]) - v)
     nonzero = np.flatnonzero(direction)
     if nonzero.size == 0:
         return direction
@@ -134,7 +134,7 @@ def count_modes(u: Field) -> int:
     if span < FLAT_TOL:
         return 0
     direction = turning_directions(v)
-    flips = np.nonzero(direction != np.roll(direction, 1))[0]
+    flips = np.flatnonzero(direction != np.append(direction[-1], direction[:-1]))
     extrema = [(int(j), direction[j] < 0) for j in flips]  # True = maximum
     if not extrema:
         return 0

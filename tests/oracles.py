@@ -8,8 +8,9 @@ bases, zero counts by one loop per function, secular roots by one scalar
 bisection per bracket, fixed-step trajectories by the step that
 allocates every intermediate array, and peak counts by filling ties with
 one loop over the nodes.  The Galerkin assembly from sliding windows, one
-kind per call, and the branch corrector that synthesizes each iterate
-twice and evaluates e^U three times are kept as bit-identity references.
+kind per call, the branch corrector that synthesizes each iterate twice
+and evaluates e^U three times, and the coefficient rows of every local
+eigenvector scattered by rank are kept as bit-identity references.
 """
 
 from typing import NamedTuple
@@ -25,6 +26,7 @@ from mechmorph._operators import (
     even_weights,
     project_even,
     shifted_exp,
+    synthesize_even,
 )
 from mechmorph.bifurcation import CORRECTOR_MAX_ITER, CORRECTOR_TOL
 from mechmorph.dynamics import MAX_STEP, TrajectorySummary
@@ -197,7 +199,7 @@ def two_pass_corrector_solve(self, z0, tangent, anchor, ds):
 
     def residual(z):
         params = mm.ModelParams(D=self.D, kappa=float(z[-1]))
-        values = self.field_values(z)
+        values = synthesize_even(z[:-1], self.grid.n_points)
         uxx = np.fft.irfft(
             -self.grid.laplacian_eigenvalues * np.fft.rfft(values, norm="forward"),
             self.grid.n_points,
@@ -217,7 +219,7 @@ def two_pass_corrector_solve(self, z0, tangent, anchor, ds):
         if kappa <= 0:
             raise ConvergenceError("corrector left the kappa > 0 domain")
         params = mm.ModelParams(D=self.D, kappa=kappa)
-        vals = self.field_values(z)
+        vals = synthesize_even(z[:-1], self.grid.n_points)
         jac = np.empty((self.n_unknowns, self.n_unknowns))
         local, c_vec, m_coef = window_linearization_parts(
             vals, self.grid, params, self.n_modes, "even"
@@ -233,6 +235,23 @@ def two_pass_corrector_solve(self, z0, tangent, anchor, ds):
         if not np.all(np.isfinite(z)):
             raise ConvergenceError("corrector diverged")
     raise ConvergenceError("corrector did not converge")
+
+
+def eager_coefficient_rows(cos_vecs, sin_vecs, order, back):
+    """rfft coefficients of every block eigenvector, in the sorted ``order``.
+
+    All rows at once, each block eigenvector scattered to its rank: sqrt2
+    cos k -> 1/sqrt2 and sqrt2 sin k -> -i/sqrt2, rotated by ``back`` from
+    the axis onto the state.
+    """
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    n_modes = sin_vecs.shape[0]
+    spec = np.zeros((order.size, n_modes + 1), dtype=complex)
+    spec[rank[: n_modes + 1]] = cos_vecs.T
+    spec[rank[n_modes + 1 :], 1:] = -1j * sin_vecs.T
+    spec[:, 1:] *= back[1 : n_modes + 1] / np.sqrt(2.0)
+    return spec
 
 
 def count_sign_changes(values, floor=0.0):

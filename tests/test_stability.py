@@ -1,5 +1,7 @@
+import gc
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +11,12 @@ from hypothesis import strategies as st
 import mechmorph as mm
 from mechmorph import stability, steady
 from mechmorph.errors import ConfigurationError, ResolutionError
+from mechmorph.grid import irfft
 from mechmorph.stability import _interlaces, _secular_solve, _zero_counts
 from oracles import (
     count_sign_changes,
     density_form_hessian,
+    eager_coefficient_rows,
     scalar_secular_roots,
     unshifted_coupling,
 )
@@ -182,7 +186,8 @@ def test_translation_mode_in_nonlocal_spectrum(unimodal_16, twomodal_16):
 def test_single_term_secular_equation():
     lam0, beta, m_coef = 2.0, 0.7, 3.0
     local = mm.LocalSpectrum(
-        lambdas=np.array([lam0]), coefficients=[], n_points=0, zero_counts=np.array([0])
+        lambdas=np.array([lam0]), n_points=0, zero_counts=np.array([0]),
+        vectors=None,
     )
     roots = mm.secular_roots(local, np.array([beta]), m_coef)
     assert roots.size == 1
@@ -191,7 +196,8 @@ def test_single_term_secular_equation():
 
 def test_secular_requires_positive_m():
     local = mm.LocalSpectrum(
-        lambdas=np.array([1.0]), coefficients=[], n_points=0, zero_counts=np.array([0])
+        lambdas=np.array([1.0]), n_points=0, zero_counts=np.array([0]),
+        vectors=None,
     )
     with pytest.raises(ConfigurationError):
         mm.secular_roots(local, np.array([1.0]), 0.0)
@@ -203,7 +209,8 @@ def test_secular_merge_rule():
     lam = np.array([1.0, 1.0, -1.0])
     betas = np.array([0.6, 0.8, 0.5])
     local = mm.LocalSpectrum(
-        lambdas=lam, coefficients=[], n_points=0, zero_counts=np.zeros(3, int)
+        lambdas=lam, n_points=0, zero_counts=np.zeros(3, int),
+        vectors=None,
     )
     m_coef = 0.5
     roots = mm.secular_roots(local, betas, m_coef)
@@ -288,7 +295,8 @@ def secular_problems(draw):
 def test_secular_roots_match_dense_rank_one_update(problem):
     lambdas, betas, m_coef = problem
     local = mm.LocalSpectrum(
-        lambdas=lambdas, coefficients=[], n_points=0, zero_counts=np.zeros(lambdas.size, int)
+        lambdas=lambdas, n_points=0, zero_counts=np.zeros(lambdas.size, int),
+        vectors=None,
     )
     roots = mm.secular_roots(local, betas, m_coef)
     dense = np.linalg.eigvalsh(np.diag(lambdas) - m_coef * np.outer(betas, betas))[::-1]
@@ -361,10 +369,10 @@ def test_betas_of_odd_eigenfunctions_vanish(unimodal_16):
 
 
 def named_state(request, name):
-    """A test state by fixture name; "modal_family_k2[3]" is the 3-modal
+    """A test state by fixture name; "modal_family_k2[m]" is the m-modal
     member of that family."""
-    if name == "modal_family_k2[3]":
-        return request.getfixturevalue("modal_family_k2")[3]
+    if name.startswith("modal_family_k2["):
+        return request.getfixturevalue("modal_family_k2")[int(name[-2])]
     return request.getfixturevalue(name)
 
 
@@ -408,6 +416,82 @@ def test_only_class_zero_cosines_couple(request, name):
     scale = max(1.0, np.max(np.abs(report.local.lambdas)))
     gap = np.abs(report.local.lambdas[~coupled] - report.nonlocal_eigs[0])
     assert report.verdict == "unstable" and np.min(gap) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "constant", "unimodal_15", "unimodal_16", "twomodal_16",
+        "modal_family_k2[1]", "modal_family_k2[2]", "modal_family_k2[3]",
+    ],
+)
+def test_rows_built_on_read_equal_the_eager_rows(request, grid256, name):
+    # a spectrum keeps the block eigenvectors and builds rows when they are
+    # read; the rank scatter of every row at once is the bit-identity
+    # reference, and its leading rows give the zero counts
+    if name == "constant":
+        state = mm.constant_state(mm.ModelParams(D=0.01, kappa=1.2), grid256)
+    else:
+        state = named_state(request, name)
+    local = mm.local_spectrum(state)
+    cos_vecs, sin_vecs, order, _ = local.vectors
+    eager = eager_coefficient_rows(*local.vectors)
+    rows, n = local.coefficients, local.n_points
+    assert rows.shape == eager.shape and rows.tobytes() == eager.tobytes()
+    assert not rows.flags.writeable
+    assert local.eigenfunctions.tobytes() == irfft(eager, n).tobytes()
+    n_modes = sin_vecs.shape[0]
+    tail, checked = min(n_modes, max(2, n_modes // 4)), order[: stability.N_VERIFY]
+    last = np.hstack([cos_vecs[-tail:], sin_vecs[-tail:]])[:, checked]
+    floors = 10.0 * np.linalg.norm(last, axis=0)
+    functions = irfft(eager[: checked.size], n)
+    assert list(local.zero_counts) == [
+        count_sign_changes(f, floor) for f, floor in zip(functions, floors)
+    ]
+
+
+@pytest.mark.parametrize("name", ["twomodal_16", "modal_family_k2[2]", "modal_family_k2[3]"])
+def test_uncoupled_classes_keep_their_local_eigenvalues(request, name):
+    # the coupling vector is round-off on the classes r != 0, so their local
+    # eigenvalues are eigenvalues of L; class 0 is diagonalized with it
+    state = named_state(request, name)
+    n_modes = stability._check_modes(state, None)
+    split = stability._local_split(state, n_modes)
+    _, _, (cos_local, c_vec, m_shifted), _, cos_vals, sin_vals, _, classes = split
+    assert len(classes) == state.modality // 2 + 1
+    coupled = cos_local - m_shifted * np.outer(c_vec, c_vec)
+    blocks = [np.linalg.eigvalsh(coupled[np.ix_(idx, idx)]) for idx in classes]
+    report = mm.nonlocal_spectrum(state, n_modes)
+    uncoupled = cos_vals[classes[0].size :]
+    scale = max(1.0, np.max(np.abs(report.nonlocal_eigs)))
+    assert np.max(np.abs(uncoupled - np.concatenate(blocks[1:]))) <= 1e-14 * scale
+    expected = np.sort(np.concatenate([blocks[0], uncoupled, sin_vals]))[::-1]
+    assert np.array_equal(report.nonlocal_eigs, expected)
+    # the coupling moves the class-0 eigenvalues (the mass mode the most)
+    assert np.max(np.abs(blocks[0] - cos_vals[: classes[0].size])) > 1e-3
+
+
+def test_spectrum_keeps_no_coefficient_rows(modal_family_k2):
+    # n = 2048, m = 1 at K = 512: the complex rows of all 2K + 1 local
+    # eigenvectors would take 8.4 MB; the report keeps the real block
+    # eigenvectors, and the spectrum builds only the checked rows
+    state = modal_family_k2[1]
+    report = mm.nonlocal_spectrum(state)  # one-time costs before measuring
+    n_modes = (report.local.lambdas.size - 1) // 2
+    assert (n_modes, state.modality) == (512, 1)
+    rows = (2 * n_modes + 1) * (n_modes + 1) * np.dtype(complex).itemsize
+    del report
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = mm.nonlocal_spectrum(state)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "marginal"
+    assert kept - base < rows
+    assert peak - base < 1.5 * rows
 
 
 def test_period_needs_every_off_class_coefficient_below_tolerance(twomodal_16):
