@@ -22,12 +22,20 @@ from .model import ModelParams
 EXP_GUARD = 700.0  # stay inside double-precision exp() range
 
 
-def check_exp_range(max_abs: float) -> None:
-    """Raise AmplitudeOverflowError when max |u| = max_abs leaves the exp() range."""
+def exp_range_error(max_abs: float) -> AmplitudeOverflowError | None:
+    """The AmplitudeOverflowError of a field with max |u| = max_abs beyond
+    the exp() range guard, or None within it."""
     if max_abs > EXP_GUARD:
-        raise AmplitudeOverflowError(
+        return AmplitudeOverflowError(
             f"max |u| = {max_abs:.3g} exceeds the exp() range guard ({EXP_GUARD:g})"
         )
+    return None
+
+
+def check_exp_range(max_abs: float) -> None:
+    """Raise ``exp_range_error(max_abs)`` beyond the exp() range guard."""
+    if max_abs > EXP_GUARD:
+        raise exp_range_error(max_abs)
 
 
 def shifted_exp(values: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -68,19 +76,27 @@ def energy_weights(grid: Grid, D: float) -> np.ndarray:
     return np.repeat(quadratic, 2)
 
 
-def free_energy(
-    u_hat: np.ndarray, params: ModelParams, weights: np.ndarray, log_int: float,
-    out: np.ndarray | None = None,
-) -> float:
-    """J(u) = (D/2) int u_x^2 + (1/2) int u^2 - kappa log(int e^u).
+def quadratic_energy(
+    v: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(D/2) int u_x^2 + (1/2) int u^2 as one dot product over the rfft.
 
-    u_hat is the forward-normalized rfft of the grid values; the quadratic
-    part is one dot product with ``energy_weights`` over it, and log_int is
-    log(int e^u) (``log_mean_exp``).  ``out``, if given, receives the
-    product of the weights and u_hat.view(float).
+    v = u_hat.view(float) is the forward-normalized rfft of the grid values,
+    or a stack of them (one value per row), and weights are
+    ``energy_weights``.  ``out``, if given, receives weights * v.
+    ``np.vecdot`` takes the BLAS dot of ``np.dot`` for each row, so every
+    row's value is bit-identical to that of the row alone.
     """
-    v = u_hat.view(float)
-    return float(np.dot(np.multiply(weights, v, out=out), v)) - params.kappa * log_int
+    return np.vecdot(np.multiply(weights, v, out=out), v)
+
+
+def free_energy(
+    u_hat: np.ndarray, params: ModelParams, weights: np.ndarray, log_int: float
+) -> float:
+    """J(u) = (D/2) int u_x^2 + (1/2) int u^2 - kappa log(int e^u), with
+    u_hat the forward-normalized rfft of the grid values, weights as in
+    ``quadratic_energy`` and log_int = log(int e^u) (``log_mean_exp``)."""
+    return float(quadratic_energy(u_hat.view(float), weights)) - params.kappa * log_int
 
 
 def evolution_rhs(

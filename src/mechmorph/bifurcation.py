@@ -40,6 +40,7 @@ from ._operators import (
     shifted_exp,
     synthesize_even,
 )
+from .dynamics import _relax_stack
 from .energy import bounds
 from .errors import (
     ConfigurationError,
@@ -51,7 +52,7 @@ from .errors import (
 from .grid import Field, Grid, irfft, make_grid, rfft
 from .model import ModelParams
 from .stability import MARGINAL_TOL, nonlocal_spectrum
-from .steady import SteadyState, relax_to_steady
+from .steady import FIRST_STEP, SteadyState, _handoff
 
 __all__ = [
     "BifPoint",
@@ -67,7 +68,7 @@ __all__ = [
 
 TYPE_TOL = 1e-12
 SEED_AMPLITUDE = 0.01  # relative amplitude of the sweep's random seeds
-HANDOFF_TOL = 1e-7  # the sweep's steady-state detector (relax_to_steady steady_tol)
+HANDOFF_TOL = 1e-7  # the sweep's steady-state detector (the relaxation's steady_tol)
 CORRECTOR_TOL = 1e-11  # norm of the corrector's even-projected residual
 CORRECTOR_MAX_ITER = 12
 
@@ -382,13 +383,16 @@ def _classify_cell(args) -> SweepCell:
         seeds.append(noisy_constant(rng, kappa, SEED_AMPLITUDE, n_points))
     outcomes = set()
     failures = []
-    for u0 in seeds:
+    starts = [Field(grid, u0) for u0 in seeds]
+    for flow in _relax_stack(starts, params, FIRST_STEP, t_end, HANDOFF_TOL):
         try:
-            state = relax_to_steady(Field(grid, u0), params, t_end=t_end, steady_tol=HANDOFF_TOL)
+            if isinstance(flow, MechmorphError):
+                raise flow
+            state = _handoff(flow, params, FIRST_STEP, t_end, HANDOFF_TOL)
         except MechmorphError as exc:
             failures.append(type(exc).__name__)
-            continue
-        outcomes.add("constant" if state.modality == 0 else "pattern")
+        else:
+            outcomes.add("constant" if state.modality == 0 else "pattern")
     # a failed seed could have shown the outcome that was not seen
     if not outcomes or (failures and len(outcomes) < 2):
         classification = "unknown"
@@ -425,11 +429,14 @@ def sweep(
     are never raised: ``failures`` lists the exception class of each failed
     seed in seed order (the bump first), ``n_failed`` counts them, and a
     cell with a failed seed is ``unknown`` unless both outcomes were seen.
-    Each relaxation hands over to Newton at the detector HANDOFF_TOL, with
-    the default first step and the step budget ``t_end`` of
-    :func:`mechmorph.steady.relax_to_steady`.  Cells are
-    independent; with workers > 1 they are distributed over a process pool.
-    Results are deterministic for a fixed seed regardless of worker count.
+    A cell relaxes its seeds as one stack, each row bit-identical to its
+    seed relaxed alone, with the first step and the step budget ``t_end``
+    of :func:`mechmorph.steady.relax_to_steady`.  Each row that the
+    detector HANDOFF_TOL stopped then hands over to Newton, in seed order,
+    and its RelaxStats is logged then, after the whole stack has finished.
+    Cells are independent; with workers > 1 they are distributed over a
+    process pool.  Results are deterministic for a fixed seed regardless of
+    worker count.
     """
     d_values = np.asarray(list(d_values), dtype=float)
     kappa_values = np.asarray(list(kappa_values), dtype=float)

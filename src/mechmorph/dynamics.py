@@ -16,13 +16,27 @@ steady states for any step, so only the energy needs to control the step.
 Each state's e^(u - max u) is computed once and gives both J at that state
 and the production term of the step that leaves it.
 
-The step works in two preallocated slots, each holding a state's rfft,
+The step advances a stack of states, one row per start, that share one
+grid and one ``ModelParams``: the transforms, the reductions and the dot
+of J run along the last axis, so a numpy call costs about the same for
+four rows as for one.  ``simulate`` and ``relax_to_steady`` step a stack of
+one; a sweep cell relaxes its bump and noisy seeds as one stack
+(``_relax_stack``).  There each row keeps its own step length, accept or
+reject decision, step budget, flow time and detector, and leaves the stack
+when it converges, runs out of budget or fails; a failed row keeps its
+exception and the others carry on.  Every row is bit-identical to its start
+relaxed alone: each numpy loop involved computes a row as it computes a
+single state (J takes ``np.vecdot``, the BLAS dot of ``np.dot``, per row),
+and what is one number per row is computed per row in Python.
+
+The step works in two preallocated slots, each holding the stack's rfft,
 grid values and density, plus reaction and energy buffers: every array
 operation writes into one of them (``out=``), and a step writes only into
 the slot its start is not in, so a rejected step leaves the accepted state
-intact.  Its two transforms are :func:`mechmorph.grid.rfft` and ``irfft``,
-which call numpy's pocketfft gufuncs (numpy >= 2.0) directly: at n = 256
-the ``np.fft`` wrapper took about half of each transform and most of a step.
+intact; rows rejected while others are accepted are copied back.  Its two
+transforms are :func:`mechmorph.grid.rfft` and ``irfft``, which call
+numpy's pocketfft gufuncs (numpy >= 2.0) directly: at n = 256 the
+``np.fft`` wrapper took about half of each transform and most of a step.
 One max and one min of the new values give the finiteness check (NaN and
 +-inf propagate through them), the exp() range guard, the shift of the
 exponential and the recorded extremes.  J is one dot product over the
@@ -38,8 +52,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._operators import check_exp_range, density, energy_weights, free_energy
-from .errors import AmplitudeOverflowError, ConfigurationError, DivergenceError
+from ._operators import (
+    EXP_GUARD,
+    check_exp_range,
+    density,
+    energy_weights,
+    exp_range_error,
+    quadratic_energy,
+)
+from .errors import ConfigurationError, DivergenceError, MechmorphError
 from .grid import Field, Grid, irfft, rfft
 from .model import ModelParams
 
@@ -67,97 +88,172 @@ class TrajectorySummary:
 
 
 MAX_STEP = 0.5  # stability guard on the step length
+ENERGY_SLACK = 8.0 * np.finfo(float).eps  # round-off allowance of the energy rule, relative
+
+
+def _tiled(a: np.ndarray, rows: int) -> np.ndarray:
+    """rows copies of the 1-d array a, stacked."""
+    return np.repeat(a[None], rows, axis=0)
+
+
+def _column(a: np.ndarray) -> np.ndarray:
+    """a as a column that broadcasts over the rows of a stack; for one row,
+    a 0-d view, which numpy broadcasts on its fast scalar path."""
+    return a.reshape(()) if a.size == 1 else a[:, None]
 
 
 class _Slot:
-    """One preallocated state of the flow and what the step reads from it."""
+    """One preallocated state of the stack and what the step reads from it.
 
-    __slots__ = ("u_hat", "values", "density", "top", "bottom", "energy")
+    Each array holds one row per start; ``top_col`` is the column view of
+    the maxima, for the shift of the exponential.
+    """
 
-    def __init__(self, n: int):
-        self.u_hat = np.empty(n // 2 + 1, dtype=complex)
-        self.values = np.empty(n)
-        self.density = np.empty(n)  # e^u / int e^u
-        self.top = self.bottom = self.energy = 0.0  # max u, min u, J(u)
+    __slots__ = ("u_hat", "u_hat_float", "values", "density", "top", "bottom", "top_col", "energy")
 
-    @property
-    def finite(self) -> bool:
-        # NaN propagates through max and min, and +-inf lands in one of them
-        return math.isfinite(self.top) and math.isfinite(self.bottom)
+    def __init__(self, rows: int, n: int):
+        self.u_hat = np.empty((rows, n // 2 + 1), dtype=complex)
+        self.u_hat_float = self.u_hat.view(float)  # real and imaginary parts, interleaved
+        self.values = np.empty((rows, n))
+        self.density = np.empty((rows, n))  # e^u / int e^u
+        self.top = np.empty(rows)  # max u
+        self.bottom = np.empty(rows)  # min u
+        self.top_col = _column(self.top)
+        self.energy = np.empty(rows)  # J(u); each evaluation binds a new array
+
+    def extremes(self):
+        """(max u, min u) of each row, in order."""
+        return zip(self.top.tolist(), self.bottom.tolist())
+
+    def copy_rows(self, other: _Slot, rows: list[int], into=None) -> None:
+        """Copy the given rows of other into the same rows, or into ``into``."""
+        into = rows if into is None else into
+        for name in ("u_hat", "values", "density", "top", "bottom", "energy"):
+            getattr(self, name)[into] = getattr(other, name)[rows]
+
+
+def _finite(top: float, bottom: float) -> bool:
+    # NaN propagates through max and min, and +-inf lands in one of them
+    return math.isfinite(top) and math.isfinite(bottom)
 
 
 class _Stepper:
-    """Exponential-Euler steps for one (grid, params) between two slots.
+    """Exponential-Euler steps of a stack of states on one (grid, params),
+    between two slots.
 
     A step writes only into the slot its start is not in, so a rejected
     step leaves the accepted state intact.  The integrating factors are
-    cached per step length.
+    cached per step length, and rows may step with different lengths.
     """
 
-    def __init__(self, grid: Grid, params: ModelParams, dt: float):
+    def __init__(self, grid: Grid, params: ModelParams, dt: float, rows: int = 1):
         if not (dt > 0.0):
             raise ConfigurationError(f"dt must be positive, got {dt}")
         if dt > MAX_STEP:
             raise ConfigurationError(f"dt = {dt} exceeds the stability guard {MAX_STEP:g}")
-        n = grid.n_points
-        self.n = n
+        self.n = grid.n_points
         self.params = params
+        # a 0-d operand: numpy converts a Python float anew at every call
+        self._kappa = np.array(params.kappa)
         self._decay = -(1.0 + params.D * grid.laplacian_eigenvalues)
-        self._weights = energy_weights(grid, params.D)
-        self._factors = {}
-        self._slots = (_Slot(n), _Slot(n))
-        self._reaction = np.empty(n)
-        self._reaction_hat = np.empty(n // 2 + 1, dtype=complex)
-        self._diff = np.empty(n)
-        self._weighted = np.empty(n + 2)  # weights * u_hat.view(float)
+        # the arrays that multiply the stack are tiled to its rows: operands
+        # of one shape take numpy's fast path, and broadcasting does not
+        self._weights = _tiled(energy_weights(grid, params.D), rows)
+        self._factors = {}  # step length -> e^(h decay), phi_1(h decay) h; tiled
+        self._allocate(rows)
 
-    def start(self, values: np.ndarray) -> _Slot:
-        """The first state, in slot 0.  Raises AmplitudeOverflowError beyond
-        the exp() range guard."""
+    def _allocate(self, rows: int) -> None:
+        """Buffers for a stack of ``rows`` states; the tiled arrays keep
+        their first rows."""
+        n = self.n
+        self.rows = rows
+        self._weights = self._weights[:rows]
+        self._factors = {h: (f[:rows], w[:rows]) for h, (f, w) in self._factors.items()}
+        self._slots = (_Slot(rows, n), _Slot(rows, n))
+        self._reaction = np.empty((rows, n))
+        self._reaction_hat = np.empty((rows, n // 2 + 1), dtype=complex)
+        self._row_factors = np.empty((2, rows, n // 2 + 1), dtype=complex)
+        self._diff = np.empty((rows, n))
+        self._change = np.empty(rows)
+        self._mean = np.empty(rows)  # grid mean of e^(u - max u)
+        self._mean_col = _column(self._mean)
+        self._weighted = np.empty((rows, n + 2))  # weights * u_hat.view(float)
+
+    def start(self, values) -> _Slot:
+        """The first states, in slot 0: their rfft, grid values and extremes.
+        ``evaluate`` completes them."""
         s = self._slots[0]
         s.values[:] = values
         rfft(s.values, out=s.u_hat)
-        s.top = float(np.maximum.reduce(s.values))
-        s.bottom = float(np.minimum.reduce(s.values))
-        self.evaluate(s)
+        np.maximum.reduce(s.values, axis=1, out=s.top)
+        np.minimum.reduce(s.values, axis=1, out=s.bottom)
         return s
 
+    def keep(self, s: _Slot, rows: list[int]) -> _Slot:
+        """The given rows of s, as a smaller stack in slot 0."""
+        self._allocate(len(rows))
+        kept = self._slots[0]
+        kept.copy_rows(s, rows, into=slice(None))
+        return kept
+
     def evaluate(self, s: _Slot) -> None:
-        """The density and energy of s from one shifted exponential.
+        """The density and energy of each row of s from one shifted
+        exponential.  Every row must be within the exp() range guard.
 
-        Raises AmplitudeOverflowError beyond the exp() range guard.
+        What is one number per row is computed per row in Python, as for a
+        single state: a numpy call on a few elements costs more than the
+        arithmetic.
         """
-        check_exp_range(max(s.top, -s.bottom))
-        np.subtract(s.values, s.top, out=s.density)
+        np.subtract(s.values, s.top_col, out=s.density)
         np.exp(s.density, out=s.density)
-        mean = float(np.add.reduce(s.density)) / self.n
-        np.divide(s.density, mean, out=s.density)
-        s.energy = free_energy(s.u_hat, self.params, self._weights, s.top + float(np.log(mean)),
-                               out=self._weighted)
+        mean = np.add.reduce(s.density, axis=1, out=self._mean)  # sums, for now
+        # J = (its quadratic part) - kappa log(int e^u); a new array for each
+        # evaluation, so that the energies of an earlier state keep their values
+        energy = quadratic_energy(s.u_hat_float, self._weights, out=self._weighted)
+        kappa, n = self.params.kappa, self.n
+        for row, (top, total) in enumerate(zip(s.top.tolist(), mean.tolist())):
+            mean[row] = row_mean = total / n
+            energy[row] -= kappa * (top + float(np.log(row_mean)))
+        np.divide(s.density, self._mean_col, out=s.density)
+        s.energy = energy
 
-    def advance(self, p: _Slot, h: float) -> _Slot:
-        """One step of length h from p into the other slot: its rfft, grid
-        values and extremes.  ``evaluate`` completes it."""
+    def _factor(self, h: float) -> tuple[np.ndarray, np.ndarray]:
         if h not in self._factors:
             factor = np.exp(self._decay * h)
-            self._factors[h] = factor, (factor - 1.0) / self._decay  # phi_1(h decay) h
-        factor, weight = self._factors[h]
+            weight = (factor - 1.0) / self._decay  # phi_1(h decay) h
+            # complex, as the products with the complex rfft would cast them
+            self._factors[h] = (_tiled(factor.astype(complex), self.rows),
+                                _tiled(weight.astype(complex), self.rows))
+        return self._factors[h]
+
+    def advance(self, p: _Slot, h) -> _Slot:
+        """One step from p into the other slot: its rfft, grid values and
+        extremes.  h is one step length for every row, or a list of one per
+        row.  ``evaluate`` completes the step."""
+        if isinstance(h, list):
+            factor, weight = self._row_factors
+            for row, h_row in enumerate(h):
+                row_factor, row_weight = self._factor(h_row)
+                factor[row], weight[row] = row_factor[0], row_weight[0]
+        else:
+            factor, weight = self._factor(h)
         new = self._slots[p is self._slots[0]]
-        np.multiply(self.params.kappa, p.density, out=self._reaction)
+        np.multiply(self._kappa, p.density, out=self._reaction)
         rfft(self._reaction, out=self._reaction_hat)
         np.multiply(weight, self._reaction_hat, out=self._reaction_hat)
         np.multiply(factor, p.u_hat, out=new.u_hat)
         np.add(new.u_hat, self._reaction_hat, out=new.u_hat)
         irfft(new.u_hat, self.n, out=new.values)
-        new.top = float(np.maximum.reduce(new.values))
-        new.bottom = float(np.minimum.reduce(new.values))
+        np.maximum.reduce(new.values, axis=1, out=new.top)
+        np.minimum.reduce(new.values, axis=1, out=new.bottom)
         return new
 
-    def rate(self, new: _Slot, old: _Slot, h: float) -> float:
-        """The steady-state detector max |u_new - u_old| / h."""
+    def change(self, new: _Slot, old: _Slot) -> list[float]:
+        """max |u_new - u_old| of each row; over the step length, it is the
+        steady-state detector."""
         np.subtract(new.values, old.values, out=self._diff)
         np.abs(self._diff, out=self._diff)
-        return float(np.maximum.reduce(self._diff)) / h
+        return np.maximum.reduce(self._diff, axis=1, out=self._change).tolist()
 
 
 def _check_run(t_end: float, steady_tol: float) -> None:
@@ -188,7 +284,9 @@ def simulate(
     stepper = _Stepper(u0.grid, params, dt)
     n_steps = int(np.ceil(t_end / dt))
 
-    p = stepper.start(u0.values)
+    p = stepper.start(u0.values)  # a stack of one row
+    check_exp_range(max(p.top.item(), -p.bottom.item()))
+    stepper.evaluate(p)
     times, masses, energies, max_values, min_values = [], [], [], [], []
     max_increment = 0.0
     converged = False
@@ -196,25 +294,27 @@ def simulate(
 
     def record(t):
         times.append(t)
-        masses.append(float(p.values.mean()))
-        energies.append(p.energy)
-        max_values.append(p.top)
-        min_values.append(p.bottom)
+        masses.append(float(p.values[0].mean()))
+        energies.append(p.energy.item())
+        max_values.append(p.top.item())
+        min_values.append(p.bottom.item())
 
     record(0.0)
     while step < n_steps:
         new = stepper.advance(p, dt)
         step += 1
-        if not new.finite:
+        top, bottom = new.top.item(), new.bottom.item()
+        if not _finite(top, bottom):
             raise DivergenceError(
                 f"simulation diverged at t = {step * dt:.6g}",
-                last_state=Field(u0.grid, p.values),
+                last_state=Field(u0.grid, p.values[0]),
                 t=step * dt,
             )
+        check_exp_range(max(top, -bottom))
         stepper.evaluate(new)
-        max_increment = max(max_increment, new.energy - p.energy)
+        max_increment = max(max_increment, new.energy.item() - p.energy.item())
         # the rate is >= 0, so a detector with steady_tol <= 0 never fires
-        converged = steady_tol > 0.0 and stepper.rate(new, p, dt) < steady_tol
+        converged = steady_tol > 0.0 and stepper.change(new, p)[0] / dt < steady_tol
         p = new
         if step % record_every == 0 or step == n_steps:
             record(step * dt)
@@ -229,7 +329,7 @@ def simulate(
         energies=np.asarray(energies),
         max_values=np.asarray(max_values),
         min_values=np.asarray(min_values),
-        final_state=Field(u0.grid, p.values),
+        final_state=Field(u0.grid, p.values[0]),
         step_count=step,
         converged=converged,
         max_energy_increment=max_increment,
@@ -243,72 +343,142 @@ def _energy_allows(old: float, new: float) -> bool:
     -kappa log int e^u is explicit, so no step of any length raises J in
     exact arithmetic; the rule guards against round-off and defects.
     """
-    return new <= old + 8.0 * np.finfo(float).eps * max(1.0, abs(old))
+    return new <= old + ENERGY_SLACK * max(1.0, abs(old))
 
 
-def _relax(
-    u0: Field, params: ModelParams, dt: float, t_end: float, steady_tol: float
-) -> tuple[Field, bool, dict]:
-    """Energy-controlled adaptive exponential Euler toward a steady state.
+class _Row:
+    """The counters of one start's run in a relaxation stack."""
+
+    __slots__ = ("start", "h", "accepted", "rejected", "flow_time", "rate")
+
+    def __init__(self, start: int, dt: float):
+        self.start = start  # index among the starts
+        self.h = dt
+        self.accepted = 0
+        self.rejected = dict.fromkeys(
+            ("rejected_energy", "rejected_nonfinite", "rejected_overflow"), 0
+        )
+        self.flow_time = 0.0
+        self.rate = math.inf
+
+    def stats(self) -> dict:
+        """The counters as ``_relax_stack`` returns them (the RelaxStats fields of the flow)."""
+        return {"accepted": self.accepted, **self.rejected, "flow_time": self.flow_time,
+                "final_h": self.h, "handoff_rate": self.rate}
+
+
+def _relax_stack(
+    starts: list[Field], params: ModelParams, dt: float, t_end: float, steady_tol: float
+) -> list[tuple[Field, bool, dict] | MechmorphError]:
+    """Energy-controlled adaptive exponential Euler toward a steady state,
+    for starts on one grid stepped as one stack.
 
     The first step is dt and each accepted step doubles the next, up to the
     0.5 guard.  A longer step that raises J beyond round-off, goes
     non-finite or trips the exp() guard is rejected and halved, never below
-    dt; a step of length dt is accepted or raises exactly as in
+    dt; a step of length dt is accepted or fails exactly as in
     ``simulate``.  The budget is ceil(t_end / dt) steps, accepted plus
     rejected, which is what ``simulate`` takes to reach t_end: near sharp
     peaks the contraction per step saturates once the step is long, so a
     flow-time budget would run out without converging.
 
-    Returns the last accepted state, whether the detector
-    max |u_{n+1} - u_n| / h < steady_tol fired on it, and the counters of
-    the run.
+    Each row keeps its own step length, decisions, budget, flow time and
+    detector, and leaves the stack when the detector
+    max |u_{n+1} - u_n| / h < steady_tol fires on it, when its budget runs
+    out or when it fails.  Returns, for each start in order, the last
+    accepted state, whether the detector fired on it and the counters of
+    its run, or the exception that ended the run.  Every row is
+    bit-identical to its start relaxed alone.
     """
     _check_run(t_end, steady_tol)
-    stepper = _Stepper(u0.grid, params, dt)
-    budget = int(np.ceil(t_end / dt))
-    p = stepper.start(u0.values)
-    h = dt
-    flow_time = 0.0
-    rate = float("inf")
-    accepted = 0
-    rejected = dict.fromkeys(("rejected_energy", "rejected_nonfinite", "rejected_overflow"), 0)
-    while accepted + sum(rejected.values()) < budget:
-        new = stepper.advance(p, h)
-        reason = None
-        if not new.finite:
-            if h == dt:
-                raise DivergenceError(
-                    f"relaxation diverged at t = {flow_time + h:.6g}",
-                    last_state=Field(u0.grid, p.values),
-                    t=flow_time + h,
-                )
-            reason = "rejected_nonfinite"
-        else:
-            try:
-                stepper.evaluate(new)
-            except AmplitudeOverflowError:
-                if h == dt:
-                    raise
-                reason = "rejected_overflow"
-            else:
-                if h != dt and not _energy_allows(p.energy, new.energy):
-                    reason = "rejected_energy"
-        if reason is not None:
-            rejected[reason] += 1
-            h = max(0.5 * h, dt)
-            continue
-        accepted += 1
-        flow_time += h
-        if steady_tol > 0.0:
-            rate = stepper.rate(new, p, h)
-        p = new
-        if rate < steady_tol:
+    grid = starts[0].grid
+    stepper = _Stepper(grid, params, dt, len(starts))
+    results: list = [None] * len(starts)
+    rows = [_Row(i, dt) for i in range(len(starts))]
+    p = stepper.start([u0.values for u0 in starts])
+    for row, (top, bottom) in zip(rows, p.extremes()):
+        results[row.start] = exp_range_error(max(top, -bottom))
+    rows, p = _survivors(stepper, p, rows, results)
+    if rows:
+        stepper.evaluate(p)
+    for _ in range(int(np.ceil(t_end / dt))):
+        if not rows:
             break
-        h = min(2.0 * h, MAX_STEP)
-    stats = {"accepted": accepted, **rejected, "flow_time": flow_time, "final_h": h,
-             "handoff_rate": rate}
-    return Field(u0.grid, p.values), rate < steady_tol, stats
+        steps = [row.h for row in rows]
+        h = steps[0] if steps.count(steps[0]) == len(steps) else steps
+        new = stepper.advance(p, h)
+        rejected = {}  # row -> why its step was rejected; at h = dt the row fails
+        for r, (top, bottom) in enumerate(new.extremes()):
+            if top <= EXP_GUARD and bottom >= -EXP_GUARD:  # NaN fails this too
+                continue
+            row = rows[r]
+            if not _finite(top, bottom):
+                rejected[r] = "rejected_nonfinite"
+                error = DivergenceError(
+                    f"relaxation diverged at t = {row.flow_time + row.h:.6g}",
+                    last_state=Field(grid, p.values[r]),
+                    t=row.flow_time + row.h,
+                )
+            else:
+                rejected[r] = "rejected_overflow"
+                error = exp_range_error(max(top, -bottom))
+            if row.h == dt:
+                results[row.start] = error
+        if rejected:
+            new.copy_rows(p, list(rejected))  # the stack evaluates finite rows only
+        stepper.evaluate(new)
+        changes = stepper.change(new, p) if steady_tol > 0.0 else None
+        old_energy, new_energy = p.energy.tolist(), new.energy.tolist()
+        converged = []
+        for r, row in enumerate(rows):
+            reason = rejected.get(r)
+            if reason is None and row.h != dt and not _energy_allows(old_energy[r], new_energy[r]):
+                reason = rejected[r] = "rejected_energy"
+            if reason is not None:
+                row.rejected[reason] += 1
+                row.h = max(0.5 * row.h, dt)
+                continue
+            row.accepted += 1
+            row.flow_time += row.h
+            if changes is not None:
+                row.rate = changes[r] / row.h
+            if row.rate < steady_tol:
+                converged.append(r)
+            else:
+                row.h = min(2.0 * row.h, MAX_STEP)
+        if len(rejected) < len(rows):
+            # the next step leaves from the new slot; the rejected rows get
+            # their accepted states back
+            if rejected:
+                new.copy_rows(p, list(rejected))
+            p = new
+        for r in converged:
+            results[rows[r].start] = Field(grid, p.values[r]), True, rows[r].stats()
+        if converged or rejected:
+            rows, p = _survivors(stepper, p, rows, results)
+    for r, row in enumerate(rows):  # out of budget
+        results[row.start] = Field(grid, p.values[r]), False, row.stats()
+    return results
+
+
+def _survivors(stepper: _Stepper, p: _Slot, rows: list[_Row], results: list):
+    """The rows that have no result yet, and the stack of their states."""
+    live = [r for r, row in enumerate(rows) if results[row.start] is None]
+    if len(live) == len(rows):
+        return rows, p
+    return [rows[r] for r in live], (stepper.keep(p, live) if live else p)
+
+
+def _relax(
+    u0: Field, params: ModelParams, dt: float, t_end: float, steady_tol: float
+) -> tuple[Field, bool, dict]:
+    """``_relax_stack`` of the one start u0: its last accepted state,
+    whether the detector fired on it and the counters of the run.  Raises
+    the exception that ended the run."""
+    (result,) = _relax_stack([u0], params, dt, t_end, steady_tol)
+    if isinstance(result, MechmorphError):
+        raise result
+    return result
 
 
 def strain_field(u: Field, params: ModelParams) -> Field:

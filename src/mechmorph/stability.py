@@ -357,7 +357,9 @@ def nonlocal_spectrum(state: SteadyState, n_modes: int | None = None) -> EigenRe
     zero = classes[0]
     if len(classes) > 1:
         cos_local, c_vec = cos_local[np.ix_(zero, zero)], c_vec[zero]
-    coupled = cos_local - m_shifted * np.outer(c_vec, c_vec)
+    coupled = np.outer(c_vec, c_vec)  # cos_local - M c c^T, built in place
+    coupled *= -m_shifted
+    coupled += cos_local
     cos_eigs = np.concatenate([np.linalg.eigvalsh(coupled), cos_vals[zero.size :]])
     eigvals = np.sort(np.concatenate([cos_eigs, sin_vals]))[::-1]
     translation_nu = None if translation is None else float(sin_vals[translation])

@@ -15,7 +15,8 @@ energy) from its field when it is built; every solver returns one built
 from the field it found.
 
 ``relax_to_steady`` logs a :class:`RelaxStats` record at DEBUG on the
-``mechmorph.steady`` logger.
+``mechmorph.steady`` logger, and so does each seed of a sweep cell, whose
+seeds relax as one stack and hand over to Newton one at a time.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ FLAT_TOL = 1e-7  # below this peak-to-peak range a field counts as constant
 MASS_TOL = 1e-6
 RESIDUAL_CERT = 1e-8  # certification threshold for SteadyState
 NEWTON_MAX_ITER = 50
+FIRST_STEP = 1e-3  # first step of the relaxation flow, unless a caller sets dt
 
 _log = logging.getLogger(__name__)
 
@@ -249,7 +251,7 @@ class RelaxStats:
 def relax_to_steady(
     u0: Field,
     params: ModelParams,
-    dt: float = 1e-3,
+    dt: float = FIRST_STEP,
     t_end: float = 500.0,
     steady_tol: float = 1e-9,
 ) -> SteadyState:
@@ -266,18 +268,32 @@ def relax_to_steady(
     Newton earlier.  Raises ConvergenceError if neither the flow nor the
     polish reaches its tolerance.
     """
-    relaxed, converged, flow = _relax(u0, params, dt, t_end, steady_tol)
+    return _handoff(_relax(u0, params, dt, t_end, steady_tol), params, dt, t_end, steady_tol)
+
+
+def _handoff(
+    flow: tuple[Field, bool, dict], params: ModelParams, dt: float, t_end: float,
+    steady_tol: float,
+) -> SteadyState:
+    """Newton's polish of one relaxed flow, ``(state, converged, counters)``
+    as :func:`mechmorph.dynamics._relax_stack` returns it for a start run
+    with dt, t_end and steady_tol.
+
+    Raises ConvergenceError if the detector did not fire or if Newton moved
+    the state out of the flow's basin, and logs the run's RelaxStats.
+    """
+    relaxed, converged, counters = flow
     if not converged:
         raise ConvergenceError(
             f"gradient flow not steady within {int(np.ceil(t_end / dt))} steps "
-            f"(t = {flow['flow_time']:.6g}, detector {steady_tol:g})"
+            f"(t = {counters['flow_time']:.6g}, detector {steady_tol:g})"
         )
     history = []
     state = newton_steady(relaxed, params, history=history)
     # compare against the recentered even projection Newton actually started from
     baseline = _even_project(relaxed.values)
     moved = float(np.max(np.abs(state.field.values - baseline)))
-    stats = RelaxStats(**flow, newton_iterations=len(history) - 1, newton_move=moved)
+    stats = RelaxStats(**counters, newton_iterations=len(history) - 1, newton_move=moved)
     _log.debug("relax_to_steady: %s", stats, extra={"relax_stats": stats})
     if moved > 0.05 * max(1.0, float(np.max(np.abs(baseline)))):
         raise ConvergenceError(

@@ -9,8 +9,9 @@ bisection per bracket, fixed-step trajectories by the step that
 allocates every intermediate array, and peak counts by filling ties with
 one loop over the nodes.  The Galerkin assembly from sliding windows, one
 kind per call, the branch corrector that synthesizes each iterate twice
-and evaluates e^U three times, and the coefficient rows of every local
-eigenvector scattered by rank are kept as bit-identity references.
+and evaluates e^U three times, the coefficient rows of every local
+eigenvector scattered by rank, and the sweep cell that relaxes its seeds
+one at a time are kept as bit-identity references.
 """
 
 from typing import NamedTuple
@@ -22,13 +23,15 @@ import mechmorph as mm
 from mechmorph._operators import (
     EXP_GUARD,
     _moments,
+    bump_seed,
     density,
     even_weights,
+    noisy_constant,
     project_even,
     shifted_exp,
     synthesize_even,
 )
-from mechmorph.bifurcation import CORRECTOR_MAX_ITER, CORRECTOR_TOL
+from mechmorph.bifurcation import CORRECTOR_MAX_ITER, CORRECTOR_TOL, HANDOFF_TOL, SEED_AMPLITUDE
 from mechmorph.dynamics import MAX_STEP, TrajectorySummary
 from mechmorph.errors import (
     AmplitudeOverflowError,
@@ -36,6 +39,7 @@ from mechmorph.errors import (
     ConfigurationError,
     ConvergenceError,
     DivergenceError,
+    MechmorphError,
     SingularJacobianError,
 )
 from mechmorph.stability import BETA_TOL, BISECT_TOL, BRACKET_INSET, MERGE_TOL
@@ -554,4 +558,42 @@ def reference_simulate(u0, params, t_end, dt=1e-3, record_every=100, steady_tol=
         step_count=step,
         converged=converged,
         max_energy_increment=max_increment,
+    )
+
+
+def reference_classify_cell(d_val, kappa, trials, child_seed, n_points, t_end):
+    """A sweep cell with its seeds relaxed one at a time by
+    ``mm.relax_to_steady``, in seed order (the bump first); the arguments
+    are those of ``bifurcation._classify_cell``."""
+    grid = mm.make_grid(n_points)
+    params = mm.ModelParams(D=d_val, kappa=kappa)
+    rng = np.random.Generator(np.random.PCG64(child_seed))
+    seeds = [bump_seed(kappa, grid.nodes)]
+    for _ in range(trials):
+        seeds.append(noisy_constant(rng, kappa, SEED_AMPLITUDE, n_points))
+    outcomes = set()
+    failures = []
+    for u0 in seeds:
+        try:
+            state = mm.relax_to_steady(mm.Field(grid, u0), params, t_end=t_end,
+                                       steady_tol=HANDOFF_TOL)
+        except MechmorphError as exc:
+            failures.append(type(exc).__name__)
+            continue
+        outcomes.add("constant" if state.modality == 0 else "pattern")
+    if not outcomes or (failures and len(outcomes) < 2):
+        classification = "unknown"
+    elif outcomes == {"constant"}:
+        classification = "constant-only"
+    elif outcomes == {"pattern"}:
+        classification = "pattern-only"
+    else:
+        classification = "bistable"
+    return mm.SweepCell(
+        D=d_val,
+        kappa=kappa,
+        classification=classification,
+        n_outcomes=len(outcomes),
+        kappa_c=1.0 + 4.0 * np.pi**2 * d_val,
+        failures=tuple(failures),
     )

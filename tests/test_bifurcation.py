@@ -11,7 +11,7 @@ from mechmorph.errors import (
     SingularJacobianError,
 )
 
-from oracles import two_pass_corrector_solve
+from oracles import reference_classify_cell, two_pass_corrector_solve
 
 DEGENERATE_D = 1.0 / (8.0 * np.pi**2)
 
@@ -315,6 +315,26 @@ def test_sweep_deterministic_and_parallel_consistent():
     assert [c.classification for c in serial.cells] == [c.classification for c in pooled.cells]
 
 
+@pytest.mark.parametrize(
+    "d_val, kappa, trials, seed, expected",
+    [
+        (0.005, 1.15, 1, 13, "bistable"),
+        (0.02, 1.15, 3, 0, "constant-only"),
+        (0.002, 2.5, 1, 0, "pattern-only"),
+    ],
+)
+def test_stacked_cell_matches_seed_by_seed_oracle(d_val, kappa, trials, seed, expected):
+    # a cell relaxes its seeds as one stack; each row is bit-identical to
+    # its seed relaxed alone, so the cell reads as if relaxed seed by seed
+    cell = mm.sweep([d_val], [kappa], trials=trials, seed=seed, n_points=128).cells[0]
+    (child,) = np.random.SeedSequence(seed).spawn(1)
+    reference = reference_classify_cell(d_val, kappa, trials, child, 128, 400.0)
+    assert cell.classification == expected
+    assert (cell.classification, cell.n_outcomes, cell.failures) == (
+        reference.classification, reference.n_outcomes, reference.failures
+    )
+
+
 def test_sweep_validates_inputs():
     with pytest.raises(ConfigurationError):
         mm.sweep([], [1.0])
@@ -333,30 +353,31 @@ def test_sweep_rejects_bad_t_end_before_any_cell(monkeypatch, t_end):
 def test_sweep_counts_failed_seeds(monkeypatch):
     # the bistable cell of criterion 8: random seeds relax to the constant
     # state, the bump seed to the pattern.  If the bump fails, the cell must
-    # not read constant-only.
-    relax = bifurcation.relax_to_steady
+    # not read constant-only.  Failures are injected into the hand-off from
+    # each relaxed row to Newton, which runs in seed order.
+    handoff = bifurcation._handoff
 
-    def failing_on_bump(u0, params, **kwargs):
-        if np.ptp(u0.values) > 1.0:  # only the bump seed is that large
+    def failing_on_bump(flow, params, *args):
+        if np.ptp(flow[0].values) > 1.0:  # only the bump seed relaxes that far
             raise ConvergenceError("injected failure")
-        return relax(u0, params, **kwargs)
+        return handoff(flow, params, *args)
 
     kwargs = dict(trials=1, seed=13, n_points=128)
     intact = mm.sweep([0.005], [1.15], **kwargs).cells[0]
     assert (intact.classification, intact.failures, intact.n_failed) == ("bistable", (), 0)
-    monkeypatch.setattr(bifurcation, "relax_to_steady", failing_on_bump)
+    monkeypatch.setattr(bifurcation, "_handoff", failing_on_bump)
     cell = mm.sweep([0.005], [1.15], **kwargs).cells[0]
     assert cell.failures == ("ConvergenceError",)
     assert cell.n_failed == 1
     assert cell.n_outcomes == 1
     assert cell.classification == "unknown"
 
-    def failing_on_every_seed(u0, params, **kwargs):
-        if np.ptp(u0.values) > 1.0:
+    def failing_on_every_seed(flow, params, *args):
+        if np.ptp(flow[0].values) > 1.0:
             raise ConvergenceError("injected failure")
         raise AmplitudeOverflowError("injected failure")
 
-    monkeypatch.setattr(bifurcation, "relax_to_steady", failing_on_every_seed)
+    monkeypatch.setattr(bifurcation, "_handoff", failing_on_every_seed)
     cell = mm.sweep([0.005], [1.15], **kwargs).cells[0]
     assert cell.failures == ("ConvergenceError", "AmplitudeOverflowError")  # bump first
     assert (cell.n_failed, cell.n_outcomes, cell.classification) == (2, 0, "unknown")

@@ -2,13 +2,18 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import mechmorph as mm
 from mechmorph import dynamics
-from mechmorph._operators import even_noise
-from mechmorph.errors import AmplitudeOverflowError, ConfigurationError, DivergenceError
+from mechmorph._operators import bump_seed, even_noise
+from mechmorph.errors import (
+    AmplitudeOverflowError,
+    ConfigurationError,
+    DivergenceError,
+    MechmorphError,
+)
 
 import oracles
 from oracles import random_smooth_field, reference_simulate
@@ -338,3 +343,100 @@ def test_simulate_fails_like_reference_loop(monkeypatch, level, kappa, start, er
     if error is DivergenceError:
         assert new.value.t == ref.value.t
         assert np.array_equal(new.value.last_state.values, ref.value.last_state.values)
+
+
+def _stack_and_alone(seed, n, D, kappa, dt, t_end, shapes, energy_rejections):
+    """The outcomes of starts of the given shapes relaxed as one stack, and
+    each relaxed alone (``_relax``, or the exception that ended it).
+
+    The starts sit at the level min(kappa, 100); "beyond guard" starts
+    outside the exp() range.  With energy_rejections, the energy rule
+    rejects a step by a hash of the new energy, which is the same function
+    of a row's trajectory in both runs."""
+    grid = mm.make_grid(n)
+    params = mm.ModelParams(D=D, kappa=kappa)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    level = min(kappa, 100.0)
+    values = {
+        "noise": lambda: level * (1.0 + 0.1 * even_noise(rng, n)),
+        "small noise": lambda: level * (1.0 + 1e-4 * even_noise(rng, n)),
+        "bump": lambda: bump_seed(level, grid.nodes),
+        "constant": lambda: np.full(n, level),
+        "beyond guard": lambda: -750.0 * (1.0 + 0.1 * np.cos(2.0 * np.pi * grid.nodes)),
+    }
+    starts = [mm.Field(grid, values[shape]()) for shape in shapes]
+
+    def alone(start):
+        try:
+            return dynamics._relax(start, params, dt, t_end, 1e-9)
+        except MechmorphError as exc:
+            return exc
+
+    with pytest.MonkeyPatch.context() as m, np.errstate(over="ignore", invalid="ignore"):
+        if energy_rejections:
+            m.setattr(dynamics, "_energy_allows", lambda old, new: hash(new) % 3 != 0)
+        return (dynamics._relax_stack(starts, params, dt, t_end, 1e-9),
+                [alone(start) for start in starts])
+
+
+def _assert_same_outcome(row, alone):
+    if isinstance(alone, MechmorphError):
+        assert type(row) is type(alone)
+        assert str(row) == str(alone)
+        if isinstance(alone, DivergenceError):
+            assert row.t == alone.t
+            assert np.array_equal(row.last_state.values, alone.last_state.values)
+        return
+    (field, converged, stats), (field_alone, converged_alone, stats_alone) = row, alone
+    assert np.array_equal(field.values, field_alone.values)
+    assert converged == converged_alone
+    # accepted, the three rejected_* counts, flow_time, final_h, handoff_rate
+    assert stats == stats_alone
+
+
+SHAPES = ["noise", "small noise", "bump", "constant", "beyond guard"]
+# stacks whose rows fail at h = dt (exp() guard, divergence) or run out of budget
+FAILING_STACKS = [
+    dict(seed=7, n=64, D=1e-3, kappa=100.0, dt=1e-3, t_end=1.0,
+         shapes=["noise", "small noise", "constant", "beyond guard"]),
+    dict(seed=7, n=32, D=1e-3, kappa=1e308, dt=1e-3, t_end=1.0,
+         shapes=["noise", "bump", "beyond guard"]),
+    dict(seed=7, n=64, D=0.01, kappa=2.0, dt=1e-3, t_end=0.05,
+         shapes=["noise", "bump", "constant"]),
+]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([32, 64]),
+    D=st.floats(1e-3, 0.05),
+    kappa=st.one_of(st.floats(0.5, 8.0), st.sampled_from([50.0, 100.0, 1e308])),
+    dt=st.sampled_from([1e-3, 4e-3, 0.02]),
+    t_end=st.sampled_from([0.05, 1.0]),
+    shapes=st.lists(st.sampled_from(SHAPES), min_size=1, max_size=4),
+    energy_rejections=st.booleans(),
+)
+@example(**FAILING_STACKS[0], energy_rejections=False)
+@example(**FAILING_STACKS[1], energy_rejections=False)
+@example(**FAILING_STACKS[2], energy_rejections=True)
+def test_stacked_rows_match_single_runs(seed, n, D, kappa, dt, t_end, shapes, energy_rejections):
+    # every row of a stack is bit-identical to its start relaxed alone: a
+    # row that fails, converges or runs out of budget leaves the others as
+    # they were
+    stacked, alone = _stack_and_alone(seed, n, D, kappa, dt, t_end, shapes, energy_rejections)
+    assert len(stacked) == len(alone)
+    for row, row_alone in zip(stacked, alone):
+        _assert_same_outcome(row, row_alone)
+
+
+@pytest.mark.parametrize("stack, outcomes", zip(FAILING_STACKS, [
+    {"AmplitudeOverflowError", "converged"},
+    {"DivergenceError", "AmplitudeOverflowError"},
+    {"out of budget", "converged"},
+]))
+def test_failing_stacks_fail_as_intended(stack, outcomes):
+    # the explicit examples of the property test cover each way a row ends
+    stacked, _ = _stack_and_alone(**stack, energy_rejections=False)
+    seen = {type(row).__name__ if isinstance(row, MechmorphError)
+            else ("converged" if row[1] else "out of budget") for row in stacked}
+    assert outcomes <= seen
