@@ -87,7 +87,7 @@ def quadratic_energy(
     ``np.vecdot`` takes the BLAS dot of ``np.dot`` for each row, so every
     row's value is bit-identical to that of the row alone.
     """
-    return np.vecdot(np.multiply(weights, v, out=out), v)
+    return np.vecdot(np.multiply(weights, v, out), v)
 
 
 def free_energy(

@@ -40,7 +40,7 @@ from ._operators import (
     shifted_exp,
     synthesize_even,
 )
-from .dynamics import _relax_stack
+from .dynamics import _check_run, _relax_stack
 from .energy import bounds
 from .errors import (
     ConfigurationError,
@@ -379,10 +379,8 @@ def _classify_cell(args) -> SweepCell:
     params = ModelParams(D=d_val, kappa=kappa)
     rng = np.random.Generator(np.random.PCG64(child_seed))
     seeds = [bump_seed(kappa, grid.nodes)]
-    for _ in range(trials):
-        seeds.append(noisy_constant(rng, kappa, SEED_AMPLITUDE, n_points))
-    outcomes = set()
-    failures = []
+    seeds += [noisy_constant(rng, kappa, SEED_AMPLITUDE, n_points) for _ in range(trials)]
+    outcomes, failures = set(), []
     starts = [Field(grid, u0) for u0 in seeds]
     for flow in _relax_stack(starts, params, FIRST_STEP, t_end, HANDOFF_TOL):
         try:
@@ -396,12 +394,8 @@ def _classify_cell(args) -> SweepCell:
     # a failed seed could have shown the outcome that was not seen
     if not outcomes or (failures and len(outcomes) < 2):
         classification = "unknown"
-    elif outcomes == {"constant"}:
-        classification = "constant-only"
-    elif outcomes == {"pattern"}:
-        classification = "pattern-only"
     else:
-        classification = "bistable"
+        classification = "bistable" if len(outcomes) == 2 else f"{min(outcomes)}-only"
     return SweepCell(
         D=d_val,
         kappa=kappa,
@@ -442,8 +436,7 @@ def sweep(
     kappa_values = np.asarray(list(kappa_values), dtype=float)
     if d_values.size == 0 or kappa_values.size == 0 or (d_values <= 0).any() or (kappa_values <= 0).any():
         raise ConfigurationError("d_values and kappa_values must be non-empty and positive")
-    if not 0.0 < t_end < math.inf:
-        raise ConfigurationError(f"t_end must be positive and finite, got {t_end}")
+    _check_run(t_end, HANDOFF_TOL)
     children = iter(np.random.SeedSequence(seed).spawn(d_values.size * kappa_values.size))
     cells_args = [(float(d_val), float(kappa), trials, next(children), n_points, t_end)
                   for d_val in d_values for kappa in kappa_values]

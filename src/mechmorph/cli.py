@@ -150,17 +150,19 @@ def _validate(cfg: dict) -> None:
         raise ConfigurationError(f"seed must be a non-negative integer, got {cfg['seed']}")
 
 
-def _initial_field(cfg: dict, grid, rng) -> Field:
-    kappa = cfg["kappa"]
+def _start(cfg: dict) -> tuple[Field, ModelParams]:
+    """The configured initial field and the model parameters."""
+    grid, kappa = make_grid(cfg["grid"]), cfg["kappa"]
     if cfg["init"] == "cosine":
         vals = kappa * (1.0 + cfg["perturb"] * np.cos(2.0 * np.pi * grid.nodes))
     elif cfg["init"] == "random":
+        rng = np.random.Generator(np.random.PCG64(cfg["seed"]))
         vals = noisy_constant(rng, kappa, cfg["perturb"], grid.n_points)
     elif cfg["init"] == "bump":
         vals = bump_seed(kappa, grid.nodes)
     else:
         raise ConfigurationError(f"unknown init profile {cfg['init']!r}")
-    return Field(grid, vals)
+    return Field(grid, vals), ModelParams(D=cfg["D"], kappa=kappa)
 
 
 def _write_manifest(out: str, command: str, cfg: dict) -> None:
@@ -182,11 +184,8 @@ def _workers(cfg) -> int:
 
 def _cmd_simulate(cfg):
     """integrate the evolution equation"""
-    grid = make_grid(cfg["grid"])
-    rng = np.random.Generator(np.random.PCG64(cfg["seed"]))
-    params = ModelParams(D=cfg["D"], kappa=cfg["kappa"])
     summary = simulate(
-        _initial_field(cfg, grid, rng), params, t_end=cfg["t_end"], dt=cfg["dt"],
+        *_start(cfg), t_end=cfg["t_end"], dt=cfg["dt"],
         record_every=cfg["record_every"], steady_tol=cfg["steady_tol"],
     )
     out = ensure_dir(cfg["out"])
@@ -196,12 +195,7 @@ def _cmd_simulate(cfg):
 
 
 def _steady_state_for(cfg):
-    grid = make_grid(cfg["grid"])
-    rng = np.random.Generator(np.random.PCG64(cfg["seed"]))
-    params = ModelParams(D=cfg["D"], kappa=cfg["kappa"])
-    return relax_to_steady(
-        _initial_field(cfg, grid, rng), params, dt=cfg["dt"], t_end=cfg["t_end"]
-    )
+    return relax_to_steady(*_start(cfg), dt=cfg["dt"], t_end=cfg["t_end"])
 
 
 def _cmd_steady(cfg):

@@ -16,33 +16,35 @@ steady states for any step, so only the energy needs to control the step.
 Each state's e^(u - max u) is computed once and gives both J at that state
 and the production term of the step that leaves it.
 
-The step advances a stack of states, one row per start, that share one
-grid and one ``ModelParams``: the transforms, the reductions and the dot
-of J run along the last axis, so a numpy call costs about the same for
-four rows as for one.  ``simulate`` and ``relax_to_steady`` step a stack of
-one; a sweep cell relaxes its bump and noisy seeds as one stack
-(``_relax_stack``).  There each row keeps its own step length, accept or
-reject decision, step budget, flow time and detector, and leaves the stack
-when it converges, runs out of budget or fails; a failed row keeps its
-exception and the others carry on.  Every row is bit-identical to its start
-relaxed alone: each numpy loop involved computes a row as it computes a
-single state (J takes ``np.vecdot``, the BLAS dot of ``np.dot``, per row),
-and what is one number per row is computed per row in Python.
+The step advances one state, or a stack of states that share one grid
+and one ``ModelParams``: the transforms, the reductions and the dot of J
+run along the last axis, so a numpy call costs about the same for four
+rows as for one.  ``simulate`` and ``relax_to_steady`` step one state, as
+1-d arrays with 0-d extremes on numpy's fast paths; a sweep cell relaxes
+its seeds as one stack (``_relax_stack``), in which each row keeps its own
+step length, decisions, budget, flow time and detector, and leaves when it
+converges, runs out of budget or fails (keeping its exception).  Every row
+is bit-identical to its start relaxed alone: each numpy loop computes a row
+as it computes one state (J takes ``np.vecdot``, the BLAS dot of
+``np.dot``, per row), and the mean of e^(u - max u), its ``np.log`` and
+J's tail are plain float arithmetic per row.
 
-The step works in two preallocated slots, each holding the stack's rfft,
-grid values and density, plus reaction and energy buffers: every array
-operation writes into one of them (``out=``), and a step writes only into
-the slot its start is not in, so a rejected step leaves the accepted state
-intact; rows rejected while others are accepted are copied back.  Its two
-transforms are :func:`mechmorph.grid.rfft` and ``irfft``, which call
-numpy's pocketfft gufuncs (numpy >= 2.0) directly: at n = 256 the
-``np.fft`` wrapper took about half of each transform and most of a step.
-One max and one min of the new values give the finiteness check (NaN and
-+-inf propagate through them), the exp() range guard, the shift of the
-exponential and the recorded extremes.  J is one dot product over the
-rfft, with the gradient term and, by Parseval, int u^2 folded into its
-weights.  The steady-state rate is computed only when its threshold is
-positive; the rate is >= 0, so a threshold <= 0 could never fire.
+A step is 14 numpy calls: kappa times the density, rfft, the two
+integrating-factor products and their sum, irfft, max and min; then the
+shift, exp and sum of e^(u - max u), J's weighted product and dot, and the
+division into the density.  The detector adds three when its threshold is
+positive (the rate is >= 0, so a threshold <= 0 could never fire).  Every
+array operation writes into one of two preallocated slots, or into
+reaction and energy buffers, given as its positional output (a keyword
+``out=`` is parsed anew at every call).  A step writes only into the slot
+its start is not in, so a rejected step leaves the accepted state intact;
+rows rejected while others are accepted are copied back.  The transforms are
+:func:`mechmorph.grid.rfft` and ``irfft``, numpy's pocketfft gufuncs
+(numpy >= 2.0) called directly: at n = 256 the ``np.fft`` wrapper took
+about half of each transform.  One max and one min give the finiteness
+check (NaN and +-inf propagate through them), the exp() range guard, the
+shift of the exponential and the recorded extremes.  J is one dot over the
+rfft, with the gradient term and, by Parseval, int u^2 in its weights.
 """
 
 from __future__ import annotations
@@ -92,44 +94,56 @@ ENERGY_SLACK = 8.0 * np.finfo(float).eps  # round-off allowance of the energy ru
 
 
 def _tiled(a: np.ndarray, rows: int) -> np.ndarray:
-    """rows copies of the 1-d array a, stacked."""
-    return np.repeat(a[None], rows, axis=0)
+    """rows copies of the 1-d array a, stacked; a itself for one row."""
+    return a if rows == 1 else np.repeat(a[None], rows, axis=0)
 
 
-def _column(a: np.ndarray) -> np.ndarray:
-    """a as a column that broadcasts over the rows of a stack; for one row,
-    a 0-d view, which numpy broadcasts on its fast scalar path."""
-    return a.reshape(()) if a.size == 1 else a[:, None]
+def _fit(a: np.ndarray, rows: int) -> np.ndarray:
+    """The first rows of a stacked array; for one row, a 1-d view."""
+    return a[0] if rows == 1 else a[:rows]
+
+
+_STATE = ("u_hat", "values", "density", "top", "bottom")
 
 
 class _Slot:
     """One preallocated state of the stack and what the step reads from it.
 
-    Each array holds one row per start; ``top_col`` is the column view of
-    the maxima, for the shift of the exponential.
+    A stack of B rows holds (B, n) arrays and (B,) extremes, one state 1-d
+    arrays and 0-d extremes; ``top_col`` broadcasts the maxima over the
+    values.  ``energy`` is J, a float for one state and a list for a stack;
+    each evaluation binds a new one.
     """
 
-    __slots__ = ("u_hat", "u_hat_float", "values", "density", "top", "bottom", "top_col", "energy")
+    __slots__ = (*_STATE, "u_hat_float", "top_col", "energy")
 
-    def __init__(self, rows: int, n: int):
-        self.u_hat = np.empty((rows, n // 2 + 1), dtype=complex)
+    def __init__(self, lead: tuple, n: int):
+        self.u_hat = np.empty((*lead, n // 2 + 1), dtype=complex)
         self.u_hat_float = self.u_hat.view(float)  # real and imaginary parts, interleaved
-        self.values = np.empty((rows, n))
-        self.density = np.empty((rows, n))  # e^u / int e^u
-        self.top = np.empty(rows)  # max u
-        self.bottom = np.empty(rows)  # min u
-        self.top_col = _column(self.top)
-        self.energy = np.empty(rows)  # J(u); each evaluation binds a new array
+        self.values = np.empty((*lead, n))
+        self.density = np.empty((*lead, n))  # e^u / int e^u
+        self.top = np.empty(lead)  # max u
+        self.bottom = np.empty(lead)  # min u
+        self.top_col = self.top[:, None] if lead else self.top
+        self.energy = [math.nan] * lead[0] if lead else math.nan
 
     def extremes(self):
         """(max u, min u) of each row, in order."""
-        return zip(self.top.tolist(), self.bottom.tolist())
+        return zip(self.top.reshape(-1).tolist(), self.bottom.reshape(-1).tolist())
 
-    def copy_rows(self, other: _Slot, rows: list[int], into=None) -> None:
-        """Copy the given rows of other into the same rows, or into ``into``."""
-        into = rows if into is None else into
-        for name in ("u_hat", "values", "density", "top", "bottom", "energy"):
-            getattr(self, name)[into] = getattr(other, name)[rows]
+    def energies(self) -> list[float]:
+        return self.energy if isinstance(self.energy, list) else [self.energy]
+
+    def row(self, r: int) -> np.ndarray:
+        """The grid values of row r."""
+        return self.values if self.values.ndim == 1 else self.values[r]
+
+    def copy_rows(self, other: _Slot, rows: list[int]) -> None:
+        """Copy the given rows of the stack other, energies included."""
+        for name in _STATE:
+            getattr(self, name)[rows] = getattr(other, name)[rows]
+        for r in rows:
+            self.energy[r] = other.energy[r]
 
 
 def _finite(top: float, bottom: float) -> bool:
@@ -138,8 +152,8 @@ def _finite(top: float, bottom: float) -> bool:
 
 
 class _Stepper:
-    """Exponential-Euler steps of a stack of states on one (grid, params),
-    between two slots.
+    """Exponential-Euler steps of a stack of states, or of one state, on
+    one (grid, params), between two slots.
 
     A step writes only into the slot its start is not in, so a rejected
     step leaves the accepted state intact.  The integrating factors are
@@ -152,70 +166,77 @@ class _Stepper:
         if dt > MAX_STEP:
             raise ConfigurationError(f"dt = {dt} exceeds the stability guard {MAX_STEP:g}")
         self.n = grid.n_points
-        self.params = params
+        self.kappa = params.kappa
         # a 0-d operand: numpy converts a Python float anew at every call
         self._kappa = np.array(params.kappa)
         self._decay = -(1.0 + params.D * grid.laplacian_eigenvalues)
         # the arrays that multiply the stack are tiled to its rows: operands
         # of one shape take numpy's fast path, and broadcasting does not
+        self.rows = rows
         self._weights = _tiled(energy_weights(grid, params.D), rows)
         self._factors = {}  # step length -> e^(h decay), phi_1(h decay) h; tiled
-        self._allocate(rows)
+        self._allocate()
 
-    def _allocate(self, rows: int) -> None:
-        """Buffers for a stack of ``rows`` states; the tiled arrays keep
-        their first rows."""
-        n = self.n
-        self.rows = rows
-        self._weights = self._weights[:rows]
-        self._factors = {h: (f[:rows], w[:rows]) for h, (f, w) in self._factors.items()}
-        self._slots = (_Slot(rows, n), _Slot(rows, n))
-        self._reaction = np.empty((rows, n))
-        self._reaction_hat = np.empty((rows, n // 2 + 1), dtype=complex)
-        self._row_factors = np.empty((2, rows, n // 2 + 1), dtype=complex)
-        self._diff = np.empty((rows, n))
-        self._change = np.empty(rows)
-        self._mean = np.empty(rows)  # grid mean of e^(u - max u)
-        self._mean_col = _column(self._mean)
-        self._weighted = np.empty((rows, n + 2))  # weights * u_hat.view(float)
+    def _allocate(self) -> None:
+        """Buffers for a stack of ``rows`` states, or 1-d ones for one."""
+        n, lead = self.n, ((self.rows,) if self.rows > 1 else ())
+        self._slots = (_Slot(lead, n), _Slot(lead, n))
+        self._reaction = np.empty((*lead, n))
+        self._reaction_hat = np.empty((*lead, n // 2 + 1), dtype=complex)
+        self._row_factors = np.empty((2, *lead, n // 2 + 1), dtype=complex)
+        self._diff = np.empty((*lead, n))
+        self._change = np.empty(lead)
+        self._mean = np.empty(lead)  # grid mean of e^(u - max u)
+        self._mean_col = self._mean[:, None] if lead else self._mean
+        self._weighted = np.empty((*lead, n + 2))  # weights * u_hat.view(float)
 
-    def start(self, values) -> _Slot:
-        """The first states, in slot 0: their rfft, grid values and extremes.
-        ``evaluate`` completes them."""
+    def start(self, values: np.ndarray) -> _Slot:
+        """The first states (one row each, or one 1-d state), in slot 0:
+        their rfft, grid values and extremes.  ``evaluate`` completes them."""
         s = self._slots[0]
-        s.values[:] = values
-        rfft(s.values, out=s.u_hat)
-        np.maximum.reduce(s.values, axis=1, out=s.top)
-        np.minimum.reduce(s.values, axis=1, out=s.bottom)
+        s.values[...] = values
+        rfft(s.values, s.u_hat)
+        np.maximum.reduce(s.values, -1, None, s.top)
+        np.minimum.reduce(s.values, -1, None, s.bottom)
         return s
 
     def keep(self, s: _Slot, rows: list[int]) -> _Slot:
-        """The given rows of s, as a smaller stack in slot 0."""
-        self._allocate(len(rows))
+        """The given rows of the stack s, as a smaller stack in slot 0."""
+        self.rows = len(rows)
+        self._weights = _fit(self._weights, self.rows)
+        self._factors = {h: (_fit(f, self.rows), _fit(w, self.rows))
+                         for h, (f, w) in self._factors.items()}
+        self._allocate()
         kept = self._slots[0]
-        kept.copy_rows(s, rows, into=slice(None))
+        for name in _STATE:
+            getattr(kept, name)[...] = getattr(s, name)[rows]
+        energies = [s.energy[r] for r in rows]
+        kept.energy = energies if self.rows > 1 else energies[0]
         return kept
 
     def evaluate(self, s: _Slot) -> None:
-        """The density and energy of each row of s from one shifted
-        exponential.  Every row must be within the exp() range guard.
+        """The density and energy of s from one shifted exponential.  Every
+        row must be within the exp() range guard.
 
-        What is one number per row is computed per row in Python, as for a
-        single state: a numpy call on a few elements costs more than the
-        arithmetic.
+        What is one number per row (the mean, log int e^u and J's tail) is
+        computed in plain floats, as for one state: a numpy call on a few
+        elements costs more than the arithmetic.
         """
-        np.subtract(s.values, s.top_col, out=s.density)
-        np.exp(s.density, out=s.density)
-        mean = np.add.reduce(s.density, axis=1, out=self._mean)  # sums, for now
-        # J = (its quadratic part) - kappa log(int e^u); a new array for each
-        # evaluation, so that the energies of an earlier state keep their values
-        energy = quadratic_energy(s.u_hat_float, self._weights, out=self._weighted)
-        kappa, n = self.params.kappa, self.n
-        for row, (top, total) in enumerate(zip(s.top.tolist(), mean.tolist())):
-            mean[row] = row_mean = total / n
-            energy[row] -= kappa * (top + float(np.log(row_mean)))
-        np.divide(s.density, self._mean_col, out=s.density)
-        s.energy = energy
+        np.subtract(s.values, s.top_col, s.density)
+        np.exp(s.density, s.density)
+        total = np.add.reduce(s.density, -1, None, self._mean)  # sums, for now
+        # J = (its quadratic part) - kappa log(int e^u)
+        quadratic = quadratic_energy(s.u_hat_float, self._weights, self._weighted)
+        kappa, n = self.kappa, self.n
+        if self.rows == 1:
+            self._mean[()] = mean = total.item() / n
+            s.energy = float(quadratic) - kappa * (s.top.item() + float(np.log(mean)))
+        else:
+            means = [row_total / n for row_total in total.tolist()]
+            self._mean[:] = means
+            s.energy = [q - kappa * (top + float(np.log(mean)))
+                        for q, top, mean in zip(quadratic.tolist(), s.top.tolist(), means)]
+        np.divide(s.density, self._mean_col, s.density)
 
     def _factor(self, h: float) -> tuple[np.ndarray, np.ndarray]:
         if h not in self._factors:
@@ -229,7 +250,7 @@ class _Stepper:
     def advance(self, p: _Slot, h) -> _Slot:
         """One step from p into the other slot: its rfft, grid values and
         extremes.  h is one step length for every row, or a list of one per
-        row.  ``evaluate`` completes the step."""
+        row of a stack.  ``evaluate`` completes the step."""
         if isinstance(h, list):
             factor, weight = self._row_factors
             for row, h_row in enumerate(h):
@@ -238,22 +259,22 @@ class _Stepper:
         else:
             factor, weight = self._factor(h)
         new = self._slots[p is self._slots[0]]
-        np.multiply(self._kappa, p.density, out=self._reaction)
-        rfft(self._reaction, out=self._reaction_hat)
-        np.multiply(weight, self._reaction_hat, out=self._reaction_hat)
-        np.multiply(factor, p.u_hat, out=new.u_hat)
-        np.add(new.u_hat, self._reaction_hat, out=new.u_hat)
-        irfft(new.u_hat, self.n, out=new.values)
-        np.maximum.reduce(new.values, axis=1, out=new.top)
-        np.minimum.reduce(new.values, axis=1, out=new.bottom)
+        np.multiply(self._kappa, p.density, self._reaction)
+        rfft(self._reaction, self._reaction_hat)
+        np.multiply(weight, self._reaction_hat, self._reaction_hat)
+        np.multiply(factor, p.u_hat, new.u_hat)
+        np.add(new.u_hat, self._reaction_hat, new.u_hat)
+        irfft(new.u_hat, self.n, new.values)
+        np.maximum.reduce(new.values, -1, None, new.top)
+        np.minimum.reduce(new.values, -1, None, new.bottom)
         return new
 
-    def change(self, new: _Slot, old: _Slot) -> list[float]:
-        """max |u_new - u_old| of each row; over the step length, it is the
-        steady-state detector."""
-        np.subtract(new.values, old.values, out=self._diff)
-        np.abs(self._diff, out=self._diff)
-        return np.maximum.reduce(self._diff, axis=1, out=self._change).tolist()
+    def change(self, new: _Slot, old: _Slot) -> np.ndarray:
+        """max |u_new - u_old| of each row (0-d for one state); over the
+        step length, it is the steady-state detector."""
+        np.subtract(new.values, old.values, self._diff)
+        np.abs(self._diff, self._diff)
+        return np.maximum.reduce(self._diff, -1, None, self._change)
 
 
 def _check_run(t_end: float, steady_tol: float) -> None:
@@ -284,52 +305,43 @@ def simulate(
     stepper = _Stepper(u0.grid, params, dt)
     n_steps = int(np.ceil(t_end / dt))
 
-    p = stepper.start(u0.values)  # a stack of one row
+    p = stepper.start(u0.values)  # one state: 1-d arrays, 0-d extremes
     check_exp_range(max(p.top.item(), -p.bottom.item()))
     stepper.evaluate(p)
-    times, masses, energies, max_values, min_values = [], [], [], [], []
+    records = []  # (t, mass, J, max u, min u)
     max_increment = 0.0
     converged = False
     step = 0
 
     def record(t):
-        times.append(t)
-        masses.append(float(p.values[0].mean()))
-        energies.append(p.energy.item())
-        max_values.append(p.top.item())
-        min_values.append(p.bottom.item())
+        records.append((t, float(p.values.mean()), p.energy, p.top.item(), p.bottom.item()))
 
     record(0.0)
     while step < n_steps:
         new = stepper.advance(p, dt)
         step += 1
         top, bottom = new.top.item(), new.bottom.item()
-        if not _finite(top, bottom):
-            raise DivergenceError(
-                f"simulation diverged at t = {step * dt:.6g}",
-                last_state=Field(u0.grid, p.values[0]),
-                t=step * dt,
-            )
-        check_exp_range(max(top, -bottom))
+        if not (top <= EXP_GUARD and bottom >= -EXP_GUARD):  # NaN fails this too
+            if not _finite(top, bottom):
+                raise DivergenceError(
+                    f"simulation diverged at t = {step * dt:.6g}",
+                    last_state=Field(u0.grid, p.values),
+                    t=step * dt,
+                )
+            check_exp_range(max(top, -bottom))
         stepper.evaluate(new)
-        max_increment = max(max_increment, new.energy.item() - p.energy.item())
+        max_increment = max(max_increment, new.energy - p.energy)
         # the rate is >= 0, so a detector with steady_tol <= 0 never fires
-        converged = steady_tol > 0.0 and stepper.change(new, p)[0] / dt < steady_tol
+        converged = steady_tol > 0.0 and stepper.change(new, p).item() / dt < steady_tol
         p = new
-        if step % record_every == 0 or step == n_steps:
+        if step % record_every == 0 or step == n_steps or converged:
             record(step * dt)
         if converged:
-            if times[-1] != step * dt:
-                record(step * dt)
             break
 
     return TrajectorySummary(
-        times=np.asarray(times),
-        masses=np.asarray(masses),
-        energies=np.asarray(energies),
-        max_values=np.asarray(max_values),
-        min_values=np.asarray(min_values),
-        final_state=Field(u0.grid, p.values[0]),
+        *map(np.asarray, zip(*records)),  # times, masses, energies, max_values, min_values
+        final_state=Field(u0.grid, p.values),
         step_count=step,
         converged=converged,
         max_energy_increment=max_increment,
@@ -355,9 +367,7 @@ class _Row:
         self.start = start  # index among the starts
         self.h = dt
         self.accepted = 0
-        self.rejected = dict.fromkeys(
-            ("rejected_energy", "rejected_nonfinite", "rejected_overflow"), 0
-        )
+        self.rejected = dict.fromkeys(("rejected_energy", "rejected_nonfinite", "rejected_overflow"), 0)
         self.flow_time = 0.0
         self.rate = math.inf
 
@@ -395,7 +405,7 @@ def _relax_stack(
     stepper = _Stepper(grid, params, dt, len(starts))
     results: list = [None] * len(starts)
     rows = [_Row(i, dt) for i in range(len(starts))]
-    p = stepper.start([u0.values for u0 in starts])
+    p = stepper.start(np.array([u0.values for u0 in starts]))
     for row, (top, bottom) in zip(rows, p.extremes()):
         results[row.start] = exp_range_error(max(top, -bottom))
     rows, p = _survivors(stepper, p, rows, results)
@@ -416,7 +426,7 @@ def _relax_stack(
                 rejected[r] = "rejected_nonfinite"
                 error = DivergenceError(
                     f"relaxation diverged at t = {row.flow_time + row.h:.6g}",
-                    last_state=Field(grid, p.values[r]),
+                    last_state=Field(grid, p.row(r)),
                     t=row.flow_time + row.h,
                 )
             else:
@@ -424,11 +434,12 @@ def _relax_stack(
                 error = exp_range_error(max(top, -bottom))
             if row.h == dt:
                 results[row.start] = error
-        if rejected:
-            new.copy_rows(p, list(rejected))  # the stack evaluates finite rows only
-        stepper.evaluate(new)
-        changes = stepper.change(new, p) if steady_tol > 0.0 else None
-        old_energy, new_energy = p.energy.tolist(), new.energy.tolist()
+        if len(rejected) < len(rows):  # else no energy or change below is read
+            if rejected:
+                new.copy_rows(p, list(rejected))  # the stack evaluates finite rows only
+            stepper.evaluate(new)
+            changes = stepper.change(new, p).reshape(-1).tolist() if steady_tol > 0.0 else None
+            old_energy, new_energy = p.energies(), new.energies()
         converged = []
         for r, row in enumerate(rows):
             reason = rejected.get(r)
@@ -453,11 +464,11 @@ def _relax_stack(
                 new.copy_rows(p, list(rejected))
             p = new
         for r in converged:
-            results[rows[r].start] = Field(grid, p.values[r]), True, rows[r].stats()
+            results[rows[r].start] = Field(grid, p.row(r)), True, rows[r].stats()
         if converged or rejected:
             rows, p = _survivors(stepper, p, rows, results)
     for r, row in enumerate(rows):  # out of budget
-        results[row.start] = Field(grid, p.values[r]), False, row.stats()
+        results[row.start] = Field(grid, p.row(r)), False, row.stats()
     return results
 
 

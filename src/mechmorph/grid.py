@@ -71,14 +71,14 @@ def rfft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Forward real FFT over the last axis (even length n), scaled by 1/n."""
     n = values.shape[-1]
     out = np.empty((*values.shape[:-1], n // 2 + 1), complex) if out is None else out
-    return _pocketfft.rfft_n_even(values, 1.0 / n, out=out)
+    return _pocketfft.rfft_n_even(values, 1.0 / n, out)
 
 
 def irfft(coef: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of ``rfft`` onto n points over the last axis; shorter rows
     are zero-padded and real ones read as complex."""
     out = np.empty((*coef.shape[:-1], n)) if out is None else out
-    return _pocketfft.irfft(coef, 1.0, out=out)
+    return _pocketfft.irfft(coef, 1.0, out)
 
 
 def make_grid(n_points: int = 256) -> Grid:

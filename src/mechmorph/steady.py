@@ -183,10 +183,12 @@ def newton_steady(
     """
     if not 1e-12 <= tol < np.inf:
         raise ConfigurationError(f"tol must be finite and >= 1e-12, got {tol}")
-    grid = guess.grid
-    n = grid.n_points
+    return _newton(_even_project(guess.values), guess.grid, params, tol, history)
 
-    values = _even_project(guess.values)
+
+def _newton(values, grid: Grid, params: ModelParams, tol: float = 1e-10, history=None):
+    """``newton_steady`` from ``_even_project`` of its guess, ``values``."""
+    n = grid.n_points
     residual, res_norm, exp_u = _residual(values, grid, params)
     for _ in range(NEWTON_MAX_ITER):
         if history is not None:
@@ -289,9 +291,9 @@ def _handoff(
             f"(t = {counters['flow_time']:.6g}, detector {steady_tol:g})"
         )
     history = []
-    state = newton_steady(relaxed, params, history=history)
-    # compare against the recentered even projection Newton actually started from
+    # the recentered even projection Newton starts from, and the move's baseline
     baseline = _even_project(relaxed.values)
+    state = _newton(baseline, relaxed.grid, params, history=history)
     moved = float(np.max(np.abs(state.field.values - baseline)))
     stats = RelaxStats(**counters, newton_iterations=len(history) - 1, newton_move=moved)
     _log.debug("relax_to_steady: %s", stats, extra={"relax_stats": stats})

@@ -310,6 +310,28 @@ def test_simulate_matches_reference_loop(
     assert new.times[-1] == new.step_count * run.get("dt", 1e-3)
 
 
+@given(
+    n=st.sampled_from([32, 64, 128, 256]),
+    D=st.floats(1e-3, 0.5),
+    kappa=st.floats(0.5, 8.0),
+    amplitude=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+    record_every=st.integers(1, 40),
+    t_end=st.floats(1e-3, 0.3),
+    steady_tol=st.sampled_from([0.0, 1e-9]),
+)
+@example(n=64, D=0.1, kappa=1.2, amplitude=0.0, record_every=7, t_end=0.3, steady_tol=1e-9)
+def test_simulate_matches_reference_loop_on_generated_runs(
+    n, D, kappa, amplitude, record_every, t_end, steady_tol
+):
+    # the lean step (one state in 1-d arrays, its scalars in plain floats)
+    # against the loop that allocates every intermediate array
+    grid = mm.make_grid(n)
+    params = mm.ModelParams(D=D, kappa=kappa)
+    u0 = mm.Field(grid, kappa * (1.0 + amplitude * np.cos(2.0 * np.pi * grid.nodes)))
+    run = dict(t_end=t_end, record_every=record_every, steady_tol=steady_tol)
+    _assert_same_trajectory(mm.simulate(u0, params, **run), reference_simulate(u0, params, **run))
+
+
 @pytest.mark.parametrize(
     "level, kappa, start, error",
     [
@@ -351,8 +373,9 @@ def _stack_and_alone(seed, n, D, kappa, dt, t_end, shapes, energy_rejections):
 
     The starts sit at the level min(kappa, 100); "beyond guard" starts
     outside the exp() range.  With energy_rejections, the energy rule
-    rejects a step by a hash of the new energy, which is the same function
-    of a row's trajectory in both runs."""
+    rejects a step by a hash of the old and the new energy, which is the
+    same function of a row's trajectory in both runs; a row rejected while
+    others are accepted must get its old energy back."""
     grid = mm.make_grid(n)
     params = mm.ModelParams(D=D, kappa=kappa)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -374,7 +397,7 @@ def _stack_and_alone(seed, n, D, kappa, dt, t_end, shapes, energy_rejections):
 
     with pytest.MonkeyPatch.context() as m, np.errstate(over="ignore", invalid="ignore"):
         if energy_rejections:
-            m.setattr(dynamics, "_energy_allows", lambda old, new: hash(new) % 3 != 0)
+            m.setattr(dynamics, "_energy_allows", lambda old, new: hash((old, new)) % 3 != 0)
         return (dynamics._relax_stack(starts, params, dt, t_end, 1e-9),
                 [alone(start) for start in starts])
 

@@ -333,6 +333,23 @@ def test_relax_logs_its_stats(caplog, grid256):
     assert state.modality == 1
 
 
+def test_handoff_projects_each_relaxed_state_once(monkeypatch, grid256):
+    # Newton starts from the projection that is also the baseline of the move
+    calls, project = [], steady._even_project
+
+    def counting(values):
+        calls.append(values.size)
+        return project(values)
+
+    monkeypatch.setattr(steady, "_even_project", counting)
+    mm.relax_to_steady(perturbed_constant(grid256, 1.5), mm.ModelParams(D=0.01, kappa=1.5))
+    assert calls == [256]
+    calls.clear()
+    cell = mm.sweep([0.005], [1.15], trials=1, seed=13, n_points=128).cells[0]
+    assert cell.classification == "bistable"
+    assert calls == [128, 128]  # the bump and the noisy seed, one hand-off each
+
+
 def test_relax_budget_counts_steps_not_flow_time(caplog, grid256):
     # the quickstart start needs about 121 time units at the longest step;
     # t_end = 100 still leaves a budget of 100,000 steps
