@@ -12,8 +12,9 @@ Galerkin integrals all come from rfft coefficients.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import AmplitudeOverflowError
 from .grid import Grid, irfft, rfft
@@ -167,26 +168,32 @@ def synthesize_even(coef: np.ndarray, n_points: int) -> np.ndarray:
     return irfft(spec, n_points)
 
 
-def _moments(coef: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:
-    """Fourier coefficients c_m for m = lo..hi from the rfft half: c_m has
-    period n in m and c_{-m} = conj(c_m) for a real function."""
-    m = np.arange(lo, hi + 1) % n
-    upper = m > n // 2
-    out = coef[np.where(upper, n - m, m)]
-    return np.where(upper, out.conj(), out)
+@functools.lru_cache(maxsize=32)
+def _assembly_constants(n_points: int, n_modes: int):
+    """What the assembly needs of the basis alone, read-only and built once per
+    (n_points, n_modes): the rfft index and the conjugation sign of a_m for
+    m = -n_modes .. 2 n_modes, mu_k, w_k, scale_k = w_k / sqrt2 and the
+    indices where scale_k != 1 (the constant and the Nyquist cosine)."""
+    m = np.arange(-n_modes, 2 * n_modes + 1) % n_points
+    upper = m > n_points // 2  # a_m = conj(a_{n_points - m}) for a real function
+    w = even_weights(n_points, n_modes)
+    arrays = (np.where(upper, n_points - m, m), np.where(upper, -1.0, 1.0),
+              (2.0 * np.pi * np.arange(n_modes + 1)) ** 2, w, w / np.sqrt(2.0))
+    for a in arrays:
+        a.setflags(write=False)
+    return *arrays, tuple(np.flatnonzero(arrays[-1] != 1.0).tolist())
 
 
 def _toeplitz(seq: np.ndarray, n_cols: int) -> np.ndarray:
-    # T[i, j] = seq[i - j + n_cols - 1], a view
-    step = seq.strides[0]
-    return as_strided(seq[n_cols - 1 :], (seq.size - n_cols + 1, n_cols), (step, -step),
-                      writeable=False)
+    # T[i, j] = seq[i - j + n_cols - 1], a view of the contiguous seq
+    s = seq.itemsize
+    return np.ndarray((seq.size - n_cols + 1, n_cols), float, seq, (n_cols - 1) * s, (s, -s))
 
 
 def _hankel(seq: np.ndarray, n_cols: int) -> np.ndarray:
-    # H[i, j] = seq[i + j], a view
-    step = seq.strides[0]
-    return as_strided(seq, (seq.size - n_cols + 1, n_cols), (step, step), writeable=False)
+    # H[i, j] = seq[i + j], a view of the contiguous seq
+    s = seq.itemsize
+    return np.ndarray((seq.size - n_cols + 1, n_cols), float, seq, 0, (s, s))
 
 
 def linearization_parts(
@@ -221,7 +228,9 @@ def linearization_parts(
     These identities hold for grid means with the indices taken mod
     n_points, so the result is the grid quadrature over the sampled basis.
     The Toeplitz and Hankel matrices are strided views of one moment
-    sequence, a_{-n_modes} .. a_{2 n_modes}.
+    sequence, a_{-n_modes} .. a_{2 n_modes}, gathered by an index built
+    once per (n_points, n_modes) with mu_k, w_k and the scales.  Only the
+    cosine rows and columns of a scale other than 1 are scaled (x * 1.0 == x).
     """
     if kind not in ("even", "split", "full"):
         raise ValueError(f"unknown basis kind {kind!r}")
@@ -230,15 +239,13 @@ def linearization_parts(
     c_hat = rfft(shifted)
     a_hat = params.kappa / mean_c * c_hat
     a_hat[0] -= 1.0
-    seq = _moments(a_hat, -k, 2 * k, n)  # a_m at index m + k
-    re, im = seq.real, seq.imag
-    freq = np.arange(k + 1)
-    mu = (2.0 * np.pi * freq) ** 2
-    w = even_weights(n, k)
-    scale = w / np.sqrt(2.0)  # w_i w_j / 2 = scale_i scale_j
+    gather, conj, mu, w, scale, edges = _assembly_constants(n, k)
+    re = a_hat.real[gather]  # a_m at index m + k
     cos = _toeplitz(re[: 2 * k + 1], k + 1) + _hankel(re[k:], k + 1)
-    cos *= scale
-    cos *= scale[:, None]
+    for i in edges:  # w_i w_j / 2 = scale_i scale_j, by columns and then by rows
+        cos[:, i] *= scale[i]
+    for i in edges:
+        cos[i] *= scale[i]
     cos.reshape(-1)[:: k + 2] -= params.D * mu  # the diagonal, as a strided view
     cos_c, m_coef = w * c_hat[: k + 1].real, params.kappa / mean_c**2
     if kind == "even":
@@ -247,21 +254,27 @@ def linearization_parts(
     sin.reshape(-1)[:: k + 1] -= params.D * mu[1:]
     if kind == "split":
         return cos, cos_c, m_coef, sin
+    im = a_hat.imag[gather] * conj
     cross = (_toeplitz(im[: 2 * k], k) - _hankel(im[k + 1 :], k)) * scale[:, None]
     sin_c = -np.sqrt(2.0) * c_hat[1 : k + 1].imag
     # block order (cos 0..K, sin 1..K) -> (1, cos 1, sin 1, cos 2, sin 2, ...)
-    order = np.concatenate([[0], np.stack([freq[1:], freq[1:] + k], axis=1).ravel()])
+    order = np.concatenate([[0], (np.arange(1, k + 1)[:, None] + [0, k]).ravel()])
     local = np.block([[cos, cross], [cross.T, sin]])[np.ix_(order, order)]
     return local, np.concatenate([cos_c, sin_c])[order], m_coef
 
 
 def linearization_dense(
     exp_u: tuple[np.ndarray, float, float], grid: Grid, params: ModelParams, n_modes: int,
-    kind: str,
+    kind: str, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Galerkin matrix of the linearization L in the "even" or "full" basis
-    (exp_u = ``shifted_exp(U)``, see ``linearization_parts``)."""
+    (exp_u = ``shifted_exp(U)``, see ``linearization_parts``).
+
+    local - M c c^T goes into ``out`` if given, which may be a view of a
+    larger array, such as the block of a bordered Jacobian."""
     if kind not in ("even", "full"):
         raise ValueError(f"unknown basis kind {kind!r}")
     local, c_vec, m_coef = linearization_parts(exp_u, grid, params, n_modes, kind)
-    return local - m_coef * np.outer(c_vec, c_vec)
+    coupling = np.multiply.outer(c_vec, c_vec)
+    coupling *= m_coef
+    return np.subtract(local, coupling, out)

@@ -164,7 +164,8 @@ class _EvenCorrector:
     """Newton corrector for the extended system (residual + normalization).
 
     Unknowns z = (cosine coefficients a_0..a_K, kappa); the normalization
-    row is tangent . (z - anchor) - ds = 0.
+    row is tangent . (z - anchor) - ds = 0.  Each iterate overwrites the
+    synthesis spectrum, Jacobian and right-hand side allocated here.
     """
 
     def __init__(self, grid: Grid, D: float, n_modes: int):
@@ -173,14 +174,16 @@ class _EvenCorrector:
         self.n_modes = n_modes
         self.n_unknowns = n_modes + 2
         self.weights = even_weights(grid.n_points, n_modes)  # norms of the even basis
+        self._spec = np.zeros(grid.n_points // 2 + 1, dtype=complex)
+        self._jac = np.empty((self.n_unknowns, self.n_unknowns))
+        self._rhs = np.empty(self.n_unknowns)
 
     def field_values(self, z: np.ndarray) -> np.ndarray:  # synthesize_even of a_0..a_K
-        spec = np.zeros(self.grid.n_points // 2 + 1, dtype=complex)
-        spec[: self.n_modes + 1] = z[:-1] / self.weights
-        return irfft(spec, self.grid.n_points)
+        self._spec[: self.n_modes + 1] = z[:-1] / self.weights
+        return irfft(self._spec, self.grid.n_points)
 
-    def project(self, values: np.ndarray) -> np.ndarray:  # project_even onto a_0..a_K
-        return self.weights * rfft(values)[: self.n_modes + 1].real
+    def project(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:  # project_even into out
+        return np.multiply(self.weights, rfft(values)[: self.n_modes + 1].real, out)
 
     def solve(self, z0, tangent, anchor, ds):
         # convergence is measured on the residual projected into the even
@@ -188,24 +191,23 @@ class _EvenCorrector:
         # is checked later by the steady-state certification.  Each iterate
         # is synthesized once, and its one e^(U - max U) serves the
         # residual, the kappa column and the Jacobian.
+        self._jac[-1] = tangent
         z = z0.copy()
         for _ in range(CORRECTOR_MAX_ITER):
             params = ModelParams(D=self.D, kappa=float(z[-1]))  # rejects kappa <= 0
             vals = self.field_values(z)
             exp_u = shifted_exp(vals)
             p = exp_u[0] / exp_u[1]
-            proj = self.project(evolution_rhs(vals, p, self.grid, params))
+            proj = self.project(evolution_rhs(vals, p, self.grid, params), self._rhs[:-1])
             res_norm = float(np.linalg.norm(proj))
             norm_eq = float(tangent @ (z - anchor)) - ds
             if res_norm < CORRECTOR_TOL and abs(norm_eq) < 1e-12:
                 return z, res_norm
-            jac = np.empty((self.n_unknowns, self.n_unknowns))
-            jac[:-1, :-1] = linearization_dense(exp_u, self.grid, params, self.n_modes, "even")
-            jac[:-1, -1] = self.project(p)
-            jac[-1, :] = tangent
-            rhs = -np.concatenate([proj, [norm_eq]])
+            linearization_dense(exp_u, self.grid, params, self.n_modes, "even", self._jac[:-1, :-1])
+            self.project(p, self._jac[:-1, -1])
+            self._rhs[-1] = norm_eq
             try:
-                z = z + np.linalg.solve(jac, rhs)
+                z = z + np.linalg.solve(self._jac, np.negative(self._rhs, self._rhs))
             except np.linalg.LinAlgError as exc:
                 raise SingularJacobianError("singular extended Jacobian") from exc
             if not np.all(np.isfinite(z)):
@@ -233,6 +235,13 @@ def continue_branch(
     halved on corrector failure and regrown (x1.3, capped at the initial
     step) after four easy successes.  Stability is evaluated at every point
     through the full nonlocal spectrum.
+
+    ``terminated_by``: "step_limit" (max_points taken), "kappa_bound" (the
+    first corrected point past kappa_range is kept as the last), "reconnect"
+    (the last point is constant within 1e-6), "failure" (the corrector failed
+    down to step / 64, or a point raised another solver error) or
+    "resolution" (a corrected point failed certification or its spectrum's
+    resolution check and was dropped); ``reason`` keeps the last two's cause.
     """
     if not 0 < step < math.inf:
         raise ConfigurationError(f"step must be positive and finite, got {step}")
@@ -417,7 +426,7 @@ def sweep(
 ) -> SweepResult:
     """Classify each (D, kappa) cell by the outcomes of relaxation runs.
 
-    Each cell runs ``trials`` random even perturbations of the constant
+    Each cell runs ``trials`` >= 0 random even perturbations of the constant
     state (relative amplitude SEED_AMPLITUDE) plus one deterministic large
     seed, the bump kappa e^cos(2 pi x) / int e^cos.  Solver failures
     are never raised: ``failures`` lists the exception class of each failed
@@ -428,14 +437,18 @@ def sweep(
     of :func:`mechmorph.steady.relax_to_steady`.  Each row that the
     detector HANDOFF_TOL stopped then hands over to Newton, in seed order,
     and its RelaxStats is logged then, after the whole stack has finished.
-    Cells are independent; with workers > 1 they are distributed over a
-    process pool.  Results are deterministic for a fixed seed regardless of
-    worker count.
+    Cells are independent; ``workers`` must be >= 1, and with more than one
+    they are distributed over a process pool.  Results are deterministic for
+    a fixed seed regardless of worker count.
     """
     d_values = np.asarray(list(d_values), dtype=float)
     kappa_values = np.asarray(list(kappa_values), dtype=float)
     if d_values.size == 0 or kappa_values.size == 0 or (d_values <= 0).any() or (kappa_values <= 0).any():
         raise ConfigurationError("d_values and kappa_values must be non-empty and positive")
+    if trials < 0:
+        raise ConfigurationError(f"trials must be >= 0, got {trials}")
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     _check_run(t_end, HANDOFF_TOL)
     children = iter(np.random.SeedSequence(seed).spawn(d_values.size * kappa_values.size))
     cells_args = [(float(d_val), float(kappa), trials, next(children), n_points, t_end)

@@ -93,6 +93,8 @@ def _default_modes(state) -> int:
     n_points/4 where the Galerkin quadrature stays alias-safe).
     """
     n = state.field.grid.n_points
+    if n // 4 <= 64:  # the floor of 64 modes reaches the cap without a transform
+        return n // 4
     coef = np.abs(rfft(state.field.values))
     top = coef.max()
     significant = np.nonzero(coef > 1e-12 * top)[0]
@@ -182,10 +184,11 @@ def _zero_counts(functions: np.ndarray, floors: np.ndarray) -> np.ndarray:
 
     An entry is significant where |f| > max(1e-9 max|row|, floor of the row).
     """
+    magnitude = np.abs(functions)
+    significant = magnitude > np.maximum(1e-9 * magnitude.max(axis=1), floors)[:, None]
     counts = np.zeros(len(functions), dtype=int)
-    for i, (row, floor) in enumerate(zip(functions, floors)):
-        magnitude = np.abs(row)
-        positive = row[magnitude > max(1e-9 * magnitude.max(), floor)] > 0.0
+    for i, (row, keep) in enumerate(zip(functions, significant)):
+        positive = row[keep] > 0.0
         # neighbours, then the pair that wraps around the period
         counts[i] = np.count_nonzero(positive[1:] != positive[:-1]) + np.count_nonzero(
             positive[:1] != positive[-1:]
@@ -275,7 +278,8 @@ def _local_split(state: SteadyState, n_modes: int):
     exp_u = shifted_exp(values)  # both reflection blocks from one e^U and one rfft
     *cos_parts, sin_local = linearization_parts(exp_u, grid, params, n_modes, "split")
     p, k = _period(coef, m), np.arange(n_modes + 1)  # classes r = min(k mod p, -k mod p)
-    classes = [np.flatnonzero(np.minimum(k % p, -k % p) == r) for r in range(p // 2 + 1)]
+    classes = [k] if p == 1 else [np.flatnonzero(np.minimum(k % p, -k % p) == r)
+                                  for r in range(p // 2 + 1)]
     cos_vals, cos_vecs = _class_eigh(cos_parts[0], classes)
     sin_vals, sin_vecs = _class_eigh(sin_local, [idx[idx > 0] - 1 for idx in classes])
     order = np.argsort(np.concatenate([cos_vals, sin_vals]))[::-1]

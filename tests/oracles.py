@@ -22,7 +22,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 import mechmorph as mm
 from mechmorph._operators import (
     EXP_GUARD,
-    _moments,
     bump_seed,
     density,
     even_weights,
@@ -142,6 +141,15 @@ def sampled_linearization_parts(values, grid, params, n_modes, kind):
     a = params.kappa * shifted / mean_c - 1.0
     local = np.diag(-params.D * mu) + (basis * a) @ basis.T / grid.n_points
     return local, basis @ shifted / grid.n_points, params.kappa / mean_c**2
+
+
+def _moments(coef, lo, hi, n):
+    """Fourier coefficients c_m for m = lo..hi from the rfft half: c_m has
+    period n in m and c_{-m} = conj(c_m) for a real function."""
+    m = np.arange(lo, hi + 1) % n
+    upper = m > n // 2
+    out = coef[np.where(upper, n - m, m)]
+    return np.where(upper, out.conj(), out)
 
 
 def window_linearization_parts(values, grid, params, n_modes, kind):

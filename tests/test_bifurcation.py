@@ -228,13 +228,18 @@ def test_corrector_failure_keeps_its_cause(monkeypatch, grid256):
     assert (branch.terminated_by, branch.reason) == ("failure", "SingularJacobianError: injected")
 
 
-def test_corrector_matches_the_two_pass_oracle(monkeypatch, grid256):
+@pytest.mark.parametrize("mode, grid_name", [(1, "grid256"), (2, "grid256"), (1, "grid512")],
+                         ids=["mode1-n256", "mode2-n256", "mode1-n512"])
+def test_corrector_matches_the_two_pass_oracle(monkeypatch, request, mode, grid_name):
     # one synthesis and one e^(U - max U) per iterate, shared by the
-    # residual, the kappa column and the Jacobian, change no bit of a point
-    bp = mm.critical_kappas(0.005, 1)[0]
-    lean = mm.continue_branch(bp, max_points=15, grid=grid256)
+    # residual, the kappa column and the Jacobian, and the Jacobian and the
+    # right-hand side assembled in buffers kept across iterates, change no
+    # bit of a point
+    grid = request.getfixturevalue(grid_name)
+    bp = mm.critical_kappas(0.005, mode)[mode - 1]
+    lean = mm.continue_branch(bp, max_points=15, grid=grid)
     monkeypatch.setattr(bifurcation._EvenCorrector, "solve", two_pass_corrector_solve)
-    reference = mm.continue_branch(bp, max_points=15, grid=grid256)
+    reference = mm.continue_branch(bp, max_points=15, grid=grid)
     assert len(lean.points) == len(reference.points) == 15
     for got, want in zip(lean.points, reference.points):
         assert got.field.values.tobytes() == want.field.values.tobytes()
@@ -335,11 +340,19 @@ def test_stacked_cell_matches_seed_by_seed_oracle(d_val, kappa, trials, seed, ex
     )
 
 
-def test_sweep_validates_inputs():
+def test_sweep_validates_inputs(monkeypatch):
     with pytest.raises(ConfigurationError):
         mm.sweep([], [1.0])
     with pytest.raises(ConfigurationError):
         mm.sweep([0.01], [-1.0])
+    # checked before any cell runs: a negative trial count would classify a
+    # cell from the bump seed alone, and workers < 1 would run serially
+    monkeypatch.setattr(bifurcation, "_classify_cell", lambda args: pytest.fail("cell ran"))
+    with pytest.raises(ConfigurationError, match="trials must be >= 0"):
+        mm.sweep([0.02], [1.15], trials=-2, n_points=64, t_end=50)
+    for workers in (0, -3):
+        with pytest.raises(ConfigurationError, match="workers must be >= 1"):
+            mm.sweep([0.02], [1.15], workers=workers, n_points=64, t_end=50)
 
 
 @pytest.mark.parametrize("t_end", [np.inf, np.nan, -1.0])

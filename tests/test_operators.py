@@ -94,8 +94,16 @@ def test_split_assembly_is_bit_identical_to_one_kind_per_call(
         got = linearization_parts(exp_u, grid, params, n_modes, kind)
         want = window_linearization_parts(values, grid, params, n_modes, kind)
         assert same(got[0], want[0]) and same(got[1], want[1]) and got[2] == want[2]
-        dense = linearization_dense(exp_u, grid, params, n_modes, kind)
-        assert same(dense, want[0] - want[2] * np.outer(want[1], want[1]))
+        want_dense = want[0] - want[2] * np.outer(want[1], want[1])
+        assert same(linearization_dense(exp_u, grid, params, n_modes, kind), want_dense)
+        # into the leading block of a bordered buffer, as the branch
+        # corrector assembles its Jacobian; at n_modes = n/2 the Nyquist
+        # row and column carry a scale other than 1
+        size = len(want_dense)
+        buffer = np.full((size + 1, size + 1), np.nan)
+        block = linearization_dense(exp_u, grid, params, n_modes, kind, buffer[:-1, :-1])
+        assert np.shares_memory(block, buffer) and same(block, want_dense)
+        assert np.isnan(buffer[-1]).all() and np.isnan(buffer[:, -1]).all()
 
 
 @pytest.mark.parametrize("assemble, kind", [
