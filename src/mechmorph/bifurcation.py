@@ -237,11 +237,12 @@ def continue_branch(
     through the full nonlocal spectrum.
 
     ``terminated_by``: "step_limit" (max_points taken), "kappa_bound" (the
-    first corrected point past kappa_range is kept as the last), "reconnect"
-    (the last point is constant within 1e-6), "failure" (the corrector failed
-    down to step / 64, or a point raised another solver error) or
-    "resolution" (a corrected point failed certification or its spectrum's
-    resolution check and was dropped); ``reason`` keeps the last two's cause.
+    first corrected point past kappa_range, the branch's first included, is
+    kept as the last), "reconnect" (the last point is constant within
+    1e-6), "failure" (the corrector failed down to step / 64, or a point
+    raised another solver error) or "resolution" (a corrected point failed
+    certification or its spectrum's resolution check and was dropped);
+    ``reason`` keeps the last two's cause.
     """
     if not 0 < step < math.inf:
         raise ConfigurationError(f"step must be positive and finite, got {step}")
@@ -297,7 +298,7 @@ def continue_branch(
 
     ds = step
     easy = 0
-    while len(points) < max_points:
+    while len(points) < max_points and lo <= points[-1].kappa <= hi:
         prev = zs[-2] if len(zs) >= 2 else z_origin
         diff = zs[-1] - prev
         tangent = diff / np.linalg.norm(diff)
@@ -330,9 +331,8 @@ def continue_branch(
         if span < 1e-6:
             terminated_by = "reconnect"
             break
-        if not (lo <= point.kappa <= hi):
-            terminated_by = "kappa_bound"
-            break
+    if terminated_by == "step_limit" and not lo <= points[-1].kappa <= hi:
+        terminated_by = "kappa_bound"
 
     folds = _detect_folds([p.s for p in points], [p.kappa for p in points])
     return Branch(
@@ -458,9 +458,10 @@ def sweep(
             cells = list(pool.map(_classify_cell, cells_args))
     else:
         cells = [_classify_cell(a) for a in cells_args]
+    reports = [bounds(k) for k in kappa_values]
     overlays = {
         "kappa_c": _threshold(d_values),
-        "d_min": np.array([bounds(k).d_min for k in kappa_values]),
-        "d_max": np.array([bounds(k).d_max for k in kappa_values]),
+        "d_min": np.array([b.d_min for b in reports]),
+        "d_max": np.array([b.d_max for b in reports]),
     }
     return SweepResult(cells=cells, d_values=d_values, kappa_values=kappa_values, overlays=overlays)

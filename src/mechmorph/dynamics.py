@@ -45,6 +45,14 @@ about half of each transform.  One max and one min give the finiteness
 check (NaN and +-inf propagate through them), the exp() range guard, the
 shift of the exponential and the recorded extremes.  J is one dot over the
 rfft, with the gradient term and, by Parseval, int u^2 in its weights.
+
+The step functions are closures over the slots, the buffers, kappa, n, the
+ufuncs and the transforms, bound once per buffer allocation (when the
+stepper is built, and again when ``keep`` shrinks a stack), with J's
+one-state or stack tail chosen there.  ``simulate`` resolves its fixed dt
+to the integrating factors once; per step it keeps only the exp() guard,
+the energy increment, the detector and the record test: about 15 us per
+step at n = 256 (``BENCH_bound_step.json``).
 """
 
 from __future__ import annotations
@@ -158,6 +166,8 @@ class _Stepper:
     A step writes only into the slot its start is not in, so a rejected
     step leaves the accepted state intact.  The integrating factors are
     cached per step length, and rows may step with different lengths.
+    ``_bind`` binds ``advance``, ``evaluate`` and ``change``; no reference
+    to the stepper is among their locals, so no cycle keeps it alive.
     """
 
     def __init__(self, grid: Grid, params: ModelParams, dt: float, rows: int = 1):
@@ -167,28 +177,77 @@ class _Stepper:
             raise ConfigurationError(f"dt = {dt} exceeds the stability guard {MAX_STEP:g}")
         self.n = grid.n_points
         self.kappa = params.kappa
-        # a 0-d operand: numpy converts a Python float anew at every call
-        self._kappa = np.array(params.kappa)
         self._decay = -(1.0 + params.D * grid.laplacian_eigenvalues)
         # the arrays that multiply the stack are tiled to its rows: operands
         # of one shape take numpy's fast path, and broadcasting does not
         self.rows = rows
         self._weights = _tiled(energy_weights(grid, params.D), rows)
-        self._factors = {}  # step length -> e^(h decay), phi_1(h decay) h; tiled
-        self._allocate()
+        self._factors = {}  # step length h -> factors(h)
+        self._bind()
 
-    def _allocate(self) -> None:
-        """Buffers for a stack of ``rows`` states, or 1-d ones for one."""
-        n, lead = self.n, ((self.rows,) if self.rows > 1 else ())
-        self._slots = (_Slot(lead, n), _Slot(lead, n))
-        self._reaction = np.empty((*lead, n))
-        self._reaction_hat = np.empty((*lead, n // 2 + 1), dtype=complex)
+    def _bind(self) -> None:
+        """Buffers for ``rows`` states (1-d for one), and the step functions over them."""
+        n, kappa, weights = self.n, self.kappa, self._weights
+        lead = (self.rows,) if self.rows > 1 else ()
+        slot0, slot1 = self._slots = (_Slot(lead, n), _Slot(lead, n))
+        reaction = np.empty((*lead, n))
+        reaction_hat = np.empty((*lead, n // 2 + 1), dtype=complex)
         self._row_factors = np.empty((2, *lead, n // 2 + 1), dtype=complex)
-        self._diff = np.empty((*lead, n))
-        self._change = np.empty(lead)
-        self._mean = np.empty(lead)  # grid mean of e^(u - max u)
-        self._mean_col = self._mean[:, None] if lead else self._mean
-        self._weighted = np.empty((*lead, n + 2))  # weights * u_hat.view(float)
+        diff, largest = np.empty((*lead, n)), np.empty(lead)
+        mean = np.empty(lead)  # grid mean of e^(u - max u)
+        mean_col = mean[:, None] if lead else mean
+        weighted = np.empty((*lead, n + 2))  # weights * u_hat.view(float)
+        kappa_0d = np.array(kappa)  # 0-d: numpy converts a Python float anew at every call
+        multiply, add, subtract, divide, exp, log, absolute = (
+            np.multiply, np.add, np.subtract, np.divide, np.exp, np.log, np.abs)
+        maximum, minimum, total_of = np.maximum.reduce, np.minimum.reduce, np.add.reduce
+        forward, inverse, quadratic_of = rfft, irfft, quadratic_energy
+
+        def advance(p: _Slot, step: tuple) -> _Slot:
+            """One step (``factors(h)``) from p into the other slot: its rfft,
+            grid values and extremes.  ``evaluate`` completes the step."""
+            _, factor, weight = step
+            new = slot1 if p is slot0 else slot0
+            multiply(kappa_0d, p.density, reaction)
+            forward(reaction, reaction_hat)
+            multiply(weight, reaction_hat, reaction_hat)
+            multiply(factor, p.u_hat, new.u_hat)
+            add(new.u_hat, reaction_hat, new.u_hat)
+            inverse(new.u_hat, n, new.values)
+            maximum(new.values, -1, None, new.top)
+            minimum(new.values, -1, None, new.bottom)
+            return new
+
+        # one number per row (the mean, log int e^u, J's tail) is a plain
+        # float: a numpy call on a few elements costs more than the arithmetic
+        if lead:
+            def energy(s: _Slot, total: np.ndarray, quadratic: np.ndarray) -> list[float]:
+                means = [row_total / n for row_total in total.tolist()]
+                mean[:] = means
+                return [q - kappa * (top + float(log(m)))
+                        for q, top, m in zip(quadratic.tolist(), s.top.tolist(), means)]
+        else:
+            def energy(s: _Slot, total: np.ndarray, quadratic: np.ndarray) -> float:
+                mean[()] = m = total.item() / n
+                return float(quadratic) - kappa * (s.top.item() + float(log(m)))
+
+        def evaluate(s: _Slot) -> None:
+            """The density and energy of s, every row within the exp() guard."""
+            density = s.density
+            subtract(s.values, s.top_col, density)
+            exp(density, density)
+            total = total_of(density, -1, None, mean)  # sums, for now
+            # J = (its quadratic part) - kappa log(int e^u)
+            s.energy = energy(s, total, quadratic_of(s.u_hat_float, weights, weighted))
+            divide(density, mean_col, density)
+
+        def change(new: _Slot, old: _Slot) -> np.ndarray:
+            """max |u_new - u_old| per row (0-d for one state): the detector's numerator."""
+            subtract(new.values, old.values, diff)
+            absolute(diff, diff)
+            return maximum(diff, -1, None, largest)
+
+        self.advance, self.evaluate, self.change = advance, evaluate, change
 
     def start(self, values: np.ndarray) -> _Slot:
         """The first states (one row each, or one 1-d state), in slot 0:
@@ -204,9 +263,9 @@ class _Stepper:
         """The given rows of the stack s, as a smaller stack in slot 0."""
         self.rows = len(rows)
         self._weights = _fit(self._weights, self.rows)
-        self._factors = {h: (_fit(f, self.rows), _fit(w, self.rows))
-                         for h, (f, w) in self._factors.items()}
-        self._allocate()
+        self._factors = {h: (h, _fit(f, self.rows), _fit(w, self.rows))
+                         for h, (_, f, w) in self._factors.items()}
+        self._bind()
         kept = self._slots[0]
         for name in _STATE:
             getattr(kept, name)[...] = getattr(s, name)[rows]
@@ -214,67 +273,23 @@ class _Stepper:
         kept.energy = energies if self.rows > 1 else energies[0]
         return kept
 
-    def evaluate(self, s: _Slot) -> None:
-        """The density and energy of s from one shifted exponential.  Every
-        row must be within the exp() range guard.
-
-        What is one number per row (the mean, log int e^u and J's tail) is
-        computed in plain floats, as for one state: a numpy call on a few
-        elements costs more than the arithmetic.
-        """
-        np.subtract(s.values, s.top_col, s.density)
-        np.exp(s.density, s.density)
-        total = np.add.reduce(s.density, -1, None, self._mean)  # sums, for now
-        # J = (its quadratic part) - kappa log(int e^u)
-        quadratic = quadratic_energy(s.u_hat_float, self._weights, self._weighted)
-        kappa, n = self.kappa, self.n
-        if self.rows == 1:
-            self._mean[()] = mean = total.item() / n
-            s.energy = float(quadratic) - kappa * (s.top.item() + float(np.log(mean)))
-        else:
-            means = [row_total / n for row_total in total.tolist()]
-            self._mean[:] = means
-            s.energy = [q - kappa * (top + float(np.log(mean)))
-                        for q, top, mean in zip(quadratic.tolist(), s.top.tolist(), means)]
-        np.divide(s.density, self._mean_col, s.density)
-
-    def _factor(self, h: float) -> tuple[np.ndarray, np.ndarray]:
+    def factors(self, h) -> tuple:
+        """What ``advance`` takes for a step of length h: (h, e^(h decay),
+        phi_1(h decay) h), tiled to the stack.  h is one step length for
+        every row, or a list of one per row of a stack."""
+        if isinstance(h, list):
+            factor, weight = self._row_factors
+            for row, h_row in enumerate(h):
+                _, row_factor, row_weight = self.factors(h_row)
+                factor[row], weight[row] = row_factor[0], row_weight[0]
+            return h, factor, weight
         if h not in self._factors:
             factor = np.exp(self._decay * h)
             weight = (factor - 1.0) / self._decay  # phi_1(h decay) h
             # complex, as the products with the complex rfft would cast them
-            self._factors[h] = (_tiled(factor.astype(complex), self.rows),
+            self._factors[h] = (h, _tiled(factor.astype(complex), self.rows),
                                 _tiled(weight.astype(complex), self.rows))
         return self._factors[h]
-
-    def advance(self, p: _Slot, h) -> _Slot:
-        """One step from p into the other slot: its rfft, grid values and
-        extremes.  h is one step length for every row, or a list of one per
-        row of a stack.  ``evaluate`` completes the step."""
-        if isinstance(h, list):
-            factor, weight = self._row_factors
-            for row, h_row in enumerate(h):
-                row_factor, row_weight = self._factor(h_row)
-                factor[row], weight[row] = row_factor[0], row_weight[0]
-        else:
-            factor, weight = self._factor(h)
-        new = self._slots[p is self._slots[0]]
-        np.multiply(self._kappa, p.density, self._reaction)
-        rfft(self._reaction, self._reaction_hat)
-        np.multiply(weight, self._reaction_hat, self._reaction_hat)
-        np.multiply(factor, p.u_hat, new.u_hat)
-        np.add(new.u_hat, self._reaction_hat, new.u_hat)
-        irfft(new.u_hat, self.n, new.values)
-        np.maximum.reduce(new.values, -1, None, new.top)
-        np.minimum.reduce(new.values, -1, None, new.bottom)
-        return new
-
-    def change(self, new: _Slot, old: _Slot) -> np.ndarray:
-        """max |u_new - u_old| of each row (0-d for one state); over the
-        step length, it is the steady-state detector."""
-        np.subtract(new.values, old.values, self._diff)
-        np.abs(self._diff, self._diff)
-        return np.maximum.reduce(self._diff, -1, None, self._change)
 
 
 def _check_run(t_end: float, steady_tol: float) -> None:
@@ -303,22 +318,25 @@ def simulate(
     if record_every < 1:
         raise ConfigurationError(f"record_every must be >= 1, got {record_every}")
     stepper = _Stepper(u0.grid, params, dt)
+    advance, evaluate, change = stepper.advance, stepper.evaluate, stepper.change
+    fixed = stepper.factors(dt)
     n_steps = int(np.ceil(t_end / dt))
+    detect = steady_tol > 0.0  # the rate is >= 0, so a threshold <= 0 never fires
 
     p = stepper.start(u0.values)  # one state: 1-d arrays, 0-d extremes
     check_exp_range(max(p.top.item(), -p.bottom.item()))
-    stepper.evaluate(p)
+    evaluate(p)
     records = []  # (t, mass, J, max u, min u)
     max_increment = 0.0
     converged = False
     step = 0
 
-    def record(t):
-        records.append((t, float(p.values.mean()), p.energy, p.top.item(), p.bottom.item()))
+    def record(t, s):
+        records.append((t, float(s.values.mean()), s.energy, s.top.item(), s.bottom.item()))
 
-    record(0.0)
+    record(0.0, p)
     while step < n_steps:
-        new = stepper.advance(p, dt)
+        new = advance(p, fixed)
         step += 1
         top, bottom = new.top.item(), new.bottom.item()
         if not (top <= EXP_GUARD and bottom >= -EXP_GUARD):  # NaN fails this too
@@ -329,13 +347,14 @@ def simulate(
                     t=step * dt,
                 )
             check_exp_range(max(top, -bottom))
-        stepper.evaluate(new)
-        max_increment = max(max_increment, new.energy - p.energy)
-        # the rate is >= 0, so a detector with steady_tol <= 0 never fires
-        converged = steady_tol > 0.0 and stepper.change(new, p).item() / dt < steady_tol
+        evaluate(new)
+        if new.energy - p.energy > max_increment:  # max() without its call
+            max_increment = new.energy - p.energy
+        if detect:
+            converged = change(new, p).item() / dt < steady_tol
         p = new
         if step % record_every == 0 or step == n_steps or converged:
-            record(step * dt)
+            record(step * dt, p)
         if converged:
             break
 
@@ -416,7 +435,7 @@ def _relax_stack(
             break
         steps = [row.h for row in rows]
         h = steps[0] if steps.count(steps[0]) == len(steps) else steps
-        new = stepper.advance(p, h)
+        new = stepper.advance(p, stepper.factors(h))
         rejected = {}  # row -> why its step was rejected; at h = dt the row fails
         for r, (top, bottom) in enumerate(new.extremes()):
             if top <= EXP_GUARD and bottom >= -EXP_GUARD:  # NaN fails this too

@@ -84,18 +84,19 @@ N_COMPARE = 10  # leading eigenvalues spectrum_crosscheck compares
 _log = logging.getLogger(__name__)
 
 
-def _default_modes(state) -> int:
+def _default_modes(state, coef: np.ndarray | None) -> int:
     """Truncation adapted to the state's own spectral content.
 
     The eigenfunctions of the linearization concentrate on the scale of the
     reaction density, roughly half the state's shortest scale, so twice the
     state's significant bandwidth is kept (at least 64 modes, at most
-    n_points/4 where the Galerkin quadrature stays alias-safe).
+    n_points/4 where the Galerkin quadrature stays alias-safe).  coef is
+    the state's rfft, or None to take it here.
     """
     n = state.field.grid.n_points
     if n // 4 <= 64:  # the floor of 64 modes reaches the cap without a transform
         return n // 4
-    coef = np.abs(rfft(state.field.values))
+    coef = np.abs(rfft(state.field.values) if coef is None else coef)
     top = coef.max()
     significant = np.nonzero(coef > 1e-12 * top)[0]
     bandwidth = int(significant.max()) if significant.size else 0
@@ -196,10 +197,10 @@ def _zero_counts(functions: np.ndarray, floors: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _check_modes(state: SteadyState, n_modes: int | None) -> int:
+def _check_modes(state: SteadyState, n_modes: int | None, coef: np.ndarray | None = None) -> int:
     n = state.field.grid.n_points
     if n_modes is None:
-        n_modes = _default_modes(state)
+        n_modes = _default_modes(state, coef)
     if n_modes < 1 or n_modes > n // 4:
         raise ConfigurationError(
             f"n_modes must be in [1, n_points/4], got {n_modes} at n_points={n}"
@@ -258,8 +259,10 @@ def _class_eigh(matrix: np.ndarray, classes: list) -> tuple[np.ndarray, np.ndarr
     return vals, vecs
 
 
-def _local_split(state: SteadyState, n_modes: int):
-    """Checked local spectrum from the cosine and sine blocks of L.
+def _local_split(state: SteadyState, n_modes: int | None):
+    """Checked local spectrum from the cosine and sine blocks of L, on
+    n_modes modes (``_check_modes``; None takes the default from the same
+    rfft of the state that recenters it).
 
     Returns it with its betas, the cosine parts of L (local block, coupling,
     M; e^U shifted by u_max), u_max, the cosine eigenvalues class by class,
@@ -269,6 +272,7 @@ def _local_split(state: SteadyState, n_modes: int):
     grid, params = state.field.grid, state.params
     # rotate a peak to x = 0, where an even state has real coefficients
     coef = rfft(state.field.values)
+    n_modes = _check_modes(state, n_modes, coef)
     m = state.modality
     back = np.exp(1j * np.arange(coef.size) * np.angle(coef[m]) / m) if m else np.ones(coef.size)
     coef = coef * back.conj()
@@ -329,7 +333,7 @@ def local_spectrum(state: SteadyState, n_modes: int | None = None) -> LocalSpect
     per period) and the ordering chain; a mismatch raises
     :class:`ResolutionError`.
     """
-    return _local_split(state, _check_modes(state, n_modes))[0]
+    return _local_split(state, n_modes)[0]
 
 
 def _verdict(max_nu: float) -> str:
@@ -352,7 +356,7 @@ def nonlocal_spectrum(state: SteadyState, n_modes: int | None = None) -> EigenRe
     thresholds).
     """
     (local, betas, (cos_local, c_vec, m_shifted), u_max, cos_vals, sin_vals, translation,
-     classes) = _local_split(state, _check_modes(state, n_modes))
+     classes) = _local_split(state, n_modes)
     # undo the max(U) shift: M = kappa / (int e^U)^2
     m_coef = m_shifted * np.exp(-2.0 * u_max)
     if m_coef < np.finfo(float).tiny:

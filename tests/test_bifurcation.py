@@ -303,6 +303,17 @@ def test_continue_branch_validates_inputs(grid256):
         mm.continue_branch(bp, n_modes=1, grid=grid256)
 
 
+@pytest.mark.parametrize("max_points", [200, 1])
+def test_first_point_outside_kappa_range_ends_the_branch(grid256, max_points):
+    # the range lies wholly below kappa_1 = 1.790: the first corrected point
+    # is outside it, so it is the branch's only point
+    bp = mm.critical_kappas(0.02, 1)[0]
+    branch = mm.continue_branch(bp, max_points=max_points, kappa_range=(0.0, 1.0), grid=grid256)
+    assert len(branch.points) == 1
+    assert branch.points[0].kappa > 1.0
+    assert branch.terminated_by == "kappa_bound"
+
+
 def test_sweep_classifies_three_regimes():
     result = mm.sweep([0.02], [1.5, 2.2], trials=2, seed=5, n_points=128, t_end=300.0)
     classes = {(c.D, c.kappa): c.classification for c in result.cells}
@@ -353,6 +364,18 @@ def test_sweep_validates_inputs(monkeypatch):
     for workers in (0, -3):
         with pytest.raises(ConfigurationError, match="workers must be >= 1"):
             mm.sweep([0.02], [1.15], workers=workers, n_points=64, t_end=50)
+
+
+def test_sweep_takes_the_bounds_of_each_kappa_once(monkeypatch):
+    kappas = [1.15, 1.5, 2.2]
+    calls = []
+    monkeypatch.setattr(bifurcation, "bounds", lambda kappa: calls.append(kappa) or mm.bounds(kappa))
+    monkeypatch.setattr(bifurcation, "_classify_cell", lambda args: None)
+    overlays = mm.sweep([0.01, 0.02], kappas, trials=0, n_points=64, t_end=50).overlays
+    assert calls == kappas
+    for name in ("d_min", "d_max"):
+        expected = np.array([getattr(mm.bounds(kappa), name) for kappa in kappas])
+        assert overlays[name].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("t_end", [np.inf, np.nan, -1.0])

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -16,6 +18,7 @@ from mechmorph.errors import (
 )
 
 import oracles
+from conftest import perturbed_constant
 from oracles import random_smooth_field, reference_simulate
 
 
@@ -178,16 +181,38 @@ class _Taken(NamedTuple):
     energy: float
 
 
-def _record_steps(monkeypatch, stepper=dynamics._Stepper):
-    """List that collects (state, h) of every step the stepper takes."""
+def _record_steps(monkeypatch):
+    """List that collects (state, h) of every step a ``_Stepper`` takes.
+
+    The stepper binds ``advance`` to the instance whenever it allocates
+    buffers (``_bind``), so the recorder wraps each one it binds."""
     calls = []
-    advance = stepper.advance
+    bind = dynamics._Stepper._bind
+
+    def recording_bind(self):
+        bind(self)
+        advance = self.advance
+
+        def recording(p, step):
+            calls.append((_Taken(p, p.values.copy(), p.energy), step[0]))
+            return advance(p, step)
+
+        self.advance = recording
+
+    monkeypatch.setattr(dynamics._Stepper, "_bind", recording_bind)
+    return calls
+
+
+def _record_reference_steps(monkeypatch):
+    """List that collects (state, h) of every step ``oracles.ReferenceStepper`` takes."""
+    calls = []
+    advance = oracles.ReferenceStepper.advance
 
     def recording(self, p, h):
         calls.append((_Taken(p, p.values.copy(), p.energy), h))
         return advance(self, p, h)
 
-    monkeypatch.setattr(stepper, "advance", recording)
+    monkeypatch.setattr(oracles.ReferenceStepper, "advance", recording)
     return calls
 
 
@@ -353,7 +378,7 @@ def test_simulate_fails_like_reference_loop(monkeypatch, level, kappa, start, er
         shape = 0.1 * np.cos(2.0 * np.pi * grid.nodes)
     u0 = mm.Field(grid, level * (1.0 + shape))
     new_steps = _record_steps(monkeypatch)
-    ref_steps = _record_steps(monkeypatch, oracles.ReferenceStepper)
+    ref_steps = _record_reference_steps(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(error) as new:
             mm.simulate(u0, params, t_end=10.0, steady_tol=0.0)
@@ -463,3 +488,28 @@ def test_failing_stacks_fail_as_intended(stack, outcomes):
     seen = {type(row).__name__ if isinstance(row, MechmorphError)
             else ("converged" if row[1] else "out of budget") for row in stacked}
     assert outcomes <= seen
+
+
+def test_steppers_are_freed_without_the_cycle_collector(grid256):
+    # the step functions close over the buffers, not over the stepper, so
+    # dropping a stepper frees it by reference counting alone
+    params = mm.ModelParams(D=0.01, kappa=1.5)
+    values = perturbed_constant(grid256, 1.5).values
+    gc.disable()
+    try:
+        one = dynamics._Stepper(grid256, params, 1e-3)
+        p = one.start(values)
+        one.evaluate(p)
+        one.evaluate(one.advance(p, one.factors(1e-3)))
+        stack = dynamics._Stepper(grid256, params, 1e-3, rows=3)
+        p = stack.start(np.array([values, 1.01 * values, 0.99 * values]))
+        stack.evaluate(p)
+        p = stack.advance(p, stack.factors([1e-3, 2e-3, 1e-3]))
+        stack.evaluate(p)
+        p = stack.keep(p, [0, 2])
+        stack.evaluate(stack.advance(p, stack.factors(1e-3)))
+        refs = [weakref.ref(one), weakref.ref(stack)]
+        del one, stack, p
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

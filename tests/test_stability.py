@@ -13,6 +13,8 @@ from mechmorph import stability, steady
 from mechmorph.errors import ConfigurationError, ResolutionError
 from mechmorph.grid import irfft
 from mechmorph.stability import _interlaces, _secular_solve, _zero_counts
+
+from conftest import perturbed_constant
 from oracles import (
     count_sign_changes,
     density_form_hessian,
@@ -555,3 +557,25 @@ def test_spectrum_rejects_unrepresentable_coupling(grid256):
 def test_spectrum_rejects_oversized_truncation(unimodal_16):
     with pytest.raises(ConfigurationError):
         mm.nonlocal_spectrum(unimodal_16, n_modes=unimodal_16.field.grid.n_points)
+
+
+def test_spectrum_transforms_the_state_once(monkeypatch, grid512):
+    # on more than 256 points the default truncation reads the bandwidth
+    # from the rfft that also recenters the state
+    params = mm.ModelParams(D=0.01, kappa=1.5)
+    state = mm.relax_to_steady(perturbed_constant(grid512, 1.5), params, t_end=400.0)
+    n_modes = stability._check_modes(state, None)  # its own transform
+    explicit = mm.nonlocal_spectrum(state, n_modes)
+    calls = []
+    rfft = stability.rfft
+
+    def counting(values, *args):
+        calls.append(values)
+        return rfft(values, *args)
+
+    monkeypatch.setattr(stability, "rfft", counting)
+    report = mm.nonlocal_spectrum(state)
+    assert len(calls) == 1
+    assert calls[0] is state.field.values
+    assert report.nonlocal_eigs.tobytes() == explicit.nonlocal_eigs.tobytes()
+    assert report.local.lambdas.tobytes() == explicit.local.lambdas.tobytes()
