@@ -21,6 +21,8 @@ constant.  Both share the sign and the type threshold.
 
 Branches are tracked with pseudo-arclength continuation in the even
 (cosine) subspace with kappa as an unknown, so folds pose no singularity.
+The model is invariant under u(x) = v(n x), D -> n^2 D, so a mode-n branch
+at D is continued as the mode-1 branch at n^2 D, compressed by rescale_modal.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .errors import (
 from .grid import Field, Grid, irfft, make_grid, rfft
 from .model import ModelParams
 from .stability import MARGINAL_TOL, nonlocal_spectrum
-from .steady import FIRST_STEP, SteadyState, _handoff
+from .steady import FIRST_STEP, SteadyState, _handoff, rescale_modal
 
 __all__ = [
     "BifPoint",
@@ -125,8 +127,8 @@ def critical_kappas(D: float, n_max: int) -> list[BifPoint]:
     """Closed-form bifurcation data for modes n = 1 .. n_max."""
     if not 0 < D < math.inf:
         raise ConfigurationError(f"D must be positive and finite, got {D}")
-    if n_max < 1:
-        raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
+    if not isinstance(n_max, (int, np.integer)) or n_max < 1:
+        raise ConfigurationError(f"n_max must be a positive integer, got {n_max!r}")
     points = []
     for n in range(1, n_max + 1):
         kappa_n = _threshold(D, n)
@@ -229,20 +231,23 @@ def continue_branch(
 ) -> Branch:
     """Trace the branch emanating from (constant, kappa_n) at positive amplitude.
 
+    A mode-m branch is the mode-1 branch at m^2 D, corrected in ``n_modes``
+    cosine modes (default min(96, n_points/2 - 1), at least 2) and compressed
+    by ``rescale_modal`` before each point is certified and its spectrum taken.
     The first point comes from the normal-form predictor with an
     amplitude-pinning corrector; afterwards a secant predictor with
     pseudo-arclength normalization is used, with kappa free.  The step is
     halved on corrector failure and regrown (x1.3, capped at the initial
     step) after four easy successes.  Stability is evaluated at every point
-    through the full nonlocal spectrum.
+    through the full nonlocal spectrum of the m-modal state.
 
     ``terminated_by``: "step_limit" (max_points taken), "kappa_bound" (the
     first corrected point past kappa_range, the branch's first included, is
     kept as the last), "reconnect" (the last point is constant within
     1e-6), "failure" (the corrector failed down to step / 64, or a point
     raised another solver error) or "resolution" (a corrected point failed
-    certification or its spectrum's resolution check and was dropped);
-    ``reason`` keeps the last two's cause.
+    certification, its m-fold compression or its spectrum's resolution
+    check and was dropped); ``reason`` keeps the last two's cause.
     """
     if not 0 < step < math.inf:
         raise ConfigurationError(f"step must be positive and finite, got {step}")
@@ -252,25 +257,24 @@ def continue_branch(
     if not lo <= hi:
         raise ConfigurationError(f"kappa_range must be (lo, hi) with lo <= hi, got {kappa_range}")
     grid = grid if grid is not None else make_grid()
-    n = grid.n_points
-    if n_modes is None:
-        n_modes = max(min(96, n // 2 - 1), 4 * bp.n)
-    if n_modes < 2 * bp.n or n_modes > n // 2 - 1:
-        raise ConfigurationError(
-            f"n_modes must be in [2 n, n_points/2 - 1] for mode number {bp.n}, got {n_modes}"
-        )
-    corrector = _EvenCorrector(grid, bp.D, n_modes)
+    n, m = grid.n_points, bp.n
+    if n < 8 * m + 2:
+        raise ConfigurationError(f"mode {m} needs at least {8 * m + 2} grid points, got {n}")
+    n_modes = min(96, n // 2 - 1) if n_modes is None else n_modes
+    if not 2 <= n_modes <= n // 2 - 1:
+        raise ConfigurationError(f"n_modes must be in [2, n_points/2 - 1], got {n_modes}")
+    unimodal = critical_kappas(m**2 * bp.D, 1)[0]
+    corrector = _EvenCorrector(grid, unimodal.D, n_modes)
 
     def make_point(z, s_coord) -> BranchPoint:
-        state = SteadyState(
-            Field(grid, corrector.field_values(z)), ModelParams(D=bp.D, kappa=float(z[-1]))
-        )
+        params = ModelParams(D=unimodal.D, kappa=float(z[-1]))
+        state = rescale_modal(SteadyState(Field(grid, corrector.field_values(z)), params), m)
         report = nonlocal_spectrum(state)
         return BranchPoint(
             s=s_coord,
             kappa=float(z[-1]),
             field=state.field,
-            amplitude=float(z[bp.n]),
+            amplitude=float(z[1]),
             stable=report.leading_nu <= MARGINAL_TOL,
             leading_nu=report.leading_nu,
             energy=state.energy,
@@ -282,9 +286,9 @@ def continue_branch(
     reason = None
 
     # first point: normal-form predictor, amplitude pinned at s = step
-    z_pred = _predictor_coefficients(bp, step, n_modes)
+    z_pred = _predictor_coefficients(unimodal, step, n_modes)
     pin = np.zeros(corrector.n_unknowns)
-    pin[bp.n] = 1.0
+    pin[1] = 1.0
     try:
         z, _ = corrector.solve(z_pred, pin, z_pred, 0.0)
     except MechmorphError as exc:
@@ -293,8 +297,7 @@ def continue_branch(
     zs.append(z)
 
     # secant anchor behind the first point: the bifurcation point itself
-    z_origin = np.zeros(corrector.n_unknowns)
-    z_origin[[0, -1]] = bp.kappa_n
+    z_origin = _predictor_coefficients(unimodal, 0.0, n_modes)
 
     ds = step
     easy = 0
@@ -315,12 +318,10 @@ def continue_branch(
             continue
         try:
             point = make_point(z, points[-1].s + ds)
-        except (ConvergenceError, ResolutionError) as exc:
-            # the corrected point is under-resolved
-            terminated_by, reason = "resolution", _describe(exc)
-            break
         except MechmorphError as exc:
-            terminated_by, reason = "failure", _describe(exc)
+            # a point that fails certification or a resolution check is under-resolved
+            under = isinstance(exc, (ConvergenceError, ResolutionError))
+            terminated_by, reason = "resolution" if under else "failure", _describe(exc)
             break
         points.append(point)
         zs.append(z)

@@ -221,9 +221,8 @@ def _cmd_spectrum(cfg):
 def _cmd_branch(cfg):
     """pseudo-arclength branch continuation"""
     bp = critical_kappas(cfg["D"], cfg["n"])[cfg["n"] - 1]
-    kappa_range = None
-    if cfg["kappa_max"] > 0:
-        kappa_range = (cfg["kappa_min"], cfg["kappa_max"])
+    # kappa_max 0 leaves the range open above
+    kappa_range = (cfg["kappa_min"], cfg["kappa_max"] or math.inf)
     branch = continue_branch(
         bp, step=cfg["step"], max_points=cfg["max_points"], kappa_range=kappa_range,
         grid=make_grid(cfg["grid"]),

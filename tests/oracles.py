@@ -11,7 +11,8 @@ one loop over the nodes.  The Galerkin assembly from sliding windows, one
 kind per call, the branch corrector that synthesizes each iterate twice
 and evaluates e^U three times, the coefficient rows of every local
 eigenvector scattered by rank, and the sweep cell that relaxes its seeds
-one at a time are kept as bit-identity references.
+one at a time are kept as bit-identity references.  Mode-n branches are
+traced at D itself, in the cosine modes of the n-peaked field.
 """
 
 from typing import NamedTuple
@@ -30,7 +31,15 @@ from mechmorph._operators import (
     shifted_exp,
     synthesize_even,
 )
-from mechmorph.bifurcation import CORRECTOR_MAX_ITER, CORRECTOR_TOL, HANDOFF_TOL, SEED_AMPLITUDE
+from mechmorph.bifurcation import (
+    CORRECTOR_MAX_ITER,
+    CORRECTOR_TOL,
+    HANDOFF_TOL,
+    SEED_AMPLITUDE,
+    _detect_folds,
+    _EvenCorrector,
+    _predictor_coefficients,
+)
 from mechmorph.dynamics import MAX_STEP, TrajectorySummary
 from mechmorph.errors import (
     AmplitudeOverflowError,
@@ -41,7 +50,7 @@ from mechmorph.errors import (
     MechmorphError,
     SingularJacobianError,
 )
-from mechmorph.stability import BETA_TOL, BISECT_TOL, BRACKET_INSET, MERGE_TOL
+from mechmorph.stability import BETA_TOL, BISECT_TOL, BRACKET_INSET, MARGINAL_TOL, MERGE_TOL
 from mechmorph.steady import FLAT_TOL
 
 
@@ -247,6 +256,61 @@ def two_pass_corrector_solve(self, z0, tangent, anchor, ds):
         if not np.all(np.isfinite(z)):
             raise ConvergenceError("corrector diverged")
     raise ConvergenceError("corrector did not converge")
+
+
+def mode_n_branch(bp, step, max_points, kappa_range, grid):
+    """``mm.continue_branch`` of a mode-n ``bp`` run at D on the n-peaked field.
+
+    The corrector solves min(96, n_points/2 - 1) cosine modes at D, of which
+    only the multiples of n can be nonzero; the predictor fills coefficients
+    n and 2n, the first point pins coefficient n, and the amplitude is that
+    coefficient.  The step control and the ends are those of the package,
+    without the reconnect check; a point's errors other than a failed
+    certificate propagate.
+    """
+    lo, hi = kappa_range
+    corrector = _EvenCorrector(grid, bp.D, min(96, grid.n_points // 2 - 1))
+
+    def make_point(z, s):
+        params = mm.ModelParams(D=bp.D, kappa=float(z[-1]))
+        state = mm.SteadyState(mm.Field(grid, corrector.field_values(z)), params)
+        nu = mm.nonlocal_spectrum(state).leading_nu
+        return mm.BranchPoint(s=s, kappa=params.kappa, field=state.field, amplitude=float(z[bp.n]),
+                              stable=nu <= MARGINAL_TOL, leading_nu=nu, energy=state.energy)
+
+    z_pred = _predictor_coefficients(bp, step, corrector.n_modes)
+    pin = np.zeros(corrector.n_unknowns)
+    pin[bp.n] = 1.0
+    zs = [corrector.solve(z_pred, pin, z_pred, 0.0)[0]]
+    points = [make_point(zs[0], step)]
+    z_origin = np.zeros(corrector.n_unknowns)
+    z_origin[[0, -1]] = bp.kappa_n
+    terminated_by, reason, ds, easy = "step_limit", None, step, 0
+    while len(points) < max_points and lo <= points[-1].kappa <= hi:
+        diff = zs[-1] - (zs[-2] if len(zs) >= 2 else z_origin)
+        tangent = diff / np.linalg.norm(diff)
+        try:
+            z, _ = corrector.solve(zs[-1] + tangent * ds, tangent, zs[-1], ds)
+            easy += 1
+        except MechmorphError as exc:
+            easy, ds = 0, ds * 0.5
+            if ds < step / 64.0:
+                terminated_by, reason = "failure", f"{type(exc).__name__}: {exc}"
+                break
+            continue
+        try:
+            points.append(make_point(z, points[-1].s + ds))
+        except ConvergenceError as exc:
+            terminated_by, reason = "resolution", f"{type(exc).__name__}: {exc}"
+            break
+        zs.append(z)
+        if easy >= 4:
+            ds, easy = min(ds * 1.3, step), 0
+    if terminated_by == "step_limit" and not lo <= points[-1].kappa <= hi:
+        terminated_by = "kappa_bound"
+    folds = _detect_folds([p.s for p in points], [p.kappa for p in points])
+    return mm.Branch(origin=bp, points=points, folds=folds, terminated_by=terminated_by,
+                     reason=reason)
 
 
 def eager_coefficient_rows(cos_vecs, sin_vecs, order, back):

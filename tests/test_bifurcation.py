@@ -11,7 +11,7 @@ from mechmorph.errors import (
     SingularJacobianError,
 )
 
-from oracles import reference_classify_cell, two_pass_corrector_solve
+from oracles import mode_n_branch, reference_classify_cell, two_pass_corrector_solve
 
 DEGENERATE_D = 1.0 / (8.0 * np.pi**2)
 
@@ -22,6 +22,12 @@ def test_critical_kappa_values():
     for bp in points:
         assert bp.kappa_n == pytest.approx(1.0 + 4.0 * np.pi**2 * bp.n**2 * 0.02, rel=1e-14)
         assert bp.kappa_n > 1.0
+
+
+@pytest.mark.parametrize("n_max", [2.5, "2", 0])
+def test_critical_kappas_rejects_a_bad_n_max(n_max):
+    with pytest.raises(ConfigurationError):
+        mm.critical_kappas(0.02, n_max)
 
 
 def test_normal_form_constants_at_d_002():
@@ -248,6 +254,39 @@ def test_corrector_matches_the_two_pass_oracle(monkeypatch, request, mode, grid_
         )
     assert lean.folds == reference.folds
     assert (lean.terminated_by, lean.reason) == (reference.terminated_by, reference.reason)
+
+
+def test_mode2_branch_matches_the_mode_n_oracle(grid256):
+    # the branch workload's mode-2 call: traced at D in the cosine modes of
+    # the 2-peaked field, the branch runs out of resolved modes after 44
+    # points; as the mode-1 branch at 4 D, compressed, it reaches the bound
+    bp = mm.critical_kappas(0.005, 2)[1]
+    kappa_range = (0.0, bp.kappa_n + 1.0)
+    branch = mm.continue_branch(bp, step=0.05, max_points=120, kappa_range=kappa_range,
+                                grid=grid256)
+    oracle = mode_n_branch(bp, 0.05, 120, kappa_range, grid256)
+    assert (len(oracle.points), oracle.terminated_by) == (44, "resolution")
+    assert (len(branch.points), branch.terminated_by, branch.reason) == (57, "kappa_bound", None)
+    assert branch.origin is bp and branch.folds == oracle.folds == []
+    for got, want in zip(branch.points, oracle.points):
+        assert got.s == want.s and got.stable == want.stable
+        for name in ("kappa", "amplitude", "leading_nu", "energy"):
+            assert abs(getattr(got, name) - getattr(want, name)) < 1e-13
+        assert np.max(np.abs(got.field.values - want.field.values)) < 1e-10
+    for point in branch.points:
+        state = mm.SteadyState(point.field, mm.ModelParams(D=bp.D, kappa=point.kappa))
+        assert state.modality == 2
+
+
+def test_coarse_grid_is_rejected_before_any_corrector_work(monkeypatch):
+    # a mode-m branch needs 8 m + 2 points: mode 8 on 64 points is refused
+    def corrector_runs(*args, **kwargs):
+        raise AssertionError("the corrector ran")
+
+    monkeypatch.setattr(bifurcation._EvenCorrector, "solve", corrector_runs)
+    bp = mm.critical_kappas(0.005, 8)[7]
+    with pytest.raises(ConfigurationError):
+        mm.continue_branch(bp, grid=mm.make_grid(64))
 
 
 def test_branch_points_are_certified_steady_states(grid256):

@@ -157,6 +157,18 @@ def test_cli_branch_csv(tmp_path, capsys):
     assert all(line.split(",")[6] == "0" for line in lines[1:])
 
 
+def test_cli_branch_kappa_min_alone_bounds_the_branch(tmp_path, capsys):
+    # kappa_1 = 1.790 at D = 0.02 lies below --kappa-min: the first point
+    # is outside the range and ends the branch
+    out = tmp_path / "branch"
+    assert run_cli(["branch", "--D", "0.02", "--kappa-min", "2.0", "--max-points", "5",
+                    "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["points"], summary["terminated_by"]) == (1, "kappa_bound")
+    cfg = json.loads((out / "manifest.json").read_text())["config"]
+    assert (cfg["kappa_min"], cfg["kappa_max"]) == (2.0, 0.0)
+
+
 def test_cli_sweep_csv(tmp_path):
     out = tmp_path / "sweep"
     code = run_cli(["sweep", "--D-values", "0.02", "--kappa-values", "2.2",

@@ -155,6 +155,21 @@ def test_rescale_rejects_unresolvable_compression(grid256):
         mm.rescale_modal(state, 8)
 
 
+@pytest.mark.parametrize("kappa", [1.9, 2.0])
+def test_energy_is_invariant_under_rescale_modal(grid256, kappa):
+    # J(v(m x); D) = J(v; m^2 D): the energy of every mode-m branch point
+    # is that of the mode-1 point it is compressed from
+    params = mm.ModelParams(D=0.02, kappa=kappa)
+    state = mm.relax_to_steady(perturbed_constant(grid256, kappa), params, t_end=400.0)
+    assert state.modality == 1
+    want = mm.energy(state.field, params)
+    for m in (2, 3, 4):
+        rescaled = mm.rescale_modal(state, m)
+        assert rescaled.params.D == params.D / m**2
+        got = mm.energy(rescaled.field, rescaled.params)
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
 def test_rescale_rejects_bad_m(unimodal_15):
     for m in (0, "2", None):
         with pytest.raises(ConfigurationError):
