@@ -145,20 +145,24 @@ def bump_seed(kappa: float, nodes: np.ndarray) -> np.ndarray:
     return kappa * bump / bump.mean()
 
 
+@functools.lru_cache(maxsize=32)
 def even_weights(n_points: int, n_modes: int) -> np.ndarray:
     """Norms w_k of the even basis 1, sqrt2 cos(2 pi k x), ... on the grid:
-    1 for the constant and the Nyquist cosine (-1)^j, sqrt2 otherwise."""
+    1 for the constant and the Nyquist cosine (-1)^j, sqrt2 otherwise.
+    Read-only and built once per (n_points, n_modes)."""
     w = np.full(n_modes + 1, np.sqrt(2.0))
     w[0] = 1.0
     if 2 * n_modes == n_points:
         w[-1] = 1.0
+    w.setflags(write=False)
     return w
 
 
-def project_even(values: np.ndarray, n_modes: int) -> np.ndarray:
-    """Grid-mean inner products of values with the even basis, k = 0..n_modes."""
+def project_even(values: np.ndarray, n_modes: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Grid-mean inner products of values with the even basis, k = 0..n_modes,
+    into ``out`` if given (which may be a view, such as a Jacobian column)."""
     coef = rfft(values)[: n_modes + 1].real
-    return even_weights(values.size, n_modes) * coef
+    return np.multiply(even_weights(values.size, n_modes), coef, out)
 
 
 def synthesize_even(coef: np.ndarray, n_points: int) -> np.ndarray:

@@ -35,10 +35,10 @@ import numpy as np
 
 from ._operators import (
     bump_seed,
-    even_weights,
     evolution_rhs,
     linearization_dense,
     noisy_constant,
+    project_even,
     shifted_exp,
     synthesize_even,
 )
@@ -51,10 +51,10 @@ from .errors import (
     ResolutionError,
     SingularJacobianError,
 )
-from .grid import Field, Grid, irfft, make_grid, rfft
-from .model import ModelParams
+from .grid import Field, Grid, make_grid
+from .model import ModelParams, check_count
 from .stability import MARGINAL_TOL, nonlocal_spectrum
-from .steady import FIRST_STEP, SteadyState, _handoff, rescale_modal
+from .steady import FIRST_STEP, _handoff, _rescale_modal
 
 __all__ = [
     "BifPoint",
@@ -127,8 +127,7 @@ def critical_kappas(D: float, n_max: int) -> list[BifPoint]:
     """Closed-form bifurcation data for modes n = 1 .. n_max."""
     if not 0 < D < math.inf:
         raise ConfigurationError(f"D must be positive and finite, got {D}")
-    if not isinstance(n_max, (int, np.integer)) or n_max < 1:
-        raise ConfigurationError(f"n_max must be a positive integer, got {n_max!r}")
+    check_count("n_max", n_max, 1)
     points = []
     for n in range(1, n_max + 1):
         kappa_n = _threshold(D, n)
@@ -162,59 +161,41 @@ def _predictor_coefficients(bp: BifPoint, s: float, n_modes: int) -> np.ndarray:
     return coeffs
 
 
-class _EvenCorrector:
+def _correct(z, tangent, anchor, ds, grid: Grid, D: float) -> np.ndarray:
     """Newton corrector for the extended system (residual + normalization).
 
     Unknowns z = (cosine coefficients a_0..a_K, kappa); the normalization
-    row is tangent . (z - anchor) - ds = 0.  Each iterate overwrites the
-    synthesis spectrum, Jacobian and right-hand side allocated here.
+    row is tangent . (z - anchor) - ds = 0.  Convergence is measured on the
+    residual projected into the even subspace (the system Newton actually
+    solves); the unprojected tail is checked later by the steady-state
+    certification.  Each iterate is synthesized once, and its one
+    e^(U - max U) serves the residual, the kappa column and the Jacobian.
+    The bordered Jacobian and its right-hand side are allocated once per
+    call, and every iterate assembles them in place.
     """
-
-    def __init__(self, grid: Grid, D: float, n_modes: int):
-        self.grid = grid
-        self.D = D
-        self.n_modes = n_modes
-        self.n_unknowns = n_modes + 2
-        self.weights = even_weights(grid.n_points, n_modes)  # norms of the even basis
-        self._spec = np.zeros(grid.n_points // 2 + 1, dtype=complex)
-        self._jac = np.empty((self.n_unknowns, self.n_unknowns))
-        self._rhs = np.empty(self.n_unknowns)
-
-    def field_values(self, z: np.ndarray) -> np.ndarray:  # synthesize_even of a_0..a_K
-        self._spec[: self.n_modes + 1] = z[:-1] / self.weights
-        return irfft(self._spec, self.grid.n_points)
-
-    def project(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:  # project_even into out
-        return np.multiply(self.weights, rfft(values)[: self.n_modes + 1].real, out)
-
-    def solve(self, z0, tangent, anchor, ds):
-        # convergence is measured on the residual projected into the even
-        # subspace (the system Newton actually solves); the unprojected tail
-        # is checked later by the steady-state certification.  Each iterate
-        # is synthesized once, and its one e^(U - max U) serves the
-        # residual, the kappa column and the Jacobian.
-        self._jac[-1] = tangent
-        z = z0.copy()
-        for _ in range(CORRECTOR_MAX_ITER):
-            params = ModelParams(D=self.D, kappa=float(z[-1]))  # rejects kappa <= 0
-            vals = self.field_values(z)
-            exp_u = shifted_exp(vals)
-            p = exp_u[0] / exp_u[1]
-            proj = self.project(evolution_rhs(vals, p, self.grid, params), self._rhs[:-1])
-            res_norm = float(np.linalg.norm(proj))
-            norm_eq = float(tangent @ (z - anchor)) - ds
-            if res_norm < CORRECTOR_TOL and abs(norm_eq) < 1e-12:
-                return z, res_norm
-            linearization_dense(exp_u, self.grid, params, self.n_modes, "even", self._jac[:-1, :-1])
-            self.project(p, self._jac[:-1, -1])
-            self._rhs[-1] = norm_eq
-            try:
-                z = z + np.linalg.solve(self._jac, np.negative(self._rhs, self._rhs))
-            except np.linalg.LinAlgError as exc:
-                raise SingularJacobianError("singular extended Jacobian") from exc
-            if not np.all(np.isfinite(z)):
-                raise ConvergenceError("corrector diverged")
-        raise ConvergenceError("corrector did not converge")
+    n_modes = z.size - 2
+    jac = np.empty((z.size, z.size))
+    rhs = np.empty(z.size)
+    jac[-1] = tangent
+    for _ in range(CORRECTOR_MAX_ITER):
+        params = ModelParams(D=D, kappa=float(z[-1]))  # rejects kappa <= 0
+        vals = synthesize_even(z[:-1], grid.n_points)
+        exp_u = shifted_exp(vals)
+        p = exp_u[0] / exp_u[1]
+        proj = project_even(evolution_rhs(vals, p, grid, params), n_modes, rhs[:-1])
+        norm_eq = float(tangent @ (z - anchor)) - ds
+        if float(np.linalg.norm(proj)) < CORRECTOR_TOL and abs(norm_eq) < 1e-12:
+            return z
+        linearization_dense(exp_u, grid, params, n_modes, "even", jac[:-1, :-1])
+        project_even(p, n_modes, jac[:-1, -1])
+        rhs[-1] = norm_eq
+        try:
+            z = z + np.linalg.solve(jac, np.negative(rhs, rhs))
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobianError("singular extended Jacobian") from exc
+        if not np.all(np.isfinite(z)):
+            raise ConvergenceError("corrector diverged")
+    raise ConvergenceError("corrector did not converge")
 
 
 def _describe(exc: BaseException) -> str:
@@ -233,7 +214,8 @@ def continue_branch(
 
     A mode-m branch is the mode-1 branch at m^2 D, corrected in ``n_modes``
     cosine modes (default min(96, n_points/2 - 1), at least 2) and compressed
-    by ``rescale_modal`` before each point is certified and its spectrum taken.
+    m-fold as ``rescale_modal`` does.  Each point is certified once, on the
+    compressed state that it keeps, and its spectrum is taken there.
     The first point comes from the normal-form predictor with an
     amplitude-pinning corrector; afterwards a secant predictor with
     pseudo-arclength normalization is used, with kappa free.  The step is
@@ -246,13 +228,12 @@ def continue_branch(
     kept as the last), "reconnect" (the last point is constant within
     1e-6), "failure" (the corrector failed down to step / 64, or a point
     raised another solver error) or "resolution" (a corrected point failed
-    certification, its m-fold compression or its spectrum's resolution
-    check and was dropped); ``reason`` keeps the last two's cause.
+    the certificate or the peak count of its compression, or its spectrum's
+    resolution check, and was dropped); ``reason`` keeps the last two's cause.
     """
     if not 0 < step < math.inf:
         raise ConfigurationError(f"step must be positive and finite, got {step}")
-    if max_points < 1:
-        raise ConfigurationError(f"max_points must be >= 1, got {max_points}")
+    check_count("max_points", max_points, 1)
     lo, hi = kappa_range if kappa_range is not None else (0.0, math.inf)
     if not lo <= hi:
         raise ConfigurationError(f"kappa_range must be (lo, hi) with lo <= hi, got {kappa_range}")
@@ -261,14 +242,14 @@ def continue_branch(
     if n < 8 * m + 2:
         raise ConfigurationError(f"mode {m} needs at least {8 * m + 2} grid points, got {n}")
     n_modes = min(96, n // 2 - 1) if n_modes is None else n_modes
-    if not 2 <= n_modes <= n // 2 - 1:
+    check_count("n_modes", n_modes, 2)
+    if n_modes > n // 2 - 1:
         raise ConfigurationError(f"n_modes must be in [2, n_points/2 - 1], got {n_modes}")
     unimodal = critical_kappas(m**2 * bp.D, 1)[0]
-    corrector = _EvenCorrector(grid, unimodal.D, n_modes)
 
     def make_point(z, s_coord) -> BranchPoint:
         params = ModelParams(D=unimodal.D, kappa=float(z[-1]))
-        state = rescale_modal(SteadyState(Field(grid, corrector.field_values(z)), params), m)
+        state = _rescale_modal(Field(grid, synthesize_even(z[:-1], n)), params, m)
         report = nonlocal_spectrum(state)
         return BranchPoint(
             s=s_coord,
@@ -281,33 +262,29 @@ def continue_branch(
         )
 
     points: list[BranchPoint] = []
-    zs: list[np.ndarray] = []
     terminated_by = "step_limit"
     reason = None
 
     # first point: normal-form predictor, amplitude pinned at s = step
     z_pred = _predictor_coefficients(unimodal, step, n_modes)
-    pin = np.zeros(corrector.n_unknowns)
+    pin = np.zeros(n_modes + 2)
     pin[1] = 1.0
     try:
-        z, _ = corrector.solve(z_pred, pin, z_pred, 0.0)
+        z = _correct(z_pred, pin, z_pred, 0.0, grid, unimodal.D)
     except MechmorphError as exc:
         raise ConvergenceError(f"could not correct the first branch point: {exc}") from exc
     points.append(make_point(z, step))
-    zs.append(z)
-
-    # secant anchor behind the first point: the bifurcation point itself
-    z_origin = _predictor_coefficients(unimodal, 0.0, n_modes)
+    # the secant anchor behind the first point is the bifurcation point itself
+    zs = [_predictor_coefficients(unimodal, 0.0, n_modes), z]
 
     ds = step
     easy = 0
     while len(points) < max_points and lo <= points[-1].kappa <= hi:
-        prev = zs[-2] if len(zs) >= 2 else z_origin
-        diff = zs[-1] - prev
+        diff = zs[-1] - zs[-2]
         tangent = diff / np.linalg.norm(diff)
         z_pred = zs[-1] + tangent * ds
         try:
-            z, _ = corrector.solve(z_pred, tangent, zs[-1], ds)
+            z = _correct(z_pred, tangent, zs[-1], ds, grid, unimodal.D)
             easy += 1
         except MechmorphError as exc:
             easy = 0
@@ -446,10 +423,9 @@ def sweep(
     kappa_values = np.asarray(list(kappa_values), dtype=float)
     if d_values.size == 0 or kappa_values.size == 0 or (d_values <= 0).any() or (kappa_values <= 0).any():
         raise ConfigurationError("d_values and kappa_values must be non-empty and positive")
-    if trials < 0:
-        raise ConfigurationError(f"trials must be >= 0, got {trials}")
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    check_count("trials", trials, 0)
+    check_count("workers", workers, 1)
+    check_count("seed", seed, 0)
     _check_run(t_end, HANDOFF_TOL)
     children = iter(np.random.SeedSequence(seed).spawn(d_values.size * kappa_values.size))
     cells_args = [(float(d_val), float(kappa), trials, next(children), n_points, t_end)

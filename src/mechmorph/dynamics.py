@@ -72,7 +72,7 @@ from ._operators import (
 )
 from .errors import ConfigurationError, DivergenceError, MechmorphError
 from .grid import Field, Grid, irfft, rfft
-from .model import ModelParams
+from .model import ModelParams, check_count
 
 __all__ = ["TrajectorySummary", "simulate", "strain_field"]
 
@@ -315,8 +315,7 @@ def simulate(
     :class:`DivergenceError` with the last finite state attached.
     """
     _check_run(t_end, steady_tol)
-    if record_every < 1:
-        raise ConfigurationError(f"record_every must be >= 1, got {record_every}")
+    check_count("record_every", record_every, 1)
     stepper = _Stepper(u0.grid, params, dt)
     advance, evaluate, change = stepper.advance, stepper.evaluate, stepper.change
     fixed = stepper.factors(dt)

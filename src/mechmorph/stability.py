@@ -54,6 +54,7 @@ import numpy as np
 from ._operators import linearization_dense, linearization_parts, shifted_exp
 from .errors import BracketError, ConfigurationError, ResolutionError
 from .grid import irfft, rfft
+from .model import check_count
 from .steady import SteadyState
 
 __all__ = [
@@ -201,7 +202,8 @@ def _check_modes(state: SteadyState, n_modes: int | None, coef: np.ndarray | Non
     n = state.field.grid.n_points
     if n_modes is None:
         n_modes = _default_modes(state, coef)
-    if n_modes < 1 or n_modes > n // 4:
+    check_count("n_modes", n_modes, 1)
+    if n_modes > n // 4:
         raise ConfigurationError(
             f"n_modes must be in [1, n_points/4], got {n_modes} at n_points={n}"
         )

@@ -40,7 +40,7 @@ from ._operators import (
 from .dynamics import _relax
 from .errors import ConfigurationError, ConvergenceError, ResolutionError, SingularJacobianError
 from .grid import Field, Grid, integrate, make_grid, rfft
-from .model import ModelParams
+from .model import ModelParams, check_count
 
 __all__ = [
     "RelaxStats",
@@ -311,26 +311,32 @@ def rescale_modal(state: SteadyState, m: int) -> SteadyState:
     A 1-modal input at diffusivity m^2 D yields an m-modal steady state at
     diffusivity D (compressing the profile lowers the effective diffusivity
     by m^2).  The result is sampled on the same grid and certified at the
-    new diffusivity like every SteadyState.  A failed certificate (a
-    residual of 1e-8 or more included) or a peak count other than m times
-    the input's means the grid cannot represent the compression (aliasing)
-    and raises ResolutionError.
+    new diffusivity like every SteadyState, the one certificate computed:
+    a mode-m branch point is certified once, on its compressed state.  A
+    failed certificate (a residual of 1e-8 or more included) or a peak
+    count other than m times the input's means the grid cannot represent
+    the compression (aliasing) and raises ResolutionError.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ConfigurationError(f"m must be a positive integer, got {m!r}")
+    check_count("m", m, 1)
+    return state if m == 1 else _rescale_modal(state.field, state.params, m)
+
+
+def _rescale_modal(field: Field, params: ModelParams, m: int) -> SteadyState:
+    """``rescale_modal`` of a field at params that is not certified itself:
+    the m-fold compression is the one state certified.  At m = 1 that is
+    the field's own certificate, whose errors pass through unchanged."""
     if m == 1:
-        return state
-    grid = state.field.grid
-    values = state.field.values[(m * np.arange(grid.n_points)) % grid.n_points]
-    params = ModelParams(D=state.params.D / m**2, kappa=state.params.kappa)
+        return SteadyState(field, params)
+    grid = field.grid
+    values = field.values[(m * np.arange(grid.n_points)) % grid.n_points]
+    params = ModelParams(D=params.D / m**2, kappa=params.kappa)
     try:
         rescaled = SteadyState(Field(grid, values), params)
     except ConvergenceError as exc:
         raise ResolutionError(
             f"rescaled state not certified ({exc}); grid too coarse for m={m}"
         ) from exc
-    if rescaled.modality != m * state.modality:
-        raise ResolutionError(
-            f"rescaled state has {rescaled.modality} peaks, expected {m * state.modality}"
-        )
+    expected = m * count_modes(field)
+    if rescaled.modality != expected:
+        raise ResolutionError(f"rescaled state has {rescaled.modality} peaks, expected {expected}")
     return rescaled

@@ -36,8 +36,8 @@ from mechmorph.bifurcation import (
     CORRECTOR_TOL,
     HANDOFF_TOL,
     SEED_AMPLITUDE,
+    _correct,
     _detect_folds,
-    _EvenCorrector,
     _predictor_coefficients,
 )
 from mechmorph.dynamics import MAX_STEP, TrajectorySummary
@@ -209,25 +209,26 @@ def window_linearization_parts(values, grid, params, n_modes, kind):
     return local, c_vec, params.kappa / mean_c**2
 
 
-def two_pass_corrector_solve(self, z0, tangent, anchor, ds):
-    """``_EvenCorrector.solve`` evaluating each iterate in two passes.
+def two_pass_corrector_solve(z0, tangent, anchor, ds, grid, D):
+    """``bifurcation._correct`` evaluating each iterate in two passes.
 
     The residual pass synthesizes the field and evaluates e^U for the
     density; the Jacobian pass synthesizes it again and evaluates e^U for
     the assembly and again for the kappa column.  Monkeypatched over the
-    method, it must leave every branch point unchanged.
+    function, it must leave every branch point unchanged.
     """
+    n_modes, n_unknowns = z0.size - 2, z0.size
 
     def residual(z):
-        params = mm.ModelParams(D=self.D, kappa=float(z[-1]))
-        values = synthesize_even(z[:-1], self.grid.n_points)
+        params = mm.ModelParams(D=D, kappa=float(z[-1]))
+        values = synthesize_even(z[:-1], grid.n_points)
         uxx = np.fft.irfft(
-            -self.grid.laplacian_eigenvalues * np.fft.rfft(values, norm="forward"),
-            self.grid.n_points,
+            -grid.laplacian_eigenvalues * np.fft.rfft(values, norm="forward"),
+            grid.n_points,
             norm="forward",
         )
         rhs = params.D * uxx - values + params.kappa * density(values)
-        return project_even(rhs, self.n_modes)
+        return project_even(rhs, n_modes)
 
     z = z0.copy()
     for _ in range(CORRECTOR_MAX_ITER):
@@ -235,18 +236,18 @@ def two_pass_corrector_solve(self, z0, tangent, anchor, ds):
         res_norm = float(np.linalg.norm(proj))
         norm_eq = float(tangent @ (z - anchor)) - ds
         if res_norm < CORRECTOR_TOL and abs(norm_eq) < 1e-12:
-            return z, res_norm
+            return z
         kappa = float(z[-1])
         if kappa <= 0:
             raise ConvergenceError("corrector left the kappa > 0 domain")
-        params = mm.ModelParams(D=self.D, kappa=kappa)
-        vals = synthesize_even(z[:-1], self.grid.n_points)
-        jac = np.empty((self.n_unknowns, self.n_unknowns))
+        params = mm.ModelParams(D=D, kappa=kappa)
+        vals = synthesize_even(z[:-1], grid.n_points)
+        jac = np.empty((n_unknowns, n_unknowns))
         local, c_vec, m_coef = window_linearization_parts(
-            vals, self.grid, params, self.n_modes, "even"
+            vals, grid, params, n_modes, "even"
         )
         jac[:-1, :-1] = local - m_coef * np.outer(c_vec, c_vec)
-        jac[:-1, -1] = project_even(density(vals), self.n_modes)
+        jac[:-1, -1] = project_even(density(vals), n_modes)
         jac[-1, :] = tangent
         rhs = -np.concatenate([proj, [norm_eq]])
         try:
@@ -269,28 +270,28 @@ def mode_n_branch(bp, step, max_points, kappa_range, grid):
     certificate propagate.
     """
     lo, hi = kappa_range
-    corrector = _EvenCorrector(grid, bp.D, min(96, grid.n_points // 2 - 1))
+    n_modes = min(96, grid.n_points // 2 - 1)
 
     def make_point(z, s):
         params = mm.ModelParams(D=bp.D, kappa=float(z[-1]))
-        state = mm.SteadyState(mm.Field(grid, corrector.field_values(z)), params)
+        state = mm.SteadyState(mm.Field(grid, synthesize_even(z[:-1], grid.n_points)), params)
         nu = mm.nonlocal_spectrum(state).leading_nu
         return mm.BranchPoint(s=s, kappa=params.kappa, field=state.field, amplitude=float(z[bp.n]),
                               stable=nu <= MARGINAL_TOL, leading_nu=nu, energy=state.energy)
 
-    z_pred = _predictor_coefficients(bp, step, corrector.n_modes)
-    pin = np.zeros(corrector.n_unknowns)
+    z_pred = _predictor_coefficients(bp, step, n_modes)
+    pin = np.zeros(n_modes + 2)
     pin[bp.n] = 1.0
-    zs = [corrector.solve(z_pred, pin, z_pred, 0.0)[0]]
+    zs = [_correct(z_pred, pin, z_pred, 0.0, grid, bp.D)]
     points = [make_point(zs[0], step)]
-    z_origin = np.zeros(corrector.n_unknowns)
+    z_origin = np.zeros(n_modes + 2)
     z_origin[[0, -1]] = bp.kappa_n
     terminated_by, reason, ds, easy = "step_limit", None, step, 0
     while len(points) < max_points and lo <= points[-1].kappa <= hi:
         diff = zs[-1] - (zs[-2] if len(zs) >= 2 else z_origin)
         tangent = diff / np.linalg.norm(diff)
         try:
-            z, _ = corrector.solve(zs[-1] + tangent * ds, tangent, zs[-1], ds)
+            z = _correct(zs[-1] + tangent * ds, tangent, zs[-1], ds, grid, bp.D)
             easy += 1
         except MechmorphError as exc:
             easy, ds = 0, ds * 0.5

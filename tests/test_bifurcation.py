@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mechmorph as mm
-from mechmorph import bifurcation
+from mechmorph import bifurcation, steady
 from mechmorph.bifurcation import _detect_folds
 from mechmorph.errors import (
     AmplitudeOverflowError,
@@ -219,16 +219,16 @@ def test_uncertifiable_branch_point_reports_resolution():
 
 
 def test_corrector_failure_keeps_its_cause(monkeypatch, grid256):
-    solve = bifurcation._EvenCorrector.solve
+    correct = bifurcation._correct
     calls = []
 
-    def fails_after_first_point(self, *args, **kwargs):
+    def fails_after_first_point(*args, **kwargs):
         calls.append(None)
         if len(calls) > 1:
             raise SingularJacobianError("injected")
-        return solve(self, *args, **kwargs)
+        return correct(*args, **kwargs)
 
-    monkeypatch.setattr(bifurcation._EvenCorrector, "solve", fails_after_first_point)
+    monkeypatch.setattr(bifurcation, "_correct", fails_after_first_point)
     branch = mm.continue_branch(mm.critical_kappas(0.02, 1)[0], step=0.05, grid=grid256)
     assert len(branch.points) == 1
     assert (branch.terminated_by, branch.reason) == ("failure", "SingularJacobianError: injected")
@@ -239,12 +239,12 @@ def test_corrector_failure_keeps_its_cause(monkeypatch, grid256):
 def test_corrector_matches_the_two_pass_oracle(monkeypatch, request, mode, grid_name):
     # one synthesis and one e^(U - max U) per iterate, shared by the
     # residual, the kappa column and the Jacobian, and the Jacobian and the
-    # right-hand side assembled in buffers kept across iterates, change no
-    # bit of a point
+    # right-hand side assembled in place in arrays allocated once per call,
+    # change no bit of a point
     grid = request.getfixturevalue(grid_name)
     bp = mm.critical_kappas(0.005, mode)[mode - 1]
     lean = mm.continue_branch(bp, max_points=15, grid=grid)
-    monkeypatch.setattr(bifurcation._EvenCorrector, "solve", two_pass_corrector_solve)
+    monkeypatch.setattr(bifurcation, "_correct", two_pass_corrector_solve)
     reference = mm.continue_branch(bp, max_points=15, grid=grid)
     assert len(lean.points) == len(reference.points) == 15
     for got, want in zip(lean.points, reference.points):
@@ -254,6 +254,44 @@ def test_corrector_matches_the_two_pass_oracle(monkeypatch, request, mode, grid_
         )
     assert lean.folds == reference.folds
     assert (lean.terminated_by, lean.reason) == (reference.terminated_by, reference.reason)
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+def test_branch_that_reaches_the_constant_state_ends_with_reconnect(monkeypatch, grid256, mode):
+    # the constant state (kappa, 0, ..., 0, kappa) has residual exactly 0,
+    # so it certifies; compressed m-fold it keeps m x 0 peaks, which a
+    # check for exactly m peaks would turn into "resolution"
+    correct = bifurcation._correct
+    calls = []
+
+    def reconnects(z, *args):
+        calls.append(None)
+        if len(calls) == 2:
+            constant = np.zeros_like(z)
+            constant[[0, -1]] = z[-1]
+            return constant
+        return correct(z, *args)
+
+    monkeypatch.setattr(bifurcation, "_correct", reconnects)
+    bp = mm.critical_kappas(0.005, mode)[mode - 1]
+    branch = mm.continue_branch(bp, grid=grid256)
+    assert (len(branch.points), branch.terminated_by, branch.reason) == (2, "reconnect", None)
+    assert np.ptp(branch.points[-1].field.values) == 0.0
+
+
+def test_each_mode2_point_is_certified_once(monkeypatch, grid256):
+    # only the compressed state is certified, not the mode-1 field it came from
+    residual = steady._residual
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return residual(*args)
+
+    monkeypatch.setattr(steady, "_residual", counted)
+    branch = mm.continue_branch(mm.critical_kappas(0.005, 2)[1], max_points=5, grid=grid256)
+    assert len(branch.points) == 5
+    assert len(calls) == 5
 
 
 def test_mode2_branch_matches_the_mode_n_oracle(grid256):
@@ -283,7 +321,7 @@ def test_coarse_grid_is_rejected_before_any_corrector_work(monkeypatch):
     def corrector_runs(*args, **kwargs):
         raise AssertionError("the corrector ran")
 
-    monkeypatch.setattr(bifurcation._EvenCorrector, "solve", corrector_runs)
+    monkeypatch.setattr(bifurcation, "_correct", corrector_runs)
     bp = mm.critical_kappas(0.005, 8)[7]
     with pytest.raises(ConfigurationError):
         mm.continue_branch(bp, grid=mm.make_grid(64))
