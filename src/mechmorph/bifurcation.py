@@ -20,7 +20,9 @@ what the predictor uses, while alpha_pp is reported as the classification
 constant.  Both share the sign and the type threshold.
 
 Branches are tracked with pseudo-arclength continuation in the even
-(cosine) subspace with kappa as an unknown, so folds pose no singularity.
+(cosine) subspace with kappa as an unknown, so folds pose no singularity;
+the corrector is the bordered Newton of mechmorph.steady, with the secant
+row as its border.
 The model is invariant under u(x) = v(n x), D -> n^2 D, so a mode-n branch
 at D is continued as the mode-1 branch at n^2 D, compressed by rescale_modal.
 """
@@ -33,28 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._operators import (
-    bump_seed,
-    evolution_rhs,
-    linearization_dense,
-    noisy_constant,
-    project_even,
-    shifted_exp,
-    synthesize_even,
-)
+from ._operators import bump_seed, noisy_constant, synthesize_even
 from .dynamics import _check_run, _relax_stack
 from .energy import bounds
-from .errors import (
-    ConfigurationError,
-    ConvergenceError,
-    MechmorphError,
-    ResolutionError,
-    SingularJacobianError,
-)
+from .errors import ConfigurationError, ConvergenceError, MechmorphError, ResolutionError
 from .grid import Field, Grid, make_grid
 from .model import ModelParams, check_count
 from .stability import MARGINAL_TOL, nonlocal_spectrum
-from .steady import FIRST_STEP, _handoff, _rescale_modal
+from .steady import FIRST_STEP, _bordered_newton, _handoff, _rescale_modal
 
 __all__ = [
     "BifPoint",
@@ -71,8 +59,7 @@ __all__ = [
 TYPE_TOL = 1e-12
 SEED_AMPLITUDE = 0.01  # relative amplitude of the sweep's random seeds
 HANDOFF_TOL = 1e-7  # the sweep's steady-state detector (the relaxation's steady_tol)
-CORRECTOR_TOL = 1e-11  # norm of the corrector's even-projected residual
-CORRECTOR_MAX_ITER = 12
+CORRECTOR_TOL = 1e-11  # the corrector's tol: RMS of its even-projected residual
 
 
 @dataclass(frozen=True)
@@ -144,9 +131,13 @@ def critical_kappas(D: float, n_max: int) -> list[BifPoint]:
 
 
 def predictor_from_normal_form(bp: BifPoint, s: float, grid: Grid | None = None) -> tuple[Field, float]:
-    """Second-order branch predictor at amplitude s (|s| <= 0.2 recommended)."""
+    """Second-order branch predictor at amplitude s (|s| <= 0.2 recommended).
+    The grid must hold mode n below its Nyquist mode: n <= n_points/2 - 1."""
     grid = grid if grid is not None else make_grid()
-    coeffs = _predictor_coefficients(bp, s, grid.n_points // 2 - 1)
+    n_modes = grid.n_points // 2 - 1
+    if bp.n > n_modes:
+        raise ConfigurationError(f"mode {bp.n} needs more than {grid.n_points} grid points")
+    coeffs = _predictor_coefficients(bp, s, n_modes)
     return Field(grid, synthesize_even(coeffs[:-1], grid.n_points)), float(coeffs[-1])
 
 
@@ -159,43 +150,6 @@ def _predictor_coefficients(bp: BifPoint, s: float, n_modes: int) -> np.ndarray:
         coeffs[2 * bp.n] = s**2 * bp.z_amp / np.sqrt(2.0)
     coeffs[-1] = kappa
     return coeffs
-
-
-def _correct(z, tangent, anchor, ds, grid: Grid, D: float) -> np.ndarray:
-    """Newton corrector for the extended system (residual + normalization).
-
-    Unknowns z = (cosine coefficients a_0..a_K, kappa); the normalization
-    row is tangent . (z - anchor) - ds = 0.  Convergence is measured on the
-    residual projected into the even subspace (the system Newton actually
-    solves); the unprojected tail is checked later by the steady-state
-    certification.  Each iterate is synthesized once, and its one
-    e^(U - max U) serves the residual, the kappa column and the Jacobian.
-    The bordered Jacobian and its right-hand side are allocated once per
-    call, and every iterate assembles them in place.
-    """
-    n_modes = z.size - 2
-    jac = np.empty((z.size, z.size))
-    rhs = np.empty(z.size)
-    jac[-1] = tangent
-    for _ in range(CORRECTOR_MAX_ITER):
-        params = ModelParams(D=D, kappa=float(z[-1]))  # rejects kappa <= 0
-        vals = synthesize_even(z[:-1], grid.n_points)
-        exp_u = shifted_exp(vals)
-        p = exp_u[0] / exp_u[1]
-        proj = project_even(evolution_rhs(vals, p, grid, params), n_modes, rhs[:-1])
-        norm_eq = float(tangent @ (z - anchor)) - ds
-        if float(np.linalg.norm(proj)) < CORRECTOR_TOL and abs(norm_eq) < 1e-12:
-            return z
-        linearization_dense(exp_u, grid, params, n_modes, "even", jac[:-1, :-1])
-        project_even(p, n_modes, jac[:-1, -1])
-        rhs[-1] = norm_eq
-        try:
-            z = z + np.linalg.solve(jac, np.negative(rhs, rhs))
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError("singular extended Jacobian") from exc
-        if not np.all(np.isfinite(z)):
-            raise ConvergenceError("corrector diverged")
-    raise ConvergenceError("corrector did not converge")
 
 
 def _describe(exc: BaseException) -> str:
@@ -216,10 +170,12 @@ def continue_branch(
     cosine modes (default min(96, n_points/2 - 1), at least 2) and compressed
     m-fold as ``rescale_modal`` does.  Each point is certified once, on the
     compressed state that it keeps, and its spectrum is taken there.
-    The first point comes from the normal-form predictor with an
-    amplitude-pinning corrector; afterwards a secant predictor with
-    pseudo-arclength normalization is used, with kappa free.  The step is
-    halved on corrector failure and regrown (x1.3, capped at the initial
+    The corrector is the bordered Newton of ``newton_steady`` at tolerance
+    CORRECTOR_TOL, raised to the residual's round-off floor where that is
+    larger.  The first point comes from the normal-form predictor with the
+    amplitude pinned by the border row; afterwards a secant predictor is
+    used, with kappa free and the pseudo-arclength row as border.  The step
+    is halved on corrector failure and regrown (x1.3, capped at the initial
     step) after four easy successes.  Stability is evaluated at every point
     through the full nonlocal spectrum of the m-modal state.
 
@@ -270,7 +226,7 @@ def continue_branch(
     pin = np.zeros(n_modes + 2)
     pin[1] = 1.0
     try:
-        z = _correct(z_pred, pin, z_pred, 0.0, grid, unimodal.D)
+        z = _bordered_newton(z_pred, pin, z_pred, 0.0, grid, unimodal.D, CORRECTOR_TOL)
     except MechmorphError as exc:
         raise ConvergenceError(f"could not correct the first branch point: {exc}") from exc
     points.append(make_point(z, step))
@@ -284,7 +240,7 @@ def continue_branch(
         tangent = diff / np.linalg.norm(diff)
         z_pred = zs[-1] + tangent * ds
         try:
-            z = _correct(z_pred, tangent, zs[-1], ds, grid, unimodal.D)
+            z = _bordered_newton(z_pred, tangent, zs[-1], ds, grid, unimodal.D, CORRECTOR_TOL)
             easy += 1
         except MechmorphError as exc:
             easy = 0

@@ -27,7 +27,7 @@ from ._operators import (
 )
 from .errors import ConfigurationError
 from .grid import Field, to_spectral
-from .model import ModelParams
+from .model import ModelParams, check_count
 
 __all__ = ["ModelParams", "BoundsReport", "energy", "first_variation", "hessian_matrix", "bounds"]
 
@@ -62,7 +62,8 @@ def hessian_matrix(u: Field, params: ModelParams, n_modes: int) -> np.ndarray:
     the gradient flow of J.  Row and column 0 reduce to (1, 0, ..., 0)
     because the density e^u / int e^u integrates to one.
     """
-    if n_modes < 1 or n_modes > u.grid.n_points // 4:
+    check_count("n_modes", n_modes, 1)
+    if n_modes > u.grid.n_points // 4:
         raise ConfigurationError(
             f"n_modes must be in [1, n_points/4], got {n_modes} at n_points={u.grid.n_points}"
         )

@@ -3,12 +3,14 @@
 The constant state U = kappa always exists.  Nonconstant states are found
 either by damped Newton iteration restricted to the even (cosine) subspace,
 which removes the translation zero mode, or by relaxing the gradient flow
-and polishing the result.  The relaxation takes energy-controlled adaptive
-exponential-Euler steps (see :mod:`mechmorph.dynamics`): fixed points of
-the scheme are exact steady states for any step, and Newton polishes the
-end state, so the step is set by the energy alone, not by trajectory
-accuracy.  Every stationary solution carries mass int U = kappa; this is
-verified a posteriori rather than imposed.
+and polishing the result.  That Newton is bordered, kappa pinned by its
+border row; with a secant row it is the branch corrector of
+:mod:`mechmorph.bifurcation`.  The relaxation takes energy-controlled
+adaptive exponential-Euler steps (see :mod:`mechmorph.dynamics`): fixed
+points of the scheme are exact steady states for any step, and Newton
+polishes the end state, so the step is set by the energy alone, not by
+trajectory accuracy.  Every stationary solution carries mass
+int U = kappa; this is verified a posteriori rather than imposed.
 
 A :class:`SteadyState` computes its certificate (residual, modality,
 energy) from its field when it is built; every solver returns one built
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 
 import numpy as np
 
@@ -174,55 +177,91 @@ def newton_steady(
     The guess is recentered at its maximum and projected onto cosine modes,
     which fixes the translation phase and makes the Jacobian (the nonlocal
     linearization restricted to even modes) nonsingular away from folds.
-    The basis holds every even grid mode, the Nyquist cosine (-1)^j
-    included, so the iteration can correct every component of the
-    full-grid residual it certifies.  At most NEWTON_MAX_ITER iterations
-    are taken.  On fine grids the tolerance is raised to the round-off
-    floor of the spectral residual, which the certification threshold
-    still sits far above.
+    It is ``_bordered_newton`` with kappa pinned, over every even grid mode,
+    the Nyquist cosine (-1)^j included, so the iteration can correct every
+    component of the full-grid residual it certifies.  ``history``, if
+    given, receives the residual RMS of each iterate.
     """
     if not 1e-12 <= tol < np.inf:
         raise ConfigurationError(f"tol must be finite and >= 1e-12, got {tol}")
-    return _newton(_even_project(guess.values), guess.grid, params, tol, history)
+    return _pinned_newton(_even_project(guess.values), guess.grid, params, tol, history)
 
 
-def _newton(values, grid: Grid, params: ModelParams, tol: float = 1e-10, history=None):
-    """``newton_steady`` from ``_even_project`` of its guess, ``values``."""
-    n = grid.n_points
-    residual, res_norm, exp_u = _residual(values, grid, params)
-    for _ in range(NEWTON_MAX_ITER):
+def _pinned_newton(values, grid: Grid, params: ModelParams, tol: float = 1e-10, history=None):
+    """The state that ``_bordered_newton`` reaches from the even field
+    ``values`` over all n_points/2 + 1 cosines, kappa pinned at params.kappa."""
+    z = np.append(project_even(values, grid.n_points // 2), params.kappa)
+    pin = np.zeros(z.size)
+    pin[-1] = 1.0
+    z = _bordered_newton(z, pin, z, 0.0, grid, params.D, tol, history)
+    return SteadyState(Field(grid, synthesize_even(z[:-1], grid.n_points)), params)
+
+
+def _bordered_newton(z, tangent, anchor, ds, grid: Grid, D: float, tol: float, history=None):
+    """Damped Newton on the stationary equation in the even subspace,
+    closed by one border row (a bordered system, after Keller).
+
+    The unknowns z = (a_0 .. a_K, kappa) are the coefficients of U in the
+    cosine basis of ``project_even`` and kappa (K = n_points/2 is every even
+    grid mode).  The equations are the residual projected on those K + 1
+    cosines, whose kappa column is the projected e^U / int e^U, and the
+    border tangent . (z - anchor) = ds: tangent e_kappa with ds = 0 pins
+    kappa, a secant tangent is the pseudo-arclength row.  The solve stops
+    when the residual RMS (the norm of the projection; at K = n_points/2
+    the full-grid RMS that SteadyState certifies) is below max(tol,
+    ``residual_floor``) and the border below 1e-12.  Each step is halved
+    until hypot(residual RMS, border) falls; 21 halvings, or
+    NEWTON_MAX_ITER steps, raise ConvergenceError.  A singular or
+    non-finite step raises SingularJacobianError; a trial with kappa <= 0
+    or beyond the exp() guard raises from its evaluation.  An iterate is
+    evaluated once, the accepted trial's evaluation serving the next step,
+    with one e^(U - max U) for its residual, kappa column and Jacobian; the
+    Jacobian and its right-hand side are allocated once per call.  Returns
+    z; ``history``, if given, receives each iterate's residual RMS.
+    """
+    n_modes = z.size - 2
+    jac = np.empty((z.size, z.size))
+    rhs = np.empty(z.size)
+    jac[-1] = tangent
+
+    def evaluate(z):
+        params = ModelParams(D=D, kappa=float(z[-1]))  # rejects kappa <= 0
+        values = synthesize_even(z[:-1], grid.n_points)
+        exp_u = shifted_exp(values)
+        p = exp_u[0] / exp_u[1]
+        proj = project_even(evolution_rhs(values, p, grid, params), n_modes, rhs[:-1])
+        border = float(tangent @ (z - anchor)) - ds
+        return z, params, values, exp_u, p, float(np.linalg.norm(proj)), border
+
+    z, params, values, exp_u, p, res, border = evaluate(z)
+    for iteration in range(NEWTON_MAX_ITER + 1):
         if history is not None:
-            history.append(res_norm)
-        if res_norm < max(tol, residual_floor(values, grid, params)):
-            return SteadyState(Field(grid, values), params)
-        jac = linearization_dense(exp_u, grid, params, n // 2, "even")
+            history.append(res)
+        if abs(border) < 1e-12 and (res < tol or res < residual_floor(values, grid, params)):
+            return z
+        if iteration == NEWTON_MAX_ITER:
+            break
+        linearization_dense(exp_u, grid, params, n_modes, "even", jac[:-1, :-1])
+        project_even(p, n_modes, jac[:-1, -1])
+        rhs[-1] = border
         try:
-            delta = np.linalg.solve(jac, -project_even(residual, n // 2))
+            step = np.linalg.solve(jac, np.negative(rhs, rhs))
         except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(
-                "singular Jacobian in Newton iteration (possible fold)"
-            ) from exc
-        if not np.all(np.isfinite(delta)):
-            raise SingularJacobianError("non-finite Newton step (possible fold)")
-        # damping: halve the step until the residual decreases
-        step = synthesize_even(delta, n)
-        scale = 1.0
+            raise SingularJacobianError("singular bordered Jacobian in Newton iteration") from exc
+        if not np.all(np.isfinite(step)):
+            raise SingularJacobianError("non-finite Newton step")
+        merit = math.hypot(res, border)
         for _halving in range(21):
-            trial = values + scale * step
-            trial_res, trial_norm, trial_exp = _residual(trial, grid, params)
-            if trial_norm < res_norm:
-                values, residual, res_norm, exp_u = trial, trial_res, trial_norm, trial_exp
+            trial = evaluate(z + step)
+            if math.hypot(*trial[-2:]) < merit:
+                z, params, values, exp_u, p, res, border = trial
                 break
-            scale *= 0.5
+            step *= 0.5
         else:
-            raise ConvergenceError(
-                f"Newton line search stalled at residual {res_norm:.3e}"
-            )
-    if res_norm < max(tol, residual_floor(values, grid, params)):
-        return SteadyState(Field(grid, values), params)
+            raise ConvergenceError(f"Newton line search stalled at residual {res:.3e}")
     raise ConvergenceError(
         f"Newton did not reach tol={tol:g} within {NEWTON_MAX_ITER} iterations "
-        f"(residual {res_norm:.3e})"
+        f"(residual {res:.3e})"
     )
 
 
@@ -293,7 +332,7 @@ def _handoff(
     history = []
     # the recentered even projection Newton starts from, and the move's baseline
     baseline = _even_project(relaxed.values)
-    state = _newton(baseline, relaxed.grid, params, history=history)
+    state = _pinned_newton(baseline, relaxed.grid, params, history=history)
     moved = float(np.max(np.abs(state.field.values - baseline)))
     stats = RelaxStats(**counters, newton_iterations=len(history) - 1, newton_move=moved)
     _log.debug("relax_to_steady: %s", stats, extra={"relax_stats": stats})

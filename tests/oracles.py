@@ -8,10 +8,10 @@ bases, zero counts by one loop per function, secular roots by one scalar
 bisection per bracket, fixed-step trajectories by the step that
 allocates every intermediate array, and peak counts by filling ties with
 one loop over the nodes.  The Galerkin assembly from sliding windows, one
-kind per call, the branch corrector that synthesizes each iterate twice
-and evaluates e^U three times, the coefficient rows of every local
-eigenvector scattered by rank, and the sweep cell that relaxes its seeds
-one at a time are kept as bit-identity references.  Mode-n branches are
+kind per call, the full-step branch corrector that synthesizes each
+iterate twice and evaluates e^U three times, the coefficient rows of every
+local eigenvector scattered by rank, and the sweep cell that relaxes its
+seeds one at a time are kept as bit-identity references.  Mode-n branches are
 traced at D itself, in the cosine modes of the n-peaked field.
 """
 
@@ -32,11 +32,9 @@ from mechmorph._operators import (
     synthesize_even,
 )
 from mechmorph.bifurcation import (
-    CORRECTOR_MAX_ITER,
     CORRECTOR_TOL,
     HANDOFF_TOL,
     SEED_AMPLITUDE,
-    _correct,
     _detect_folds,
     _predictor_coefficients,
 )
@@ -51,7 +49,7 @@ from mechmorph.errors import (
     SingularJacobianError,
 )
 from mechmorph.stability import BETA_TOL, BISECT_TOL, BRACKET_INSET, MARGINAL_TOL, MERGE_TOL
-from mechmorph.steady import FLAT_TOL
+from mechmorph.steady import FLAT_TOL, _bordered_newton
 
 
 def gauss_legendre_integral(f, n_panels=64, order=10):
@@ -209,13 +207,17 @@ def window_linearization_parts(values, grid, params, n_modes, kind):
     return local, c_vec, params.kappa / mean_c**2
 
 
-def two_pass_corrector_solve(z0, tangent, anchor, ds, grid, D):
-    """``bifurcation._correct`` evaluating each iterate in two passes.
+def two_pass_corrector_solve(z0, tangent, anchor, ds, grid, D, tol, history=None):
+    """The branch corrector with full Newton steps, a fixed tolerance
+    CORRECTOR_TOL and at most 12 iterations, evaluating each iterate in two
+    passes; ``tol`` and ``history`` are taken and ignored, so that it can
+    stand in for ``steady._bordered_newton``.
 
     The residual pass synthesizes the field and evaluates e^U for the
     density; the Jacobian pass synthesizes it again and evaluates e^U for
     the assembly and again for the kappa column.  Monkeypatched over the
-    function, it must leave every branch point unchanged.
+    corrector, it must leave every branch point unchanged where the
+    round-off floor is below CORRECTOR_TOL and full steps converge.
     """
     n_modes, n_unknowns = z0.size - 2, z0.size
 
@@ -231,7 +233,7 @@ def two_pass_corrector_solve(z0, tangent, anchor, ds, grid, D):
         return project_even(rhs, n_modes)
 
     z = z0.copy()
-    for _ in range(CORRECTOR_MAX_ITER):
+    for _ in range(12):
         proj = residual(z)
         res_norm = float(np.linalg.norm(proj))
         norm_eq = float(tangent @ (z - anchor)) - ds
@@ -282,7 +284,7 @@ def mode_n_branch(bp, step, max_points, kappa_range, grid):
     z_pred = _predictor_coefficients(bp, step, n_modes)
     pin = np.zeros(n_modes + 2)
     pin[bp.n] = 1.0
-    zs = [_correct(z_pred, pin, z_pred, 0.0, grid, bp.D)]
+    zs = [_bordered_newton(z_pred, pin, z_pred, 0.0, grid, bp.D, CORRECTOR_TOL)]
     points = [make_point(zs[0], step)]
     z_origin = np.zeros(n_modes + 2)
     z_origin[[0, -1]] = bp.kappa_n
@@ -291,7 +293,8 @@ def mode_n_branch(bp, step, max_points, kappa_range, grid):
         diff = zs[-1] - (zs[-2] if len(zs) >= 2 else z_origin)
         tangent = diff / np.linalg.norm(diff)
         try:
-            z = _correct(zs[-1] + tangent * ds, tangent, zs[-1], ds, grid, bp.D)
+            z = _bordered_newton(zs[-1] + tangent * ds, tangent, zs[-1], ds, grid, bp.D,
+                                 CORRECTOR_TOL)
             easy += 1
         except MechmorphError as exc:
             easy, ds = 0, ds * 0.5

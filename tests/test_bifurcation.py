@@ -89,6 +89,21 @@ def test_predictor_mass_consistency(grid256):
     assert mm.integrate(field) == pytest.approx(kappa, abs=1e-12)
 
 
+@pytest.mark.parametrize("mode, n_points", [(4, 8), (9, 16)])
+def test_predictor_refuses_a_mode_the_grid_cannot_hold(mode, n_points):
+    # mode 4 on 8 points once landed its amplitude in the kappa slot, which
+    # was then overwritten (a flat field at kappa_4); mode 9 on 16 points
+    # raised IndexError
+    bp = mm.critical_kappas(0.005, mode)[mode - 1]
+    with pytest.raises(ConfigurationError, match=f"mode {mode} needs more than {n_points}"):
+        mm.predictor_from_normal_form(bp, 0.05, mm.make_grid(n_points))
+    # the largest mode below the Nyquist cosine is held
+    below = mm.critical_kappas(0.005, n_points // 2 - 1)[-1]
+    field, kappa = mm.predictor_from_normal_form(below, 0.05, mm.make_grid(n_points))
+    assert kappa == below.kappa_n + below.curvature * 0.05**2
+    assert np.ptp(field.values) > 0.1
+
+
 def test_newton_converges_fast_from_predictor(grid256):
     bp = mm.critical_kappas(0.02, 1)[0]
     field, kappa = mm.predictor_from_normal_form(bp, 0.05, grid256)
@@ -218,8 +233,19 @@ def test_uncertifiable_branch_point_reports_resolution():
     assert branch.reason == "ConvergenceError: residual norm 1.651e-08 exceeds 1e-08"
 
 
+def test_fine_grid_branch_with_every_mode_reaches_its_bound(grid512):
+    # the corrector stops at the round-off floor of the residual; with a
+    # fixed 1e-11, which lies below that floor here, this branch ended
+    # after 37 points with "ConvergenceError: corrector did not converge"
+    bp = mm.critical_kappas(0.02, 1)[0]
+    branch = mm.continue_branch(bp, step=0.05, max_points=200,
+                                kappa_range=(0.0, bp.kappa_n + 1.0), grid=grid512, n_modes=255)
+    assert (branch.terminated_by, branch.reason) == ("kappa_bound", None)
+    assert branch.points[-1].kappa > bp.kappa_n + 1.0
+
+
 def test_corrector_failure_keeps_its_cause(monkeypatch, grid256):
-    correct = bifurcation._correct
+    correct = bifurcation._bordered_newton
     calls = []
 
     def fails_after_first_point(*args, **kwargs):
@@ -228,7 +254,7 @@ def test_corrector_failure_keeps_its_cause(monkeypatch, grid256):
             raise SingularJacobianError("injected")
         return correct(*args, **kwargs)
 
-    monkeypatch.setattr(bifurcation, "_correct", fails_after_first_point)
+    monkeypatch.setattr(bifurcation, "_bordered_newton", fails_after_first_point)
     branch = mm.continue_branch(mm.critical_kappas(0.02, 1)[0], step=0.05, grid=grid256)
     assert len(branch.points) == 1
     assert (branch.terminated_by, branch.reason) == ("failure", "SingularJacobianError: injected")
@@ -244,7 +270,7 @@ def test_corrector_matches_the_two_pass_oracle(monkeypatch, request, mode, grid_
     grid = request.getfixturevalue(grid_name)
     bp = mm.critical_kappas(0.005, mode)[mode - 1]
     lean = mm.continue_branch(bp, max_points=15, grid=grid)
-    monkeypatch.setattr(bifurcation, "_correct", two_pass_corrector_solve)
+    monkeypatch.setattr(bifurcation, "_bordered_newton", two_pass_corrector_solve)
     reference = mm.continue_branch(bp, max_points=15, grid=grid)
     assert len(lean.points) == len(reference.points) == 15
     for got, want in zip(lean.points, reference.points):
@@ -261,7 +287,7 @@ def test_branch_that_reaches_the_constant_state_ends_with_reconnect(monkeypatch,
     # the constant state (kappa, 0, ..., 0, kappa) has residual exactly 0,
     # so it certifies; compressed m-fold it keeps m x 0 peaks, which a
     # check for exactly m peaks would turn into "resolution"
-    correct = bifurcation._correct
+    correct = bifurcation._bordered_newton
     calls = []
 
     def reconnects(z, *args):
@@ -272,7 +298,7 @@ def test_branch_that_reaches_the_constant_state_ends_with_reconnect(monkeypatch,
             return constant
         return correct(z, *args)
 
-    monkeypatch.setattr(bifurcation, "_correct", reconnects)
+    monkeypatch.setattr(bifurcation, "_bordered_newton", reconnects)
     bp = mm.critical_kappas(0.005, mode)[mode - 1]
     branch = mm.continue_branch(bp, grid=grid256)
     assert (len(branch.points), branch.terminated_by, branch.reason) == (2, "reconnect", None)
@@ -321,7 +347,7 @@ def test_coarse_grid_is_rejected_before_any_corrector_work(monkeypatch):
     def corrector_runs(*args, **kwargs):
         raise AssertionError("the corrector ran")
 
-    monkeypatch.setattr(bifurcation, "_correct", corrector_runs)
+    monkeypatch.setattr(bifurcation, "_bordered_newton", corrector_runs)
     bp = mm.critical_kappas(0.005, 8)[7]
     with pytest.raises(ConfigurationError):
         mm.continue_branch(bp, grid=mm.make_grid(64))

@@ -80,6 +80,29 @@ def test_newton_quadratic_convergence(grid256):
         assert r_next <= 50.0 * r_k**2
 
 
+def test_newton_halves_a_step_that_does_not_lower_the_residual(monkeypatch):
+    # from kappa (1 + cos 2 pi x) full Newton steps overshoot: some trials
+    # are rejected (more syntheses than iterates), and the damped iteration
+    # still reaches the relaxed unimodal state
+    grid = mm.make_grid(128)
+    params = mm.ModelParams(D=0.01, kappa=1.5)
+    calls, synthesize = [], steady.synthesize_even
+
+    def counted(*args):
+        calls.append(None)
+        return synthesize(*args)
+
+    monkeypatch.setattr(steady, "synthesize_even", counted)
+    history = []
+    guess = mm.Field(grid, 1.5 * (1.0 + np.cos(2.0 * np.pi * grid.nodes)))
+    state = mm.newton_steady(guess, params, history=history)
+    assert len(calls) > len(history) + 1  # one synthesis per trial, one for the state
+    assert all(later < earlier for earlier, later in zip(history, history[1:]))
+    relaxed = mm.relax_to_steady(perturbed_constant(grid, 1.5), params)
+    assert state.modality == 1
+    assert np.max(np.abs(state.field.values - relaxed.field.values)) < 1e-9
+
+
 def test_newton_and_relaxation_agree(grid256):
     params = mm.ModelParams(D=0.01, kappa=1.5)
     u0 = perturbed_constant(grid256, 1.5)
