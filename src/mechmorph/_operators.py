@@ -21,6 +21,7 @@ from .grid import Grid, irfft, rfft
 from .model import ModelParams
 
 EXP_GUARD = 700.0  # stay inside double-precision exp() range
+EPS = float(np.finfo(float).eps)
 
 
 def exp_range_error(max_abs: float) -> AmplitudeOverflowError | None:
@@ -115,9 +116,8 @@ def residual_floor(values: np.ndarray, grid: Grid, params: ModelParams) -> float
     The FFT second derivative amplifies coefficient noise by D * mu_max, so
     no iteration can push the residual below this scale.
     """
-    eps = float(np.finfo(float).eps)
-    return eps * (1.0 + params.D * grid.laplacian_eigenvalues[-1]) * max(
-        1.0, float(np.max(np.abs(values)))
+    return EPS * (1.0 + params.D * grid.laplacian_eigenvalues[-1]) * max(
+        1.0, float(np.abs(values).max())
     )
 
 
@@ -188,16 +188,12 @@ def _assembly_constants(n_points: int, n_modes: int):
     return *arrays, tuple(np.flatnonzero(arrays[-1] != 1.0).tolist())
 
 
-def _toeplitz(seq: np.ndarray, n_cols: int) -> np.ndarray:
-    # T[i, j] = seq[i - j + n_cols - 1], a view of the contiguous seq
+def _windows(seq: np.ndarray, start: int, n_rows: int, n_cols: int, step: int) -> np.ndarray:
+    """[..., i, j] = seq[..., start + i + step j], a strided view of the
+    C-contiguous seq: step -1 gives a Toeplitz, step +1 a Hankel matrix."""
     s = seq.itemsize
-    return np.ndarray((seq.size - n_cols + 1, n_cols), float, seq, (n_cols - 1) * s, (s, -s))
-
-
-def _hankel(seq: np.ndarray, n_cols: int) -> np.ndarray:
-    # H[i, j] = seq[i + j], a view of the contiguous seq
-    s = seq.itemsize
-    return np.ndarray((seq.size - n_cols + 1, n_cols), float, seq, 0, (s, s))
+    strides = (*seq.strides[:-1], s, step * s)
+    return np.ndarray((*seq.shape[:-1], n_rows, n_cols), float, seq, start * s, strides)
 
 
 def linearization_parts(
@@ -222,6 +218,10 @@ def linearization_parts(
     then stand for e^(U - max U) and kappa / (int e^(U - max U))^2, which
     leaves the rank-one term M C(x) C(y) unchanged and cannot overflow.
 
+    "even" and "split" also take a stack: e^(U - max U) in rows, and its means,
+    kappa and D as (B, 1) columns.  Each row's matrices are bit-identical to its
+    own; its M, squared by numpy instead of as a float, can differ in the last bit.
+
     Nothing is sampled: with c_m the Fourier coefficients of C (one rfft),
     a_m = kappa c_m / int C - [m = 0] are those of A, and products of
     trigonometric functions reduce to them (Toeplitz plus Hankel),
@@ -242,24 +242,25 @@ def linearization_parts(
     shifted, mean_c, _ = exp_u
     c_hat = rfft(shifted)
     a_hat = params.kappa / mean_c * c_hat
-    a_hat[0] -= 1.0
+    a_hat[..., 0] -= 1.0
     gather, conj, mu, w, scale, edges = _assembly_constants(n, k)
-    re = a_hat.real[gather]  # a_m at index m + k
-    cos = _toeplitz(re[: 2 * k + 1], k + 1) + _hankel(re[k:], k + 1)
+    re = np.take(a_hat.real, gather, -1)  # a_m at index m + k, C-contiguous as _windows needs
+    cos = _windows(re, k, k + 1, k + 1, -1) + _windows(re, k, k + 1, k + 1, 1)
     for i in edges:  # w_i w_j / 2 = scale_i scale_j, by columns and then by rows
-        cos[:, i] *= scale[i]
+        cos[..., i] *= scale[i]
     for i in edges:
-        cos[i] *= scale[i]
-    cos.reshape(-1)[:: k + 2] -= params.D * mu  # the diagonal, as a strided view
-    cos_c, m_coef = w * c_hat[: k + 1].real, params.kappa / mean_c**2
+        cos[..., i, :] *= scale[i]
+    lead = cos.shape[:-2]
+    cos.reshape(*lead, -1)[..., :: k + 2] -= params.D * mu  # the diagonal, as a strided view
+    cos_c, m_coef = w * c_hat[..., : k + 1].real, params.kappa / mean_c**2
     if kind == "even":
         return cos, cos_c, m_coef
-    sin = _toeplitz(re[1 : 2 * k], k) - _hankel(re[k + 2 :], k)
-    sin.reshape(-1)[:: k + 1] -= params.D * mu[1:]
+    sin = _windows(re, k, k, k, -1) - _windows(re, k + 2, k, k, 1)
+    sin.reshape(*lead, -1)[..., :: k + 1] -= params.D * mu[1:]
     if kind == "split":
         return cos, cos_c, m_coef, sin
     im = a_hat.imag[gather] * conj
-    cross = (_toeplitz(im[: 2 * k], k) - _hankel(im[k + 1 :], k)) * scale[:, None]
+    cross = (_windows(im, k - 1, k + 1, k, -1) - _windows(im, k + 1, k + 1, k, 1)) * scale[:, None]
     sin_c = -np.sqrt(2.0) * c_hat[1 : k + 1].imag
     # block order (cos 0..K, sin 1..K) -> (1, cos 1, sin 1, cos 2, sin 2, ...)
     order = np.concatenate([[0], (np.arange(1, k + 1)[:, None] + [0, k]).ravel()])

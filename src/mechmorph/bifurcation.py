@@ -41,8 +41,8 @@ from .energy import bounds
 from .errors import ConfigurationError, ConvergenceError, MechmorphError, ResolutionError
 from .grid import Field, Grid, make_grid
 from .model import ModelParams, check_count
-from .stability import MARGINAL_TOL, nonlocal_spectrum
-from .steady import FIRST_STEP, _bordered_newton, _handoff, _rescale_modal
+from .stability import MARGINAL_TOL, _spectra
+from .steady import FIRST_STEP, SteadyState, _bordered_newton, _handoff, _rescale_modal
 
 __all__ = [
     "BifPoint",
@@ -60,6 +60,10 @@ TYPE_TOL = 1e-12
 SEED_AMPLITUDE = 0.01  # relative amplitude of the sweep's random seeds
 HANDOFF_TOL = 1e-7  # the sweep's steady-state detector (the relaxation's steady_tol)
 CORRECTOR_TOL = 1e-11  # the corrector's tol: RMS of its even-projected residual
+# memory bound of a stack of branch spectra: beyond one spectrum's, its live matrices,
+# three (K + 1)^2 blocks a row at the largest default K = n_points/4, hold at most
+# 50,000 entries (0.4 MB): 4 rows at n_points = 256, 2 at 512
+SPECTRUM_STACK_ENTRIES = 50_000
 
 
 @dataclass(frozen=True)
@@ -156,6 +160,13 @@ def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _ending(exc: MechmorphError) -> tuple[str, str]:
+    """terminated_by and reason of a branch ended by a corrected point's error:
+    a failed certificate or resolution check means the point is under-resolved."""
+    under = isinstance(exc, (ConvergenceError, ResolutionError))
+    return "resolution" if under else "failure", _describe(exc)
+
+
 def continue_branch(
     bp: BifPoint,
     step: float = 0.05,
@@ -169,7 +180,7 @@ def continue_branch(
     A mode-m branch is the mode-1 branch at m^2 D, corrected in ``n_modes``
     cosine modes (default min(96, n_points/2 - 1), at least 2) and compressed
     m-fold as ``rescale_modal`` does.  Each point is certified once, on the
-    compressed state that it keeps, and its spectrum is taken there.
+    compressed state that it keeps, as it is corrected.
     The corrector is the bordered Newton of ``newton_steady`` at tolerance
     CORRECTOR_TOL, raised to the residual's round-off floor where that is
     larger.  The first point comes from the normal-form predictor with the
@@ -177,7 +188,10 @@ def continue_branch(
     used, with kappa free and the pseudo-arclength row as border.  The step
     is halved on corrector failure and regrown (x1.3, capped at the initial
     step) after four easy successes.  Stability is evaluated at every point
-    through the full nonlocal spectrum of the m-modal state.
+    through the full nonlocal spectrum of the m-modal state, taken for a stack
+    of corrected points at once (at SPECTRUM_STACK_ENTRIES and at the loop's
+    end), each bit-identical to the point's spectrum alone; the first failed
+    one ends the branch there, and on the first point it raises.
 
     ``terminated_by``: "step_limit" (max_points taken), "kappa_bound" (the
     first corrected point past kappa_range, the branch's first included, is
@@ -203,23 +217,28 @@ def continue_branch(
         raise ConfigurationError(f"n_modes must be in [2, n_points/2 - 1], got {n_modes}")
     unimodal = critical_kappas(m**2 * bp.D, 1)[0]
 
-    def make_point(z, s_coord) -> BranchPoint:
+    def certify(z) -> SteadyState:
         params = ModelParams(D=unimodal.D, kappa=float(z[-1]))
-        state = _rescale_modal(Field(grid, synthesize_even(z[:-1], n)), params, m)
-        report = nonlocal_spectrum(state)
-        return BranchPoint(
-            s=s_coord,
-            kappa=float(z[-1]),
-            field=state.field,
-            amplitude=float(z[1]),
-            stable=report.leading_nu <= MARGINAL_TOL,
-            leading_nu=report.leading_nu,
-            energy=state.energy,
-        )
+        return _rescale_modal(Field(grid, synthesize_even(z[:-1], n)), params, m)
 
     points: list[BranchPoint] = []
-    terminated_by = "step_limit"
-    reason = None
+    queue: list[tuple[float, float, SteadyState]] = []  # (s, amplitude, state), spectra pending
+    stack_rows = 1 + SPECTRUM_STACK_ENTRIES // (3 * (n // 4 + 1) ** 2)
+
+    def take_spectra() -> tuple[str, str] | None:
+        """Points from one stack of the queued spectra, up to the first failure."""
+        pending = queue[:]
+        queue.clear()
+        for (s_coord, amplitude, state), report in zip(pending, _spectra([q[2] for q in pending])):
+            if isinstance(report, MechmorphError):
+                if not points:
+                    raise report
+                return _ending(report)
+            nu = report.leading_nu
+            points.append(BranchPoint(s=s_coord, kappa=state.params.kappa, field=state.field,
+                                      amplitude=amplitude, stable=nu <= MARGINAL_TOL,
+                                      leading_nu=nu, energy=state.energy))
+        return None
 
     # first point: normal-form predictor, amplitude pinned at s = step
     z_pred = _predictor_coefficients(unimodal, step, n_modes)
@@ -229,13 +248,15 @@ def continue_branch(
         z = _bordered_newton(z_pred, pin, z_pred, 0.0, grid, unimodal.D, CORRECTOR_TOL)
     except MechmorphError as exc:
         raise ConvergenceError(f"could not correct the first branch point: {exc}") from exc
-    points.append(make_point(z, step))
+    s_coord = step
+    queue.append((s_coord, float(z[1]), certify(z)))
     # the secant anchor behind the first point is the bifurcation point itself
     zs = [_predictor_coefficients(unimodal, 0.0, n_modes), z]
 
     ds = step
     easy = 0
-    while len(points) < max_points and lo <= points[-1].kappa <= hi:
+    ending = None  # (terminated_by, reason); a caught error's traceback would hold this frame
+    while len(points) + len(queue) < max_points and lo <= zs[-1][-1] <= hi:
         diff = zs[-1] - zs[-2]
         tangent = diff / np.linalg.norm(diff)
         z_pred = zs[-1] + tangent * ds
@@ -246,27 +267,31 @@ def continue_branch(
             easy = 0
             ds *= 0.5
             if ds < step / 64.0:
-                terminated_by, reason = "failure", _describe(exc)
+                ending = "failure", _describe(exc)
                 break
             continue
         try:
-            point = make_point(z, points[-1].s + ds)
+            state = certify(z)
         except MechmorphError as exc:
-            # a point that fails certification or a resolution check is under-resolved
-            under = isinstance(exc, (ConvergenceError, ResolutionError))
-            terminated_by, reason = "resolution" if under else "failure", _describe(exc)
+            ending = _ending(exc)
             break
-        points.append(point)
+        s_coord += ds
+        queue.append((s_coord, float(z[1]), state))
         zs.append(z)
         if easy >= 4:
             ds = min(ds * 1.3, step)
             easy = 0
-        span = float(np.max(np.abs(point.field.values - np.mean(point.field.values))))
+        span = float(np.max(np.abs(state.field.values - np.mean(state.field.values))))
         if span < 1e-6:
-            terminated_by = "reconnect"
+            ending = "reconnect", None
             break
-    if terminated_by == "step_limit" and not lo <= points[-1].kappa <= hi:
-        terminated_by = "kappa_bound"
+        if len(queue) >= stack_rows and (ending := take_spectra()):
+            break
+    # the queued points precede whatever ended the loop
+    ending = take_spectra() or ending
+    if ending is None:
+        ending = "step_limit" if lo <= points[-1].kappa <= hi else "kappa_bound", None
+    terminated_by, reason = ending
 
     folds = _detect_folds([p.s for p in points], [p.kappa for p in points])
     return Branch(

@@ -22,6 +22,11 @@ lives; they keep their local eigenvalues.  The local eigenvectors are kept
 as the blocks give them; a spectrum builds the rfft rows of only the leading
 N_VERIFY, which the oscillation check synthesizes and counts.
 
+Spectra run in stacks: states of equal (n_points, K, period, modality) share
+each transform, assembly and eigensolve, each numpy call computing a row as it
+does one state (M is formed per row in floats), so every row and every failed
+row's error is its state's alone.  The public functions take stacks of one.
+
 The direct route takes the eigenvalues of the cosine block of L and keeps
 the sine eigenvalues.  The secular route removes the rank-one coupling: with
 (lambda_n, psi_n) the local eigenpairs, D psi_xx + A psi = lambda psi, and
@@ -48,11 +53,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
-from ._operators import linearization_dense, linearization_parts, shifted_exp
-from .errors import BracketError, ConfigurationError, ResolutionError
+from ._operators import exp_range_error, linearization_dense, linearization_parts, shifted_exp
+from .errors import BracketError, ConfigurationError, MechmorphError, ResolutionError
 from .grid import irfft, rfft
 from .model import check_count
 from .steady import SteadyState
@@ -125,7 +131,7 @@ class LocalSpectrum:
     @property
     def coefficients(self) -> np.ndarray:
         """Read-only rfft coefficients (norm="forward"), row i of lambdas[i]; built when read."""
-        return _coefficient_rows(*self.vectors, self.lambdas.size)
+        return _coefficient_rows(*(v[None] for v in self.vectors), self.lambdas.size)[0]
 
     @property
     def eigenfunctions(self) -> np.ndarray:
@@ -185,16 +191,19 @@ def _zero_counts(functions: np.ndarray, floors: np.ndarray) -> np.ndarray:
     """Cyclic sign changes of each row among its significant entries.
 
     An entry is significant where |f| > max(1e-9 max|row|, floor of the row).
+    The significant signs of all rows form one sequence, cut at the rows' ends.
     """
     magnitude = np.abs(functions)
     significant = magnitude > np.maximum(1e-9 * magnitude.max(axis=1), floors)[:, None]
-    counts = np.zeros(len(functions), dtype=int)
-    for i, (row, keep) in enumerate(zip(functions, significant)):
-        positive = row[keep] > 0.0
-        # neighbours, then the pair that wraps around the period
-        counts[i] = np.count_nonzero(positive[1:] != positive[:-1]) + np.count_nonzero(
-            positive[:1] != positive[-1:]
-        )
+    positive = functions[significant] > 0.0
+    sizes = np.count_nonzero(significant, axis=1)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    changes = np.concatenate([[0], np.cumsum(positive[1:] != positive[:-1])])  # before entry j
+    counts, kept = np.zeros(len(functions), dtype=int), ends > starts
+    first, last = starts[kept], ends[kept] - 1
+    # the neighbours within a row, then the pair that wraps around the period
+    counts[kept] = changes[last] - changes[first] + (positive[first] != positive[last])
     return counts
 
 
@@ -224,107 +233,166 @@ def assemble_linearization(state: SteadyState, n_modes: int | None = None) -> np
 
 
 def _coefficient_rows(cos_vecs, sin_vecs, order, back, rows: int) -> np.ndarray:
-    """rfft coefficients of the leading ``rows`` eigenvectors in ``order``.
+    """rfft coefficients of the leading ``rows`` eigenvectors in ``order``, for
+    a stack of spectra (a leading axis on every argument).
 
     Block column j <= K is cosine eigenvector j, column K + 1 + j sine
     eigenvector j.  sqrt2 cos k -> 1/sqrt2 and sqrt2 sin k -> -i/sqrt2,
     rotated by ``back`` from the axis onto the state.  Read-only.
     """
-    n_modes, cols = sin_vecs.shape[0], order[:rows]
-    sine = cols > n_modes
-    spec = np.zeros((cols.size, n_modes + 1), dtype=complex)
-    spec[~sine] = cos_vecs[:, cols[~sine]].T
-    spec[sine, 1:] = -1j * sin_vecs[:, cols[sine] - n_modes - 1].T
-    spec[:, 1:] *= back[1 : n_modes + 1] / np.sqrt(2.0)
+    n_modes, cols = sin_vecs.shape[-1], order[:, :rows]
+    sine, b = cols > n_modes, np.arange(len(cols))[:, None]
+    spec = np.zeros((*cols.shape, n_modes + 1), dtype=complex)
+    spec[~sine] = cos_vecs.swapaxes(1, 2)[b, np.minimum(cols, n_modes)][~sine]
+    spec[sine, 1:] = -1j * sin_vecs.swapaxes(1, 2)[b, np.maximum(cols - n_modes - 1, 0)][sine]
+    spec[..., 1:] *= back[:, None, 1 : n_modes + 1] / np.sqrt(2.0)
     spec.flags.writeable = False
     return spec
 
 
-def _period(coef: np.ndarray, m: int) -> int:
+def _period(coef: np.ndarray, m: int) -> np.ndarray:
     """p = m when m > 1 and every recentered coefficient off the multiples
-    of m is within SYMMETRY_TOL of the largest (U is 1/m-periodic), else 1."""
+    of m is within SYMMETRY_TOL of the largest (U is 1/m-periodic), else 1;
+    one p per row of coef."""
     off = np.abs(coef)
-    top, off[:: max(m, 1)] = off.max(), 0.0
-    return m if m > 1 and off.max() <= SYMMETRY_TOL * top else 1
+    top, off[..., :: max(m, 1)] = off.max(axis=-1), 0.0
+    return np.where((m > 1) & (off.max(axis=-1) <= SYMMETRY_TOL * top), m, 1)
 
 
 def _class_eigh(matrix: np.ndarray, classes: list) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of a matrix that couples no two index classes, one block per
-    class; the block eigenvectors are scattered into full-size columns."""
+    """eigh of a stack of matrices that couple no two index classes, one block
+    stack per class; the block eigenvectors are scattered into full-size columns."""
     if len(classes) == 1:
         return np.linalg.eigh(matrix)
-    vals, vecs, start = np.empty(len(matrix)), np.zeros_like(matrix), 0
+    vals, vecs, start = np.empty(matrix.shape[:-1]), np.zeros_like(matrix), 0
     for idx in classes:
         stop = start + idx.size
-        vals[start:stop], vecs[idx, start:stop] = np.linalg.eigh(matrix[np.ix_(idx, idx)])
+        vals[:, start:stop], vecs[:, idx, start:stop] = np.linalg.eigh(matrix[:, idx[:, None], idx])
         start = stop
     return vals, vecs
 
 
-def _local_split(state: SteadyState, n_modes: int | None):
-    """Checked local spectrum from the cosine and sine blocks of L, on
-    n_modes modes (``_check_modes``; None takes the default from the same
-    rfft of the state that recenters it).
+def _spectra(states: list[SteadyState], n_modes: int | None = None) -> list:
+    """Direct-route spectra of steady states: for each, in order, its
+    EigenReport or the MechmorphError that it raises alone.
 
-    Returns it with its betas, the cosine parts of L (local block, coupling,
-    M; e^U shifted by u_max), u_max, the cosine eigenvalues class by class,
-    the sine eigenvalues, the index of the translation mode among them
-    (None for the constant state) and the cosine index classes.
+    The states on one grid with one modality are recentered together (one
+    rfft, which also gives each state's default K), then the states of equal
+    (n_points, K, period, modality) are solved as one stack.
     """
-    grid, params = state.field.grid, state.params
-    # rotate a peak to x = 0, where an even state has real coefficients
-    coef = rfft(state.field.values)
-    n_modes = _check_modes(state, n_modes, coef)
-    m = state.modality
-    back = np.exp(1j * np.arange(coef.size) * np.angle(coef[m]) / m) if m else np.ones(coef.size)
-    coef = coef * back.conj()
-    if np.max(np.abs(coef.imag)) > SYMMETRY_TOL * np.max(np.abs(coef)):
-        raise ResolutionError("steady state is not reflection-symmetric about a peak")
-    values = irfft(coef.real, grid.n_points)
-    exp_u = shifted_exp(values)  # both reflection blocks from one e^U and one rfft
-    *cos_parts, sin_local = linearization_parts(exp_u, grid, params, n_modes, "split")
-    p, k = _period(coef, m), np.arange(n_modes + 1)  # classes r = min(k mod p, -k mod p)
-    classes = [k] if p == 1 else [np.flatnonzero(np.minimum(k % p, -k % p) == r)
-                                  for r in range(p // 2 + 1)]
-    cos_vals, cos_vecs = _class_eigh(cos_parts[0], classes)
-    sin_vals, sin_vecs = _class_eigh(sin_local, [idx[idx > 0] - 1 for idx in classes])
-    order = np.argsort(np.concatenate([cos_vals, sin_vals]))[::-1]
-    eigvals = np.concatenate([cos_vals, sin_vals])[order]
+    results, pools, stacks = [None] * len(states), {}, {}
+    for i, state in enumerate(states):
+        pools.setdefault((state.field.grid.n_points, state.modality), []).append(i)
+    for (n, m), index in pools.items():
+        coef = rfft(np.array([states[i].field.values for i in index]))
+        angle = np.angle(coef[:, m : m + 1])  # of harmonic m, which a peak at x = 0 makes real
+        back = np.exp(1j * np.arange(n // 2 + 1) * angle / m) if m else np.ones(coef.shape)
+        centered = coef * back.conj()
+        asymmetric = np.abs(centered.imag).max(axis=1) > SYMMETRY_TOL * np.abs(centered).max(axis=1)
+        for r, (i, p) in enumerate(zip(index, _period(centered, m).tolist())):
+            try:
+                k = _check_modes(states[i], n_modes, coef[r])
+            except ConfigurationError as exc:
+                results[i] = exc
+                continue
+            if asymmetric[r]:
+                results[i] = ResolutionError("steady state is not reflection-symmetric about a peak")
+            else:
+                stacks.setdefault((n, k, p, m), []).append((i, states[i], centered[r].real, back[r]))
+    for (_, k, p, m), rows in stacks.items():
+        index, stack, coef, back = zip(*rows)
+        for i, result in zip(index, _stack_spectra(stack, np.array(coef), np.array(back), k, p, m)):
+            results[i] = result
+    return results
 
-    checked = order[:N_VERIFY]
+
+def _stack_spectra(states, coef, back, k: int, p: int, m: int) -> list:
+    """Spectra of recentered states (rfft rows ``coef``, phases ``back``) that
+    share n_points, K = k, the period p and the modality m: one transform pair,
+    one assembly, one eigh per block stack (per class when p > 1), one eigvalsh
+    of the coupled stack and stacked ``@`` serve every row."""
+    n, rows = states[0].field.grid.n_points, np.arange(len(states))
+    values = irfft(coef, n)
+    top, bottom = values.max(axis=1), values.min(axis=1)
+    shifted = np.exp(values - top[:, None])  # shifted_exp, row by row
+    mean = shifted.sum(axis=1) / n
+    kappa, D = zip(*((state.params.kappa, state.params.D) for state in states))
+    columns = SimpleNamespace(kappa=np.array(kappa)[:, None], D=np.array(D)[:, None])
+    cos_local, cos_c, _, sin_local = linearization_parts(
+        (shifted, mean[:, None], None), states[0].field.grid, columns, k, "split")
+    idx = np.arange(k + 1)  # classes r = min(k mod p, -k mod p)
+    classes = [idx] if p == 1 else [np.flatnonzero(np.minimum(idx % p, -idx % p) == r)
+                                    for r in range(p // 2 + 1)]
+    # at most three (K + 1)^2 matrices a row are live: the sine block is solved
+    # first, and the coupled class-0 block cos_local - M c c^T formed in place
+    sin_vals, sin_vecs = _class_eigh(sin_local, [c[c > 0] - 1 for c in classes])
+    del sin_local
+    cos_vals, cos_vecs = _class_eigh(cos_local, classes)
+    m_shifted = [kap / mu**2 for kap, mu in zip(kappa, mean.tolist())]  # float powers, as alone
+    zero = classes[0]
+    coupled, c_zero = (cos_local, cos_c) if p == 1 else (cos_local[:, zero[:, None], zero],
+                                                         cos_c[:, zero])
+    del cos_local
+    for i in rows:  # no view of coupled outlives it
+        outer = np.multiply.outer(c_zero[i], c_zero[i])
+        outer *= -m_shifted[i]
+        coupled[i] += outer
+    cos_eigs = np.concatenate([np.linalg.eigvalsh(coupled), cos_vals[:, zero.size :]], axis=1)
+    del coupled
+    both = np.concatenate([cos_vals, sin_vals], axis=1)
+    order = np.argsort(both, axis=1)[:, ::-1]
+    eigvals = both[rows[:, None], order]
+
     # significance floor per eigenfunction: truncation ripples in the flat
     # exponential tails scale with the energy in the last coefficients
-    tail = min(n_modes, max(2, n_modes // 4))
-    last = np.column_stack([sin_vecs[-tail:, j - n_modes - 1] if j > n_modes
-                            else cos_vecs[-tail:, j] for j in checked])
-    functions = irfft(_coefficient_rows(cos_vecs, sin_vecs, order, back, N_VERIFY), grid.n_points)
-    counts = _zero_counts(functions, 10.0 * np.linalg.norm(last, axis=0))
-
+    checked = order[:, None, :N_VERIFY]  # column j <= K is cosine vector j, else sine j - K - 1
+    b, low = rows[:, None, None], np.arange(-min(k, max(2, k // 4)), 0)[:, None]
+    last = np.where(checked > k, sin_vecs[b, low, np.maximum(checked - k - 1, 0)],
+                    cos_vecs[b, low, np.minimum(checked, k)])
+    floors = 10.0 * np.linalg.norm(last, axis=1)
+    functions = irfft(_coefficient_rows(cos_vecs, sin_vecs, order, back, N_VERIFY), n)
+    counts = _zero_counts(functions.reshape(-1, n), floors.ravel()).reshape(floors.shape)
     # the oscillation pattern is only checkable for eigenvalues that are
     # numerically isolated: inside degenerate clusters (cos/sin pairs of the
     # constant state, or the exponentially small tunneling splittings of
     # multimodal states) the split of the cluster is arbitrary
-    spread = max(1.0, float(eigvals[0] - eigvals[-1]))
-    gaps = np.abs(np.diff(eigvals)) > 1e-9 * spread
-    isolated = np.concatenate([gaps, [True]]) & np.concatenate([[True], gaps])
-    if state.modality <= 1 and eigvals.size >= 2 and eigvals[0] - eigvals[1] <= 1e-10:
-        raise ResolutionError("leading local eigenvalue is not simple at this resolution")
-    for i in range(checked.size):
-        expected = 0 if i == 0 else 2 * ((i + 1) // 2)
-        if isolated[i] and counts[i] != expected:
-            raise ResolutionError(
-                f"local eigenfunction {i} has {counts[i]} sign changes, expected {expected}"
-            )
-    local = LocalSpectrum(eigvals, grid.n_points, counts, (cos_vecs, sin_vecs, order, back))
+    spread = np.maximum(1.0, eigvals[:, 0] - eigvals[:, -1])
+    gaps = np.abs(np.diff(eigvals, axis=1)) > 1e-9 * spread[:, None]
+    edge = np.ones((len(states), 1), dtype=bool)
+    isolated = np.concatenate([gaps, edge], axis=1) & np.concatenate([edge, gaps], axis=1)
+    expected = [2 * ((i + 1) // 2) for i in range(counts.shape[1])]
+    wrong = isolated[:, : counts.shape[1]] & (counts != expected)
+    simple = eigvals[:, 0] - eigvals[:, 1] > 1e-10  # 2K + 1 >= 3 eigenvalues
 
-    u_max = float(values.max())
-    betas = np.concatenate([np.exp(u_max) * (cos_vecs.T @ cos_parts[1]), np.zeros(n_modes)])
-    translation = None
+    betas = np.exp(top)[:, None] * (cos_vecs.swapaxes(1, 2) @ cos_c[:, :, None])[:, :, 0]
+    betas = np.concatenate([betas, np.zeros((len(states), k))], axis=1)[rows[:, None], order]
+    nonlocal_eigs = np.sort(np.concatenate([cos_eigs, sin_vals], axis=1), axis=1)[:, ::-1]
+    others = sin_vals.copy()
     if m:
         # sine coefficients of U_x are -2 pi k a_k for the cosine coefficients a_k
-        ux = np.arange(1, n_modes + 1) * coef.real[1 : n_modes + 1]
-        translation = int(np.argmax(np.abs(sin_vecs.T @ ux)))
-    return local, betas[order], cos_parts, u_max, cos_vals, sin_vals, translation, classes
+        ux = np.arange(1, k + 1) * coef[:, 1 : k + 1]
+        translation = np.abs((sin_vecs.swapaxes(1, 2) @ ux[:, :, None])[:, :, 0]).argmax(axis=1)
+        others[rows, translation] = -np.inf
+    leading = np.maximum(cos_eigs.max(axis=1), others.max(axis=1, initial=-np.inf))
+
+    m_coef = np.array(m_shifted) * np.exp(-2.0 * top)  # undo the max(U) shift
+    results, tiny = [], np.finfo(float).tiny
+    for i, j in zip(rows, wrong.argmax(axis=1).tolist()):
+        vectors = (cos_vecs[i], sin_vecs[i], order[i], back[i])
+        local = LocalSpectrum(eigvals[i], n, counts[i], vectors)
+        error = exp_range_error(max(float(top[i]), -float(bottom[i])))
+        if error is None and m <= 1 and not simple[i]:
+            error = ResolutionError("leading local eigenvalue is not simple at this resolution")
+        elif error is None and wrong[i, j]:
+            error = ResolutionError(
+                f"local eigenfunction {j} has {counts[i, j]} sign changes, expected {expected[j]}")
+        elif error is None and m_coef[i] < tiny:
+            error = ConfigurationError("state too large to represent the coupling constant M")
+            error.local = local  # the local problem does not need M
+        results.append(error or EigenReport(
+            local, betas[i], m_coef[i], nonlocal_eigs[i], _verdict(float(nonlocal_eigs[i, 0])),
+            float(leading[i]), None if m == 0 else float(sin_vals[i, translation[i]])))
+    return results
 
 
 def local_spectrum(state: SteadyState, n_modes: int | None = None) -> LocalSpectrum:
@@ -335,7 +403,10 @@ def local_spectrum(state: SteadyState, n_modes: int | None = None) -> LocalSpect
     per period) and the ordering chain; a mismatch raises
     :class:`ResolutionError`.
     """
-    return _local_split(state, n_modes)[0]
+    result = _spectra([state], n_modes)[0]
+    if not hasattr(result, "local"):  # a report, or the error of an M out of range has one
+        raise result
+    return result.local
 
 
 def _verdict(max_nu: float) -> str:
@@ -357,34 +428,10 @@ def nonlocal_spectrum(state: SteadyState, n_modes: int | None = None) -> EigenRe
     it is excluded from ``leading_nu`` (but not from the verdict
     thresholds).
     """
-    (local, betas, (cos_local, c_vec, m_shifted), u_max, cos_vals, sin_vals, translation,
-     classes) = _local_split(state, n_modes)
-    # undo the max(U) shift: M = kappa / (int e^U)^2
-    m_coef = m_shifted * np.exp(-2.0 * u_max)
-    if m_coef < np.finfo(float).tiny:
-        raise ConfigurationError("state too large to represent the coupling constant M")
-
-    zero = classes[0]
-    if len(classes) > 1:
-        cos_local, c_vec = cos_local[np.ix_(zero, zero)], c_vec[zero]
-    coupled = np.outer(c_vec, c_vec)  # cos_local - M c c^T, built in place
-    coupled *= -m_shifted
-    coupled += cos_local
-    cos_eigs = np.concatenate([np.linalg.eigvalsh(coupled), cos_vals[zero.size :]])
-    eigvals = np.sort(np.concatenate([cos_eigs, sin_vals]))[::-1]
-    translation_nu = None if translation is None else float(sin_vals[translation])
-    others = sin_vals if translation is None else np.delete(sin_vals, translation)
-    leading_nu = max(float(cos_eigs.max()), float(others.max(initial=-np.inf)))
-
-    return EigenReport(
-        local=local,
-        betas=betas,
-        M=m_coef,
-        nonlocal_eigs=eigvals,
-        verdict=_verdict(float(eigvals[0])),
-        leading_nu=leading_nu,
-        translation_nu=translation_nu,
-    )
+    result = _spectra([state], n_modes)[0]
+    if isinstance(result, MechmorphError):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)

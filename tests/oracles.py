@@ -10,8 +10,9 @@ allocates every intermediate array, and peak counts by filling ties with
 one loop over the nodes.  The Galerkin assembly from sliding windows, one
 kind per call, the full-step branch corrector that synthesizes each
 iterate twice and evaluates e^U three times, the coefficient rows of every
-local eigenvector scattered by rank, and the sweep cell that relaxes its
-seeds one at a time are kept as bit-identity references.  Mode-n branches are
+local eigenvector scattered by rank, the sweep cell that relaxes its
+seeds one at a time, and the branch that takes the spectrum of each point
+alone are kept as bit-identity references.  Mode-n branches are
 traced at D itself, in the cosine modes of the n-peaked field.
 """
 
@@ -46,10 +47,11 @@ from mechmorph.errors import (
     ConvergenceError,
     DivergenceError,
     MechmorphError,
+    ResolutionError,
     SingularJacobianError,
 )
 from mechmorph.stability import BETA_TOL, BISECT_TOL, BRACKET_INSET, MARGINAL_TOL, MERGE_TOL
-from mechmorph.steady import FLAT_TOL, _bordered_newton
+from mechmorph.steady import FLAT_TOL, _bordered_newton, _rescale_modal
 
 
 def gauss_legendre_integral(f, n_panels=64, order=10):
@@ -310,6 +312,68 @@ def mode_n_branch(bp, step, max_points, kappa_range, grid):
         zs.append(z)
         if easy >= 4:
             ds, easy = min(ds * 1.3, step), 0
+    if terminated_by == "step_limit" and not lo <= points[-1].kappa <= hi:
+        terminated_by = "kappa_bound"
+    folds = _detect_folds([p.s for p in points], [p.kappa for p in points])
+    return mm.Branch(origin=bp, points=points, folds=folds, terminated_by=terminated_by,
+                     reason=reason)
+
+
+def per_point_branch(bp, step=0.05, max_points=200, kappa_range=None, grid=None):
+    """``mm.continue_branch`` with the spectrum of each corrected point taken
+    alone (``mm.nonlocal_spectrum``) before the next point is corrected.
+
+    The corrector, certificate, step control and ends are the package's;
+    a point whose certificate or spectrum raises ends the branch there, and
+    the first point's error propagates.
+    """
+    lo, hi = kappa_range if kappa_range is not None else (0.0, np.inf)
+    grid = grid if grid is not None else mm.make_grid()
+    n, m = grid.n_points, bp.n
+    n_modes = min(96, n // 2 - 1)
+    unimodal = mm.critical_kappas(m**2 * bp.D, 1)[0]
+
+    def make_point(z, s):
+        params = mm.ModelParams(D=unimodal.D, kappa=float(z[-1]))
+        state = _rescale_modal(mm.Field(grid, synthesize_even(z[:-1], n)), params, m)
+        nu = mm.nonlocal_spectrum(state).leading_nu
+        return mm.BranchPoint(s=s, kappa=float(z[-1]), field=state.field, amplitude=float(z[1]),
+                              stable=nu <= MARGINAL_TOL, leading_nu=nu, energy=state.energy)
+
+    z_pred = _predictor_coefficients(unimodal, step, n_modes)
+    pin = np.zeros(n_modes + 2)
+    pin[1] = 1.0
+    z = _bordered_newton(z_pred, pin, z_pred, 0.0, grid, unimodal.D, CORRECTOR_TOL)
+    points = [make_point(z, step)]
+    zs = [_predictor_coefficients(unimodal, 0.0, n_modes), z]
+    terminated_by, reason, ds, easy = "step_limit", None, step, 0
+    while len(points) < max_points and lo <= points[-1].kappa <= hi:
+        diff = zs[-1] - zs[-2]
+        tangent = diff / np.linalg.norm(diff)
+        try:
+            z = _bordered_newton(zs[-1] + tangent * ds, tangent, zs[-1], ds, grid, unimodal.D,
+                                 CORRECTOR_TOL)
+            easy += 1
+        except MechmorphError as exc:
+            easy, ds = 0, ds * 0.5
+            if ds < step / 64.0:
+                terminated_by, reason = "failure", f"{type(exc).__name__}: {exc}"
+                break
+            continue
+        try:
+            point = make_point(z, points[-1].s + ds)
+        except MechmorphError as exc:
+            under = isinstance(exc, (ConvergenceError, ResolutionError))
+            terminated_by = "resolution" if under else "failure"
+            reason = f"{type(exc).__name__}: {exc}"
+            break
+        points.append(point)
+        zs.append(z)
+        if easy >= 4:
+            ds, easy = min(ds * 1.3, step), 0
+        if float(np.max(np.abs(point.field.values - np.mean(point.field.values)))) < 1e-6:
+            terminated_by = "reconnect"
+            break
     if terminated_by == "step_limit" and not lo <= points[-1].kappa <= hi:
         terminated_by = "kappa_bound"
     folds = _detect_folds([p.s for p in points], [p.kappa for p in points])

@@ -2,16 +2,22 @@ import numpy as np
 import pytest
 
 import mechmorph as mm
-from mechmorph import bifurcation, steady
+from mechmorph import bifurcation, stability, steady
 from mechmorph.bifurcation import _detect_folds
 from mechmorph.errors import (
     AmplitudeOverflowError,
     ConfigurationError,
     ConvergenceError,
+    ResolutionError,
     SingularJacobianError,
 )
 
-from oracles import mode_n_branch, reference_classify_cell, two_pass_corrector_solve
+from oracles import (
+    mode_n_branch,
+    per_point_branch,
+    reference_classify_cell,
+    two_pass_corrector_solve,
+)
 
 DEGENERATE_D = 1.0 / (8.0 * np.pi**2)
 
@@ -340,6 +346,73 @@ def test_mode2_branch_matches_the_mode_n_oracle(grid256):
     for point in branch.points:
         state = mm.SteadyState(point.field, mm.ModelParams(D=bp.D, kappa=point.kappa))
         assert state.modality == 2
+
+
+def assert_same_branch(got, want):
+    """Every BranchPoint field byte for byte, the folds and the ends."""
+    assert len(got.points) == len(want.points)
+    for a, b in zip(got.points, want.points):
+        assert a.field.values.tobytes() == b.field.values.tobytes()
+        assert a.stable == b.stable
+        for name in ("s", "kappa", "amplitude", "leading_nu", "energy"):
+            assert float(getattr(a, name)).hex() == float(getattr(b, name)).hex()
+    assert [(i, kf.hex()) for i, kf in got.folds] == [(i, kf.hex()) for i, kf in want.folds]
+    assert (got.terminated_by, got.reason) == (want.terminated_by, want.reason)
+
+
+# (D, mode, n_points, step, max_points, kappa above kappa_n or None): the six
+# calls of the branch benchmark workload, then the README call
+BRANCH_CALLS = [
+    (0.005, 1, 256, 0.05, 120, 1.0), (0.01, 1, 256, 0.05, 120, 1.0),
+    (0.005, 1, 256, 0.06, 60, 0.02), (0.02, 1, 256, 0.05, 120, 1.0),
+    (0.005, 2, 256, 0.05, 120, 1.0), (0.005, 1, 512, 0.05, 120, 1.0),
+    (0.005, 1, 256, 0.06, 60, None),
+]
+
+
+@pytest.mark.parametrize("D, mode, n, step, max_points, margin", BRANCH_CALLS)
+def test_stacked_branch_spectra_match_the_per_point_oracle(D, mode, n, step, max_points, margin):
+    # spectra taken in stacks after correction leave every point, fold and end as they were
+    bp = mm.critical_kappas(D, mode)[mode - 1]
+    kwargs = dict(step=step, max_points=max_points, grid=mm.make_grid(n),
+                  kappa_range=None if margin is None else (0.0, bp.kappa_n + margin))
+    assert_same_branch(mm.continue_branch(bp, **kwargs), per_point_branch(bp, **kwargs))
+
+
+@pytest.mark.parametrize("where, error", [
+    ("first", ResolutionError), ("mid-stack", ResolutionError),
+    ("end of a stack", ConfigurationError), ("last queued", ResolutionError),
+])
+def test_a_failed_spectrum_ends_the_branch_where_the_oracle_does(monkeypatch, grid256, where,
+                                                                 error):
+    # the D = 0.005 branch takes 38 points, its spectra in stacks of
+    # stack_rows; the last stack is taken after its certificate fails at point 39
+    bp = mm.critical_kappas(0.005, 1)[0]
+    kwargs = dict(step=0.05, max_points=120, kappa_range=(0.0, bp.kappa_n + 1.0), grid=grid256)
+    intact = mm.continue_branch(bp, **kwargs)
+    stack_rows = 1 + bifurcation.SPECTRUM_STACK_ENTRIES // (3 * (256 // 4 + 1) ** 2)
+    assert len(intact.points) == 38 and 4 <= stack_rows < 37
+    row = {"first": 0, "mid-stack": stack_rows + stack_rows // 2,
+           "end of a stack": stack_rows - 1, "last queued": 37}[where]
+    target = intact.points[row].field.values.tobytes()
+    stack_spectra = stability._stack_spectra
+
+    def failing_on_target(states, *args):
+        results = stack_spectra(states, *args)
+        return [error("injected") if state.field.values.tobytes() == target else result
+                for state, result in zip(states, results)]
+
+    monkeypatch.setattr(stability, "_stack_spectra", failing_on_target)
+    if row == 0:  # the first point's error propagates
+        for trace in (mm.continue_branch, per_point_branch):
+            with pytest.raises(error, match="injected"):
+                trace(bp, **kwargs)
+        return
+    branch = mm.continue_branch(bp, **kwargs)
+    assert len(branch.points) == row
+    ends = "resolution" if error is ResolutionError else "failure"
+    assert (branch.terminated_by, branch.reason) == (ends, f"{error.__name__}: injected")
+    assert_same_branch(branch, per_point_branch(bp, **kwargs))
 
 
 def test_coarse_grid_is_rejected_before_any_corrector_work(monkeypatch):

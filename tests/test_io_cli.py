@@ -327,18 +327,18 @@ def test_profiles_csv_writer(tmp_path, grid256):
 
 
 def test_cli_spectrum_computes_one_spectrum(tmp_path, monkeypatch):
-    calls = []
-    split = stability._local_split
+    stacks = []
+    spectra = stability._spectra
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return split(*args, **kwargs)
+    def counting(states, *args, **kwargs):
+        stacks.append(len(states))
+        return spectra(states, *args, **kwargs)
 
-    monkeypatch.setattr(stability, "_local_split", counting)
+    monkeypatch.setattr(stability, "_spectra", counting)
     out = tmp_path / "spec"
     assert run_cli(["spectrum", "--D", "0.01", "--kappa", "1.6", "--grid", "128",
                     "--out", str(out)]) == 0
-    assert len(calls) == 1
+    assert stacks == [1]  # one stack, of one state
     record = json.loads((out / "spectrum.json").read_text())
     assert record["leading_nu"] < 0.0
     assert record["crosscheck_error"] < 1e-6

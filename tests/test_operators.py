@@ -8,6 +8,7 @@ from mechmorph._operators import (
     linearization_dense,
     linearization_parts,
     project_even,
+    residual_floor,
     shifted_exp,
     synthesize_even,
 )
@@ -115,3 +116,23 @@ def test_assembly_rejects_an_unknown_kind(assemble, kind):
     exp_u = shifted_exp(np.cos(2.0 * np.pi * grid.nodes))
     with pytest.raises(ValueError, match="unknown basis kind"):
         assemble(exp_u, grid, mm.ModelParams(D=0.01, kappa=1.5), 2, kind)
+
+
+@given(
+    log_n=st.integers(3, 11),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 700.0),
+    D=st.floats(1e-5, 1.0),
+    kappa=st.floats(0.1, 10.0),
+)
+def test_residual_floor_keeps_the_formula_it_replaces(log_n, seed, scale, D, kappa):
+    # the module-level eps and the ndarray max change no bit of the floor
+    grid = mm.make_grid(2**log_n)
+    params = mm.ModelParams(D=D, kappa=kappa)
+    values = scale * np.random.Generator(np.random.PCG64(seed)).standard_normal(grid.n_points)
+    eps = float(np.finfo(float).eps)
+    old = eps * (1.0 + params.D * grid.laplacian_eigenvalues[-1]) * max(
+        1.0, float(np.max(np.abs(values)))
+    )
+    floor = residual_floor(values, grid, params)
+    assert type(floor) is type(old) and np.float64(floor).tobytes() == np.float64(old).tobytes()

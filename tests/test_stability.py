@@ -453,17 +453,32 @@ def test_rows_built_on_read_equal_the_eager_rows(request, grid256, name):
 
 
 @pytest.mark.parametrize("name", ["twomodal_16", "modal_family_k2[2]", "modal_family_k2[3]"])
-def test_uncoupled_classes_keep_their_local_eigenvalues(request, name):
+def test_uncoupled_classes_keep_their_local_eigenvalues(monkeypatch, request, name):
     # the coupling vector is round-off on the classes r != 0, so their local
     # eigenvalues are eigenvalues of L; class 0 is diagonalized with it
     state = named_state(request, name)
     n_modes = stability._check_modes(state, None)
-    split = stability._local_split(state, n_modes)
-    _, _, (cos_local, c_vec, m_shifted), _, cos_vals, sin_vals, _, classes = split
+    # the blocks, e^U's mean and the class eigenvalues of the spectrum, a stack of one
+    seen, parts, class_eigh = {"eigh": []}, stability.linearization_parts, stability._class_eigh
+
+    def spy_parts(exp_u, *args):
+        seen["mean"], seen["parts"] = float(exp_u[1][0, 0]), parts(exp_u, *args)
+        return seen["parts"]
+
+    def spy_eigh(matrix, classes):
+        result = class_eigh(matrix, classes)
+        seen["eigh"].append((result[0][0], classes))
+        return result
+
+    monkeypatch.setattr(stability, "linearization_parts", spy_parts)
+    monkeypatch.setattr(stability, "_class_eigh", spy_eigh)
+    report = mm.nonlocal_spectrum(state, n_modes)
+    cos_local, c_vec = seen["parts"][0][0], seen["parts"][1][0]
+    m_shifted = state.params.kappa / seen["mean"] ** 2  # as the spectrum forms M, in floats
+    (sin_vals, _), (cos_vals, classes) = seen["eigh"]
     assert len(classes) == state.modality // 2 + 1
     coupled = cos_local - m_shifted * np.outer(c_vec, c_vec)
     blocks = [np.linalg.eigvalsh(coupled[np.ix_(idx, idx)]) for idx in classes]
-    report = mm.nonlocal_spectrum(state, n_modes)
     uncoupled = cos_vals[classes[0].size :]
     scale = max(1.0, np.max(np.abs(report.nonlocal_eigs)))
     assert np.max(np.abs(uncoupled - np.concatenate(blocks[1:]))) <= 1e-14 * scale
@@ -575,7 +590,90 @@ def test_spectrum_transforms_the_state_once(monkeypatch, grid512):
 
     monkeypatch.setattr(stability, "rfft", counting)
     report = mm.nonlocal_spectrum(state)
-    assert len(calls) == 1
-    assert calls[0] is state.field.values
+    assert len(calls) == 1  # of the stack of one: the state's values as its one row
+    assert calls[0].shape == (1, 512) and calls[0].tobytes() == state.field.values.tobytes()
     assert report.nonlocal_eigs.tobytes() == explicit.nonlocal_eigs.tobytes()
     assert report.local.lambdas.tobytes() == explicit.local.lambdas.tobytes()
+
+
+def local_bytes(local):
+    """Every field of a LocalSpectrum as bytes."""
+    arrays = (local.lambdas, local.zero_counts, *local.vectors)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays], local.n_points
+
+
+def report_bytes(result):
+    """Every field of an EigenReport as bytes, or an error's class and message."""
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    scalars = (result.M, result.leading_nu, result.translation_nu)
+    return (local_bytes(result.local), result.betas.tobytes(), result.nonlocal_eigs.tobytes(),
+            result.verdict, [None if x is None else np.float64(x).tobytes() for x in scalars])
+
+
+def alone(spectrum, state):
+    try:
+        return spectrum(state)
+    except mm.MechmorphError as exc:
+        return exc
+
+
+@pytest.fixture(scope="module")
+def stack_pool(grid256, grid512):
+    """States of every stack key: the n = 512, D = 0.005 branch (K runs from
+    64 to 128 along it), mode-2 and mode-3 points (period classes), two
+    constant states (the second's M underflows) and one reflection-asymmetric
+    state, whose certificate is waived to reach the spectrum's check."""
+    bps = mm.critical_kappas(0.005, 3)
+    branches = [mm.continue_branch(bps[0], kappa_range=(0.0, bps[0].kappa_n + 1.0), grid=grid512)]
+    branches += [mm.continue_branch(bp, max_points=4, grid=grid256) for bp in bps[1:]]
+    states = [mm.SteadyState(p.field, mm.ModelParams(D=0.005, kappa=p.kappa))
+              for branch in branches for p in branch.points]
+    states += [mm.constant_state(mm.ModelParams(D=0.01, kappa=kappa), grid256)
+               for kappa in (1.2, 400.0)]
+    x = grid256.nodes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(steady, "RESIDUAL_CERT", math.inf)
+        values = 1.6 + 0.3 * np.cos(2.0 * np.pi * x) + 0.2 * np.sin(4.0 * np.pi * x)
+        states.append(mm.SteadyState(mm.Field(grid256, values), mm.ModelParams(D=0.01, kappa=1.6)))
+    return states, [report_bytes(alone(mm.nonlocal_spectrum, state)) for state in states]
+
+
+def test_stack_pool_covers_every_kind_of_row(stack_pool):
+    states, singles = stack_pool
+    keys = {(s.field.grid.n_points, stability._check_modes(s, None), s.modality) for s in states}
+    assert {k for n, k, m in keys if n == 512} >= {64, 128}
+    assert {m for _, _, m in keys} == {0, 1, 2, 3}
+    errors = [single for single in singles if isinstance(single[0], str)]
+    assert errors == [
+        ("ConfigurationError", "state too large to represent the coupling constant M"),
+        ("ResolutionError", "steady state is not reflection-symmetric about a peak"),
+    ]
+
+
+@given(picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=24))
+def test_a_stack_gives_each_state_its_spectrum_alone(stack_pool, picks):
+    # rows of mixed grids, truncations, periods and modalities, repeats and
+    # failing rows, in any order: each is byte for byte the state's own
+    states, singles = stack_pool
+    picks = [i % len(states) for i in picks]
+    for i, result in zip(picks, stability._spectra([states[i] for i in picks])):
+        assert report_bytes(result) == singles[i]
+
+
+def test_the_whole_pool_as_one_stack(stack_pool):
+    # the local spectrum alone too; an M out of range leaves it to local_spectrum
+    states, singles = stack_pool
+    for index in (range(len(states)), reversed(range(len(states)))):
+        index = list(index)
+        for i, result in zip(index, stability._spectra([states[i] for i in index])):
+            assert report_bytes(result) == singles[i]
+            if hasattr(result, "local"):
+                assert local_bytes(result.local) == local_bytes(mm.local_spectrum(states[i]))
+
+
+def test_local_spectrum_does_not_need_the_coupling_constant(grid256):
+    # M = kappa e^(-2 kappa) underflows at kappa = 400; the local problem is fine
+    state = mm.constant_state(mm.ModelParams(D=0.01, kappa=400.0), grid256)
+    local = mm.local_spectrum(state, n_modes=8)
+    assert local.lambdas.size == 17 and local.lambdas[0] == pytest.approx(399.0)
