@@ -34,12 +34,6 @@ def exp_range_error(max_abs: float) -> AmplitudeOverflowError | None:
     return None
 
 
-def check_exp_range(max_abs: float) -> None:
-    """Raise ``exp_range_error(max_abs)`` beyond the exp() range guard."""
-    if max_abs > EXP_GUARD:
-        raise exp_range_error(max_abs)
-
-
 def shifted_exp(values: np.ndarray) -> tuple[np.ndarray, float, float]:
     """e^(u - max u), its grid mean, and log(int e^u) = max u + log(mean).
 
@@ -47,7 +41,8 @@ def shifted_exp(values: np.ndarray) -> tuple[np.ndarray, float, float]:
     behind the range guard, so nothing overflows.
     """
     top = float(values.max())
-    check_exp_range(max(top, -float(values.min())))
+    if error := exp_range_error(max(top, -float(values.min()))):
+        raise error
     shifted = np.exp(values - top)
     mean = float(shifted.sum()) / values.size
     return shifted, mean, top + float(np.log(mean))
@@ -61,11 +56,6 @@ def density(values: np.ndarray) -> np.ndarray:
     """
     shifted, mean, _ = shifted_exp(values)
     return shifted / mean
-
-
-def log_mean_exp(values: np.ndarray) -> float:
-    """log(int e^u) via the shifted form max(u) + log(mean e^(u-max))."""
-    return shifted_exp(values)[2]
 
 
 def energy_weights(grid: Grid, D: float) -> np.ndarray:
@@ -97,7 +87,7 @@ def free_energy(
 ) -> float:
     """J(u) = (D/2) int u_x^2 + (1/2) int u^2 - kappa log(int e^u), with
     u_hat the forward-normalized rfft of the grid values, weights as in
-    ``quadratic_energy`` and log_int = log(int e^u) (``log_mean_exp``)."""
+    ``quadratic_energy`` and log_int = log(int e^u) (``shifted_exp(values)[2]``)."""
     return float(quadratic_energy(u_hat.view(float), weights)) - params.kappa * log_int
 
 

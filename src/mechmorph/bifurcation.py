@@ -352,8 +352,6 @@ def _classify_cell(args) -> SweepCell:
     starts = [Field(grid, u0) for u0 in seeds]
     for flow in _relax_stack(starts, params, FIRST_STEP, t_end, HANDOFF_TOL):
         try:
-            if isinstance(flow, MechmorphError):
-                raise flow
             state = _handoff(flow, params, FIRST_STEP, t_end, HANDOFF_TOL)
         except MechmorphError as exc:
             failures.append(type(exc).__name__)

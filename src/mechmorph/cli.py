@@ -141,11 +141,12 @@ def _validate(cfg: dict) -> None:
         raise ConfigurationError(f"option perturb must be >= 0, got {cfg['perturb']}")
     if "grid" in cfg:
         make_grid(cfg["grid"])  # validates power of two >= 8
-    for key in ("record_every", "trials", "max_points", "n"):
+    for key in ("record_every", "max_points", "n"):
         if key in cfg and cfg[key] < 1:
             raise ConfigurationError(f"option {key} must be >= 1, got {cfg[key]}")
-    if "workers" in cfg and cfg["workers"] < 0:
-        raise ConfigurationError(f"option workers must be >= 0, got {cfg['workers']}")
+    for key in ("trials", "workers"):
+        if key in cfg and cfg[key] < 0:
+            raise ConfigurationError(f"option {key} must be >= 0, got {cfg[key]}")
     if "seed" in cfg and cfg["seed"] < 0:
         raise ConfigurationError(f"seed must be a non-negative integer, got {cfg['seed']}")
 

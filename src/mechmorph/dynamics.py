@@ -14,7 +14,11 @@ trajectory-accurate runs.  The relaxation behind
 the flow's Lyapunov function: fixed points of exponential Euler are exact
 steady states for any step, so only the energy needs to control the step.
 Each state's e^(u - max u) is computed once and gives both J at that state
-and the production term of the step that leaves it.
+and the production term of the step that leaves it.  Both loops refuse a
+step that leaves the exp() guard by one rule, ``_refusal``: a
+DivergenceError carrying the last finite state if the step went
+non-finite, else the guard's AmplitudeOverflowError.  ``simulate`` raises
+it; the relaxation halves a longer step and ends the row with it at dt.
 
 The step advances one state, or a stack of states that share one grid
 and one ``ModelParams``: the transforms, the reductions and the dot of J
@@ -64,13 +68,12 @@ import numpy as np
 
 from ._operators import (
     EXP_GUARD,
-    check_exp_range,
     density,
     energy_weights,
     exp_range_error,
     quadratic_energy,
 )
-from .errors import ConfigurationError, DivergenceError, MechmorphError
+from .errors import AmplitudeOverflowError, ConfigurationError, DivergenceError, MechmorphError
 from .grid import Field, Grid, irfft, rfft
 from .model import ModelParams, check_count
 
@@ -154,9 +157,16 @@ class _Slot:
             self.energy[r] = other.energy[r]
 
 
-def _finite(top: float, bottom: float) -> bool:
+def _refusal(top: float, bottom: float, grid: Grid, last: np.ndarray, t: float,
+             flow: str) -> MechmorphError:
+    """The error of a step to extremes (top, bottom) beyond the exp() guard:
+    a DivergenceError of the named flow at time t, carrying the last finite
+    state (grid values ``last``), if the step went non-finite, else the
+    guard's AmplitudeOverflowError."""
     # NaN propagates through max and min, and +-inf lands in one of them
-    return math.isfinite(top) and math.isfinite(bottom)
+    if math.isfinite(top) and math.isfinite(bottom):
+        return exp_range_error(max(top, -bottom))
+    return DivergenceError(f"{flow} diverged at t = {t:.6g}", last_state=Field(grid, last), t=t)
 
 
 class _Stepper:
@@ -323,7 +333,8 @@ def simulate(
     detect = steady_tol > 0.0  # the rate is >= 0, so a threshold <= 0 never fires
 
     p = stepper.start(u0.values)  # one state: 1-d arrays, 0-d extremes
-    check_exp_range(max(p.top.item(), -p.bottom.item()))
+    if error := exp_range_error(max(p.top.item(), -p.bottom.item())):
+        raise error
     evaluate(p)
     records = []  # (t, mass, J, max u, min u)
     max_increment = 0.0
@@ -339,13 +350,7 @@ def simulate(
         step += 1
         top, bottom = new.top.item(), new.bottom.item()
         if not (top <= EXP_GUARD and bottom >= -EXP_GUARD):  # NaN fails this too
-            if not _finite(top, bottom):
-                raise DivergenceError(
-                    f"simulation diverged at t = {step * dt:.6g}",
-                    last_state=Field(u0.grid, p.values),
-                    t=step * dt,
-                )
-            check_exp_range(max(top, -bottom))
+            raise _refusal(top, bottom, u0.grid, p.values, step * dt, "simulation")
         evaluate(new)
         if new.energy - p.energy > max_increment:  # max() without its call
             max_increment = new.energy - p.energy
@@ -404,11 +409,12 @@ def _relax_stack(
     The first step is dt and each accepted step doubles the next, up to the
     0.5 guard.  A longer step that raises J beyond round-off, goes
     non-finite or trips the exp() guard is rejected and halved, never below
-    dt; a step of length dt is accepted or fails exactly as in
-    ``simulate``.  The budget is ceil(t_end / dt) steps, accepted plus
-    rejected, which is what ``simulate`` takes to reach t_end: near sharp
-    peaks the contraction per step saturates once the step is long, so a
-    flow-time budget would run out without converging.
+    dt; a step of length dt that goes non-finite or trips the guard ends
+    the row with ``simulate``'s refusal of it.  The budget is
+    ceil(t_end / dt) steps, accepted plus rejected, which is what
+    ``simulate`` takes to reach t_end: near sharp peaks the contraction per
+    step saturates once the step is long, so a flow-time budget would run
+    out without converging.
 
     Each row keeps its own step length, decisions, budget, flow time and
     detector, and leaves the stack when the detector
@@ -440,16 +446,9 @@ def _relax_stack(
             if top <= EXP_GUARD and bottom >= -EXP_GUARD:  # NaN fails this too
                 continue
             row = rows[r]
-            if not _finite(top, bottom):
-                rejected[r] = "rejected_nonfinite"
-                error = DivergenceError(
-                    f"relaxation diverged at t = {row.flow_time + row.h:.6g}",
-                    last_state=Field(grid, p.row(r)),
-                    t=row.flow_time + row.h,
-                )
-            else:
-                rejected[r] = "rejected_overflow"
-                error = exp_range_error(max(top, -bottom))
+            error = _refusal(top, bottom, grid, p.row(r), row.flow_time + row.h, "relaxation")
+            overflow = isinstance(error, AmplitudeOverflowError)
+            rejected[r] = "rejected_overflow" if overflow else "rejected_nonfinite"
             if row.h == dt:
                 results[row.start] = error
         if len(rejected) < len(rows):  # else no energy or change below is read
@@ -496,18 +495,6 @@ def _survivors(stepper: _Stepper, p: _Slot, rows: list[_Row], results: list):
     if len(live) == len(rows):
         return rows, p
     return [rows[r] for r in live], (stepper.keep(p, live) if live else p)
-
-
-def _relax(
-    u0: Field, params: ModelParams, dt: float, t_end: float, steady_tol: float
-) -> tuple[Field, bool, dict]:
-    """``_relax_stack`` of the one start u0: its last accepted state,
-    whether the detector fired on it and the counters of the run.  Raises
-    the exception that ended the run."""
-    (result,) = _relax_stack([u0], params, dt, t_end, steady_tol)
-    if isinstance(result, MechmorphError):
-        raise result
-    return result
 
 
 def strain_field(u: Field, params: ModelParams) -> Field:

@@ -22,12 +22,11 @@ from ._operators import (
     evolution_rhs,
     free_energy,
     linearization_dense,
-    log_mean_exp,
     shifted_exp,
 )
 from .errors import ConfigurationError
 from .grid import Field, to_spectral
-from .model import ModelParams, check_count
+from .model import ModelParams, check_modes
 
 __all__ = ["ModelParams", "BoundsReport", "energy", "first_variation", "hessian_matrix", "bounds"]
 
@@ -39,7 +38,7 @@ def energy(u: Field, params: ModelParams) -> float:
     """Evaluate J(u); the quadratic part is computed spectrally (Parseval)."""
     return free_energy(
         to_spectral(u).coefficients, params, energy_weights(u.grid, params.D),
-        log_mean_exp(u.values),
+        shifted_exp(u.values)[2],
     )
 
 
@@ -62,11 +61,7 @@ def hessian_matrix(u: Field, params: ModelParams, n_modes: int) -> np.ndarray:
     the gradient flow of J.  Row and column 0 reduce to (1, 0, ..., 0)
     because the density e^u / int e^u integrates to one.
     """
-    check_count("n_modes", n_modes, 1)
-    if n_modes > u.grid.n_points // 4:
-        raise ConfigurationError(
-            f"n_modes must be in [1, n_points/4], got {n_modes} at n_points={u.grid.n_points}"
-        )
+    check_modes(n_modes, u.grid.n_points)
     return -linearization_dense(shifted_exp(u.values), u.grid, params, n_modes, "full")
 
 

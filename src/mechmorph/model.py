@@ -18,6 +18,16 @@ def check_count(name: str, value, low: int) -> None:
         raise ConfigurationError(f"{name} must be >= {low} and an integer, got {value!r}")
 
 
+def check_modes(n_modes, n_points: int) -> None:
+    """Raise ConfigurationError unless n_modes is an integer in [1, n_points/4],
+    where the Galerkin quadrature stays alias-safe."""
+    check_count("n_modes", n_modes, 1)
+    if n_modes > n_points // 4:
+        raise ConfigurationError(
+            f"n_modes must be in [1, n_points/4], got {n_modes} at n_points={n_points}"
+        )
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Diffusivity D and production strength kappa, both strictly positive

@@ -60,7 +60,7 @@ import numpy as np
 from ._operators import exp_range_error, linearization_dense, linearization_parts, shifted_exp
 from .errors import BracketError, ConfigurationError, MechmorphError, ResolutionError
 from .grid import irfft, rfft
-from .model import check_count
+from .model import check_modes
 from .steady import SteadyState
 
 __all__ = [
@@ -101,8 +101,6 @@ def _default_modes(state, coef: np.ndarray | None) -> int:
     the state's rfft, or None to take it here.
     """
     n = state.field.grid.n_points
-    if n // 4 <= 64:  # the floor of 64 modes reaches the cap without a transform
-        return n // 4
     coef = np.abs(rfft(state.field.values) if coef is None else coef)
     top = coef.max()
     significant = np.nonzero(coef > 1e-12 * top)[0]
@@ -208,14 +206,9 @@ def _zero_counts(functions: np.ndarray, floors: np.ndarray) -> np.ndarray:
 
 
 def _check_modes(state: SteadyState, n_modes: int | None, coef: np.ndarray | None = None) -> int:
-    n = state.field.grid.n_points
     if n_modes is None:
         n_modes = _default_modes(state, coef)
-    check_count("n_modes", n_modes, 1)
-    if n_modes > n // 4:
-        raise ConfigurationError(
-            f"n_modes must be in [1, n_points/4], got {n_modes} at n_points={n}"
-        )
+    check_modes(n_modes, state.field.grid.n_points)
     return n_modes
 
 

@@ -40,8 +40,10 @@ from ._operators import (
     shifted_exp,
     synthesize_even,
 )
-from .dynamics import _relax
-from .errors import ConfigurationError, ConvergenceError, ResolutionError, SingularJacobianError
+from .dynamics import _relax_stack
+from .errors import (
+    ConfigurationError, ConvergenceError, MechmorphError, ResolutionError, SingularJacobianError,
+)
 from .grid import Field, Grid, integrate, make_grid, rfft
 from .model import ModelParams, check_count
 
@@ -301,28 +303,31 @@ def relax_to_steady(
     The flow starts with a step of length dt and doubles it after each
     accepted step, up to 0.5.  A longer step that would raise the energy
     beyond round-off or leave the exp() range is rejected and halved,
-    never below dt; a step of length dt is accepted or raises as in
-    :func:`mechmorph.dynamics.simulate`.  t_end / dt is a budget of steps,
-    not a flow time: at most ceil(t_end / dt) steps, accepted or rejected,
-    the number a fixed-dt flow takes to reach t_end.  steady_tol is the
-    detector threshold on max|u_{n+1}-u_n|/h; a looser value hands over to
-    Newton earlier.  Raises ConvergenceError if neither the flow nor the
+    never below dt; a step of length dt that leaves it raises the error
+    :func:`mechmorph.dynamics.simulate` refuses it with.  t_end / dt is a
+    budget of steps, not a flow time: at most ceil(t_end / dt) steps,
+    accepted or rejected, the number a fixed-dt flow takes to reach t_end.
+    steady_tol is the detector threshold on max|u_{n+1}-u_n|/h; a looser
+    value hands over to Newton earlier.  Raises ConvergenceError if neither the flow nor the
     polish reaches its tolerance.
     """
-    return _handoff(_relax(u0, params, dt, t_end, steady_tol), params, dt, t_end, steady_tol)
+    (flow,) = _relax_stack([u0], params, dt, t_end, steady_tol)
+    return _handoff(flow, params, dt, t_end, steady_tol)
 
 
 def _handoff(
-    flow: tuple[Field, bool, dict], params: ModelParams, dt: float, t_end: float,
-    steady_tol: float,
+    flow: tuple[Field, bool, dict] | MechmorphError, params: ModelParams, dt: float,
+    t_end: float, steady_tol: float,
 ) -> SteadyState:
-    """Newton's polish of one relaxed flow, ``(state, converged, counters)``
-    as :func:`mechmorph.dynamics._relax_stack` returns it for a start run
-    with dt, t_end and steady_tol.
+    """Newton's polish of one relaxed flow as :func:`mechmorph.dynamics._relax_stack`
+    returns it for a start run with dt, t_end and steady_tol: ``(state,
+    converged, counters)``, or the exception that ended the run, raised here.
 
     Raises ConvergenceError if the detector did not fire or if Newton moved
     the state out of the flow's basin, and logs the run's RelaxStats.
     """
+    if isinstance(flow, MechmorphError):
+        raise flow
     relaxed, converged, counters = flow
     if not converged:
         raise ConvergenceError(

@@ -266,6 +266,73 @@ def test_corrector_failure_keeps_its_cause(monkeypatch, grid256):
     assert (branch.terminated_by, branch.reason) == ("failure", "SingularJacobianError: injected")
 
 
+def _singular(block):
+    block[...] = 0.0
+
+
+def _non_finite(block):
+    block[...] = 0.0
+    np.fill_diagonal(block, 5e-324)  # the triangular solve divides by subnormal pivots
+
+
+def _uphill(block):
+    np.negative(block, block)  # the step then climbs the residual
+
+
+# each exit of the bordered Newton: how its Jacobian block is spoiled (None: no
+# iterations allowed), the error it raises and the start of its message
+NEWTON_EXITS = {
+    "singular": (_singular, SingularJacobianError, "singular bordered Jacobian"),
+    "non-finite": (_non_finite, SingularJacobianError, "non-finite Newton step"),
+    "stalled": (_uphill, ConvergenceError, "Newton line search stalled at residual"),
+    "iteration cap": (None, ConvergenceError, "Newton did not reach tol="),
+}
+
+
+@pytest.mark.parametrize("exit_name", NEWTON_EXITS)
+def test_each_newton_exit_keeps_its_cause(monkeypatch, exit_name):
+    spoil, error, message = NEWTON_EXITS[exit_name]
+    dense = steady.linearization_dense
+
+    def spoiled(*args):
+        block = dense(*args)
+        spoil(block)
+        return block
+
+    def break_newton(patch):
+        if spoil is None:
+            patch.setattr(steady, "NEWTON_MAX_ITER", 0)
+        else:
+            patch.setattr(steady, "linearization_dense", spoiled)
+
+    grid, bp = mm.make_grid(64), mm.critical_kappas(0.02, 1)[0]
+    guess = mm.Field(grid, 1.5 + 0.3 * np.cos(2.0 * np.pi * grid.nodes))
+    with pytest.MonkeyPatch.context() as patch:
+        break_newton(patch)
+        with pytest.raises(error) as raised:
+            mm.newton_steady(guess, mm.ModelParams(D=0.01, kappa=1.5))
+        assert str(raised.value).startswith(message)
+        with pytest.raises(ConvergenceError) as raised:
+            mm.continue_branch(bp, max_points=10, grid=grid)
+        first = "could not correct the first branch point: "
+        assert str(raised.value).startswith(first + message)
+        assert type(raised.value.__cause__) is error
+
+    # every corrector after the first point's fails: the step halves down to
+    # step / 64 and the branch ends with the last failure as its reason
+    certify = bifurcation._rescale_modal
+
+    def breaking_after_first_point(*args):
+        break_newton(monkeypatch)
+        return certify(*args)
+
+    monkeypatch.setattr(bifurcation, "_rescale_modal", breaking_after_first_point)
+    branch = mm.continue_branch(bp, max_points=10, grid=grid)
+    assert len(branch.points) == 1
+    assert branch.terminated_by == "failure"
+    assert branch.reason.startswith(f"{error.__name__}: {message}")
+
+
 @pytest.mark.parametrize("mode, grid_name", [(1, "grid256"), (2, "grid256"), (1, "grid512")],
                          ids=["mode1-n256", "mode2-n256", "mode1-n512"])
 def test_corrector_matches_the_two_pass_oracle(monkeypatch, request, mode, grid_name):
@@ -560,6 +627,23 @@ def test_sweep_rejects_bad_t_end_before_any_cell(monkeypatch, t_end):
     monkeypatch.setattr(bifurcation, "_classify_cell", lambda args: pytest.fail("cell ran"))
     with pytest.raises(ConfigurationError, match="t_end must be positive and finite"):
         mm.sweep([0.02], [2.0], trials=1, t_end=t_end)
+
+
+def test_a_seed_that_fails_its_relaxation_is_counted(monkeypatch):
+    # every seed at kappa = 800 starts beyond the exp() guard: each row of the
+    # cell's stack ends with the guard's error, which the hand-off raises
+    handed = []
+    handoff = bifurcation._handoff
+
+    def recording(flow, *args):
+        handed.append(flow)
+        return handoff(flow, *args)
+
+    monkeypatch.setattr(bifurcation, "_handoff", recording)
+    cell = mm.sweep([0.02], [800.0], trials=2).cells[0]
+    assert cell.failures == ("AmplitudeOverflowError",) * 3
+    assert (cell.n_failed, cell.n_outcomes, cell.classification) == (3, 0, "unknown")
+    assert [type(flow) for flow in handed] == [AmplitudeOverflowError] * 3
 
 
 def test_sweep_counts_failed_seeds(monkeypatch):

@@ -203,6 +203,15 @@ def _record_steps(monkeypatch):
     return calls
 
 
+def _relax_alone(u0, params, dt, t_end, steady_tol):
+    """A one-row ``_relax_stack``: its (state, converged, counters), or the
+    exception that ended the row, raised."""
+    (result,) = dynamics._relax_stack([u0], params, dt, t_end, steady_tol)
+    if isinstance(result, MechmorphError):
+        raise result
+    return result
+
+
 def _record_reference_steps(monkeypatch):
     """List that collects (state, h) of every step ``oracles.ReferenceStepper`` takes."""
     calls = []
@@ -230,7 +239,7 @@ def test_adaptive_steps_keep_energy_and_mass_law(seed, n, D, kappa, amplitude):
     u0 = mm.Field(grid, kappa * (1.0 + amplitude * even_noise(rng, n)))
     with pytest.MonkeyPatch.context() as m:
         calls = _record_steps(m)
-        dynamics._relax(u0, params, 1e-3, 1.0, 1e-9)
+        _relax_alone(u0, params, 1e-3, 1.0, 1e-9)
     # a step was accepted when the next one leaves from its result
     steps = [
         (h, p, nxt) for (p, h), (nxt, _) in zip(calls, calls[1:]) if nxt.slot is not p.slot
@@ -268,7 +277,7 @@ def test_rejected_steps_halve_down_to_dt(monkeypatch):
     verdicts = iter([True] * 6)
     monkeypatch.setattr(dynamics, "_energy_allows", lambda old, new: next(verdicts, False))
     dt = 0.01
-    _, converged, stats = dynamics._relax(u0, params, dt, 100.0, 1e-9)
+    _, converged, stats = _relax_alone(u0, params, dt, 100.0, 1e-9)
     steps = [h for _, h in calls]
     assert converged
     assert steps[:14] == [
@@ -394,7 +403,7 @@ def test_simulate_fails_like_reference_loop(monkeypatch, level, kappa, start, er
 
 def _stack_and_alone(seed, n, D, kappa, dt, t_end, shapes, energy_rejections):
     """The outcomes of starts of the given shapes relaxed as one stack, and
-    each relaxed alone (``_relax``, or the exception that ended it).
+    each relaxed alone (a stack of one, or the exception that ended it).
 
     The starts sit at the level min(kappa, 100); "beyond guard" starts
     outside the exp() range.  With energy_rejections, the energy rule
@@ -416,7 +425,7 @@ def _stack_and_alone(seed, n, D, kappa, dt, t_end, shapes, energy_rejections):
 
     def alone(start):
         try:
-            return dynamics._relax(start, params, dt, t_end, 1e-9)
+            return _relax_alone(start, params, dt, t_end, 1e-9)
         except MechmorphError as exc:
             return exc
 

@@ -183,6 +183,76 @@ def test_cli_sweep_csv(tmp_path):
     assert overlays[0] == "D,kappa_c"
 
 
+def test_cli_sweep_takes_the_library_range_of_trials(tmp_path, capsys):
+    # trials = 0 classifies each cell from the bump seed alone, as mm.sweep does
+    args = ["sweep", "--D-values", "0.02", "--kappa-values", "2.2", "--t-end", "250"]
+    assert run_cli(args + ["--trials", "0", "--out", str(tmp_path / "zero")]) == 0
+    lines = (tmp_path / "zero" / "sweep.csv").read_text().splitlines()
+    assert lines[1].split(",")[2:] == ["pattern-only", "1", "0"]
+    capsys.readouterr()
+    assert run_cli(args + ["--trials", "-1", "--out", str(tmp_path / "negative")]) == 2
+    assert json.loads(capsys.readouterr().err)["message"] == "option trials must be >= 0, got -1"
+    assert not (tmp_path / "negative" / "manifest.json").exists()
+
+
+# (preset, {file: (header, data rows)})
+FIGURE_FILES = [
+    ("fig1-middle", {"fig1_middle_profiles.csv": (
+        "x,kappa_1,kappa_1.5,kappa_2,kappa_2.5,kappa_3", 512)}),
+    ("fig1-right", {"fig1_right_profiles.csv": ("x,D_0.0001,D_0.0003,D_0.001", 1024)}),
+    # the overlays: 6 D rows, the second header, 8 kappa rows
+    ("fig2-top", {"fig2_top_sweep.csv": ("D,kappa,class,n_outcomes,n_failed", 48),
+                  "fig2_top_overlays.csv": ("D,kappa_c", 15)}),
+]
+
+
+@pytest.mark.parametrize("kind, files", FIGURE_FILES, ids=[kind for kind, _ in FIGURE_FILES])
+def test_figure_presets_write_their_csv_sets(tmp_path, kind, files):
+    paths = figures.emit_figure_data(kind, str(tmp_path))
+    assert [os.path.basename(path) for path in paths] == list(files)
+    csv = {name: (tmp_path / name).read_text().splitlines() for name in files}
+    for name, (header, rows) in files.items():
+        assert (csv[name][0], len(csv[name]) - 1) == (header, rows)
+    if kind == "fig2-top":
+        assert csv["fig2_top_overlays.csv"][7] == "kappa,d_min,d_max"
+        classes = {line.split(",")[2] for line in csv["fig2_top_sweep.csv"][1:]}
+        assert classes <= {"constant-only", "pattern-only", "bistable", "unknown"}
+
+
+def test_fig1_left_stitches_its_pieces_once_per_boundary(tmp_path, monkeypatch):
+    monkeypatch.setattr(figures, "SNAPSHOT_TIMES", (0.25, 0.5, 1.0))
+    trajectory, profiles = figures.emit_figure_data("fig1-left", str(tmp_path))
+    times = np.loadtxt(trajectory, delimiter=",", skiprows=1)[:, 0]
+    assert np.all(np.diff(times) > 0.0)
+    # pieces of 250, 250 and 500 steps, recorded every 100 steps and at their ends
+    assert times.size == 4 + 3 + 5
+    for boundary in (0.0, 0.25, 0.5, 1.0):
+        assert np.count_nonzero(np.isclose(times, boundary, rtol=0.0, atol=1e-12)) == 1
+    with open(profiles) as csv:
+        assert csv.readline().strip() == "x,t_0,t_0.25,t_0.5,t_1"
+
+
+def test_suggest_grid_at_its_thresholds():
+    for threshold, at, below in ((5e-3, 256, 512), (5e-4, 512, 1024), (5e-5, 1024, 2048)):
+        assert figures.suggest_grid(threshold) == at
+        assert figures.suggest_grid(np.nextafter(threshold, 0.0)) == below
+    assert (figures.suggest_grid(1.0), figures.suggest_grid(1e-9)) == (256, 2048)
+
+
+def test_cli_steady_from_the_bump(tmp_path, capsys):
+    assert run_cli(["steady", "--init", "bump", "--out", str(tmp_path / "bump")]) == 0
+    assert json.loads(capsys.readouterr().out)["modality"] == 1
+
+
+def test_cli_config_rejects_an_unknown_init_profile(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[steady]\ninit = spiral\n")
+    out = tmp_path / "spiral"
+    assert run_cli(["steady", "--config", str(config), "--out", str(out)]) == 2
+    assert "unknown init profile" in json.loads(capsys.readouterr().err)["message"]
+    assert not (out / "manifest.json").exists()
+
+
 def test_cli_figure_branch_preset(tmp_path):
     out = tmp_path / "fig"
     code = run_cli(["figure", "--kind", "fig2-bottom-right", "--out", str(out)])

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import logging
 import math
@@ -345,6 +346,22 @@ def test_crosscheck_two_modal(twomodal_16):
     report = mm.nonlocal_spectrum(twomodal_16)
     assert report.verdict == "unstable"
     assert report.nonlocal_eigs[0] > 0
+
+
+def test_crosscheck_refuses_a_secular_spectrum_that_deviates(monkeypatch, unimodal_16):
+    solve = stability._secular_solve
+
+    def shifted(*args):
+        solution = solve(*args)
+        return dataclasses.replace(solution, roots=solution.roots + 1e-3)
+
+    monkeypatch.setattr(stability, "_secular_solve", shifted)
+    with pytest.raises(ResolutionError, match="spectrum cross-check deviation") as raised:
+        mm.spectrum_crosscheck(unimodal_16)
+    direct, secular = raised.value.direct, raised.value.secular
+    assert direct.size == secular.size == stability.N_COMPARE
+    assert np.array_equal(direct, mm.nonlocal_spectrum(unimodal_16).nonlocal_eigs[: direct.size])
+    assert np.max(np.abs(direct - secular)) >= stability.CROSSCHECK_TOL
 
 
 def test_instability_criterion_from_oscillation(twomodal_16):
