@@ -168,7 +168,7 @@ def _start(cfg: dict) -> tuple[Field, ModelParams]:
 
 def _write_manifest(out: str, command: str, cfg: dict) -> None:
     manifest = {"command": command, "version": __version__, "config": cfg}
-    write_json(os.path.join(out, "manifest.json"), manifest)
+    write_json(os.path.join(ensure_dir(out), "manifest.json"), manifest)
 
 
 def _parse_list(text: str) -> list[float]:
@@ -179,8 +179,13 @@ def _parse_list(text: str) -> list[float]:
 
 
 def _workers(cfg) -> int:
-    """The configured worker count; 0 means one per CPU."""
-    return cfg["workers"] or (os.cpu_count() or 1)
+    """The configured worker count; 0 means one per CPU this process may
+    run on (its affinity mask, where the platform has one)."""
+    if cfg["workers"]:
+        return cfg["workers"]
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _cmd_simulate(cfg):
@@ -318,9 +323,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args.command, args)
-        out = ensure_dir(cfg["out"])
+        # each command creates --out when it writes, so a refused run leaves none
         result = COMMANDS[args.command](cfg)
-        _write_manifest(out, args.command, cfg)
+        _write_manifest(cfg["out"], args.command, cfg)
     except ConfigurationError as exc:
         return _report("configuration", str(exc), 2)
     except MechmorphError as exc:

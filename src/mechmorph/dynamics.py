@@ -24,10 +24,11 @@ The step advances one state, or a stack of states that share one grid
 and one ``ModelParams``: the transforms, the reductions and the dot of J
 run along the last axis, so a numpy call costs about the same for four
 rows as for one.  ``simulate`` and ``relax_to_steady`` step one state, as
-1-d arrays with 0-d extremes on numpy's fast paths; a sweep cell relaxes
-its seeds as one stack (``_relax_stack``), in which each row keeps its own
-step length, decisions, budget, flow time and detector, and leaves when it
-converges, runs out of budget or fails (keeping its exception).  Every row
+1-d arrays with 0-d extremes on numpy's fast paths, and so does a stack
+once it is down to one row; a sweep cell relaxes its seeds as one stack
+(``_relax_stack``), in which each row keeps its own step length,
+decisions, budget, flow time and detector, and leaves when it converges,
+runs out of budget or fails (keeping its exception).  Every row
 is bit-identical to its start relaxed alone: each numpy loop computes a row
 as it computes one state (J takes ``np.vecdot``, the BLAS dot of
 ``np.dot``, per row), and the mean of e^(u - max u), its ``np.log`` and
@@ -49,14 +50,24 @@ about half of each transform.  One max and one min give the finiteness
 check (NaN and +-inf propagate through them), the exp() range guard, the
 shift of the exponential and the recorded extremes.  J is one dot over the
 rfft, with the gradient term and, by Parseval, int u^2 in its weights.
+A stack takes these extremes and the detector's max as reductions along
+its rows, and J by ``np.vecdot``.  One state takes the values at
+``argmax`` and ``argmin`` (both return the first NaN, so NaN still fails
+the guard) and J by ``np.dot``, the same BLAS dot: at n = 256 an extreme
+costs 0.3 us instead of 0.8 us for a reduction into a 0-d output, and the
+dot 0.5 us instead of 0.65 us.  The bits are the same but for the sign
+of an extreme of exactly zero where both zeros occur (the max of
+[-0.0, 0.0] is 0.0, the value at its argmax -0.0), which only a recorded
+``max_u``/``min_u`` shows.
 
 The step functions are closures over the slots, the buffers, kappa, n, the
 ufuncs and the transforms, bound once per buffer allocation (when the
-stepper is built, and again when ``keep`` shrinks a stack), with J's
-one-state or stack tail chosen there.  ``simulate`` resolves its fixed dt
-to the integrating factors once; per step it keeps only the exp() guard,
-the energy increment, the detector and the record test: about 15 us per
-step at n = 256 (``BENCH_bound_step.json``).
+stepper is built, and again when ``keep`` shrinks a stack), with the
+one-state or stack form of the extremes, J and the detector chosen
+there.  ``simulate`` resolves its fixed dt to the integrating factors
+once; per step it keeps only the exp() guard, the energy increment, the
+detector and the record test: about 12 us per step at n = 256
+(``BENCH_argmax_step.json``).
 """
 
 from __future__ import annotations
@@ -176,8 +187,9 @@ class _Stepper:
     A step writes only into the slot its start is not in, so a rejected
     step leaves the accepted state intact.  The integrating factors are
     cached per step length, and rows may step with different lengths.
-    ``_bind`` binds ``advance``, ``evaluate`` and ``change``; no reference
-    to the stepper is among their locals, so no cycle keeps it alive.
+    ``_bind`` binds ``advance``, ``evaluate`` and ``change``, and the
+    extremes rule ``start`` shares with ``advance``; no reference to the
+    stepper is among their locals, so no cycle keeps it alive.
     """
 
     def __init__(self, grid: Grid, params: ModelParams, dt: float, rows: int = 1):
@@ -208,10 +220,10 @@ class _Stepper:
         mean_col = mean[:, None] if lead else mean
         weighted = np.empty((*lead, n + 2))  # weights * u_hat.view(float)
         kappa_0d = np.array(kappa)  # 0-d: numpy converts a Python float anew at every call
-        multiply, add, subtract, divide, exp, log, absolute = (
-            np.multiply, np.add, np.subtract, np.divide, np.exp, np.log, np.abs)
+        multiply, add, subtract, divide, exp, log, absolute, dot = (
+            np.multiply, np.add, np.subtract, np.divide, np.exp, np.log, np.abs, np.dot)
         maximum, minimum, total_of = np.maximum.reduce, np.minimum.reduce, np.add.reduce
-        forward, inverse, quadratic_of = rfft, irfft, quadratic_energy
+        forward, inverse = rfft, irfft
 
         def advance(p: _Slot, step: tuple) -> _Slot:
             """One step (``factors(h)``) from p into the other slot: its rfft,
@@ -224,22 +236,53 @@ class _Stepper:
             multiply(factor, p.u_hat, new.u_hat)
             add(new.u_hat, reaction_hat, new.u_hat)
             inverse(new.u_hat, n, new.values)
-            maximum(new.values, -1, None, new.top)
-            minimum(new.values, -1, None, new.bottom)
+            bound(new)
             return new
 
-        # one number per row (the mean, log int e^u, J's tail) is a plain
-        # float: a numpy call on a few elements costs more than the arithmetic
+        # the extremes, J's quadratic part and the detector's max take one
+        # form for a stack and one for a state.  One number per row (the
+        # mean, log int e^u, J's tail) is a plain float: a numpy call on a
+        # few elements costs more than the arithmetic
         if lead:
-            def energy(s: _Slot, total: np.ndarray, quadratic: np.ndarray) -> list[float]:
+            def bound(s: _Slot) -> None:
+                """max u and min u of each row of s, into its extremes."""
+                maximum(s.values, -1, None, s.top)
+                minimum(s.values, -1, None, s.bottom)
+
+            def energy(s: _Slot, total: np.ndarray) -> list[float]:
                 means = [row_total / n for row_total in total.tolist()]
                 mean[:] = means
+                quadratic = quadratic_energy(s.u_hat_float, weights, weighted)
                 return [q - kappa * (top + float(log(m)))
                         for q, top, m in zip(quadratic.tolist(), s.top.tolist(), means)]
+
+            def change(new: _Slot, old: _Slot) -> np.ndarray:
+                """max |u_new - u_old| per row: the detector's numerator."""
+                subtract(new.values, old.values, diff)
+                absolute(diff, diff)
+                return maximum(diff, -1, None, largest)
         else:
-            def energy(s: _Slot, total: np.ndarray, quadratic: np.ndarray) -> float:
+            # one state: the values at argmax and argmin (the first NaN, if
+            # any) and np.dot, the BLAS dot of np.vecdot, give the same bits
+            # and cost less than 0-d reductions and the vecdot
+            def bound(s: _Slot) -> None:
+                """max u and min u of s, into its 0-d extremes."""
+                values = s.values
+                s.top[()] = values[values.argmax()]
+                s.bottom[()] = values[values.argmin()]
+
+            def energy(s: _Slot, total: np.ndarray) -> float:
                 mean[()] = m = total.item() / n
-                return float(quadratic) - kappa * (s.top.item() + float(log(m)))
+                v = s.u_hat_float
+                quadratic = float(dot(multiply(weights, v, weighted), v))
+                return quadratic - kappa * (s.top.item() + float(log(m)))
+
+            def change(new: _Slot, old: _Slot) -> np.ndarray:
+                """max |u_new - u_old|, 0-d: the detector's numerator."""
+                subtract(new.values, old.values, diff)
+                absolute(diff, diff)
+                largest[()] = diff[diff.argmax()]
+                return largest
 
         def evaluate(s: _Slot) -> None:
             """The density and energy of s, every row within the exp() guard."""
@@ -248,16 +291,10 @@ class _Stepper:
             exp(density, density)
             total = total_of(density, -1, None, mean)  # sums, for now
             # J = (its quadratic part) - kappa log(int e^u)
-            s.energy = energy(s, total, quadratic_of(s.u_hat_float, weights, weighted))
+            s.energy = energy(s, total)
             divide(density, mean_col, density)
 
-        def change(new: _Slot, old: _Slot) -> np.ndarray:
-            """max |u_new - u_old| per row (0-d for one state): the detector's numerator."""
-            subtract(new.values, old.values, diff)
-            absolute(diff, diff)
-            return maximum(diff, -1, None, largest)
-
-        self.advance, self.evaluate, self.change = advance, evaluate, change
+        self.advance, self.evaluate, self.change, self._bound = advance, evaluate, change, bound
 
     def start(self, values: np.ndarray) -> _Slot:
         """The first states (one row each, or one 1-d state), in slot 0:
@@ -265,8 +302,7 @@ class _Stepper:
         s = self._slots[0]
         s.values[...] = values
         rfft(s.values, s.u_hat)
-        np.maximum.reduce(s.values, -1, None, s.top)
-        np.minimum.reduce(s.values, -1, None, s.bottom)
+        self._bound(s)
         return s
 
     def keep(self, s: _Slot, rows: list[int]) -> _Slot:

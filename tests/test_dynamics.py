@@ -1,11 +1,13 @@
 import gc
+import math
 import weakref
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import mechmorph as mm
 from mechmorph import dynamics
@@ -399,6 +401,55 @@ def test_simulate_fails_like_reference_loop(monkeypatch, level, kappa, start, er
     if error is DivergenceError:
         assert new.value.t == ref.value.t
         assert np.array_equal(new.value.last_state.values, ref.value.last_state.values)
+
+
+def _with_specials(data, n):
+    """A generated field of n values: finite ones within and beyond the
+    exp() guard, all of one sign or mixed, with NaN, +-inf and both zeros
+    at generated positions."""
+    values = data.draw(arrays(np.float64, n, elements=st.floats(-800.0, 800.0)))
+    sign = data.draw(st.sampled_from([None, 1.0, -1.0]))
+    if sign is not None:  # an extreme of exactly zero once a zero is placed
+        values = sign * np.abs(values)
+    specials = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
+    for position, special in data.draw(st.lists(st.tuples(st.integers(0, n - 1), specials),
+                                                max_size=6)):
+        values[position] = special
+    return values
+
+
+def _same(value, reduced):
+    """value equals the reduction's under ==, NaN exactly where it is NaN."""
+    return math.isnan(value) == math.isnan(reduced) and (math.isnan(value) or value == reduced)
+
+
+@settings(max_examples=100)
+@given(data=st.data(), n=st.integers(4, 256).map(lambda half: 2 * half))
+def test_one_state_extremes_match_the_reductions(data, n):
+    # one state takes max u, min u and the detector's max |u_new - u_old|
+    # as the values at argmax and argmin.  The one allowed difference from
+    # np.max and np.min: where the extreme is an exact zero and both zeros
+    # occur, the two may return opposite signs ([-0.0, 0.0] reduces to 0.0,
+    # while argmax picks -0.0), which == does not see.  It only shows as the
+    # sign of a recorded max_u or min_u of exactly zero.
+    new, old = _with_specials(data, n), _with_specials(data, n)
+    grid = mm.Grid(n, 1.0 / n, np.arange(n) / n)
+    params = mm.ModelParams(D=0.01, kappa=1.5)
+    one, other = dynamics._Stepper(grid, params, 1e-3), dynamics._Stepper(grid, params, 1e-3)
+    with np.errstate(invalid="ignore", over="ignore"):
+        s_new, s_old = one.start(new), other.start(old)
+        change = one.change(s_new, s_old).item()
+        largest_change = np.max(np.abs(new - old))
+    top, bottom = s_new.top.item(), s_new.bottom.item()
+    assert _same(top, np.max(new)) and _same(bottom, np.min(new))
+    assert _same(change, largest_change)
+    assert s_new.top.shape == s_new.bottom.shape == ()
+    # the refusal reads the same class and message from either pair
+    last = np.zeros(n)  # the last finite state a DivergenceError carries
+    refusals = [dynamics._refusal(a, b, grid, last, 0.5, "simulation")
+                for a, b in ((top, bottom), (np.max(new).item(), np.min(new).item()))]
+    assert type(refusals[0]) is type(refusals[1])
+    assert str(refusals[0]) == str(refusals[1])
 
 
 def _stack_and_alone(seed, n, D, kappa, dt, t_end, shapes, energy_rejections):

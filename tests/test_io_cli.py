@@ -363,6 +363,9 @@ def test_cli_help_and_version_exit_zero(capsys, args):
 
 
 def test_cli_workers_zero_means_one_per_cpu(tmp_path, monkeypatch):
+    # one per CPU of the affinity mask where the platform has one (under
+    # taskset -c 0 it holds one CPU, while os.cpu_count() counts them all),
+    # else os.cpu_count()
     seen = []
 
     def stop(*args, workers, **kwargs):
@@ -371,10 +374,28 @@ def test_cli_workers_zero_means_one_per_cpu(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "sweep", stop)
     monkeypatch.setattr(figures, "sweep", stop)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert run_cli(["sweep", "--workers", "0", "--out", str(tmp_path / "s")]) == 3
     assert run_cli(["figure", "--kind", "fig2-top", "--workers", "0",
                     "--out", str(tmp_path / "f")]) == 3
-    assert seen == [os.cpu_count() or 1] * 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert run_cli(["sweep", "--workers", "0", "--out", str(tmp_path / "s")]) == 3
+    assert seen == [1, 1, 2]
+
+
+@pytest.mark.parametrize("args, message", [
+    # the command refuses the init profile, the stepper the step length
+    (["steady", "--config", "run.ini"], "unknown init profile"),
+    (["simulate", "--dt", "0.6"], "stability guard"),
+], ids=["unknown-init", "dt-beyond-guard"])
+def test_cli_refused_run_leaves_no_output_directory(tmp_path, monkeypatch, capsys, args,
+                                                    message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_text("[steady]\ninit = spiral\n")
+    assert run_cli(args + ["--out", "o"]) == 2
+    assert message in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_solver_failure_exit_code(tmp_path, capsys):
