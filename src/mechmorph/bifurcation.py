@@ -41,7 +41,7 @@ from .energy import bounds
 from .errors import ConfigurationError, ConvergenceError, MechmorphError, ResolutionError
 from .grid import Field, Grid, make_grid
 from .model import ModelParams, check_count
-from .stability import MARGINAL_TOL, _spectra
+from .stability import MARGINAL_TOL, _spectra, _stack_rows
 from .steady import FIRST_STEP, SteadyState, _bordered_newton, _handoff, _rescale_modal
 
 __all__ = [
@@ -60,10 +60,6 @@ TYPE_TOL = 1e-12
 SEED_AMPLITUDE = 0.01  # relative amplitude of the sweep's random seeds
 HANDOFF_TOL = 1e-7  # the sweep's steady-state detector (the relaxation's steady_tol)
 CORRECTOR_TOL = 1e-11  # the corrector's tol: RMS of its even-projected residual
-# memory bound of a stack of branch spectra: beyond one spectrum's, its live matrices,
-# three (K + 1)^2 blocks a row at the largest default K = n_points/4, hold at most
-# 50,000 entries (0.4 MB): 4 rows at n_points = 256, 2 at 512
-SPECTRUM_STACK_ENTRIES = 50_000
 
 
 @dataclass(frozen=True)
@@ -189,9 +185,10 @@ def continue_branch(
     is halved on corrector failure and regrown (x1.3, capped at the initial
     step) after four easy successes.  Stability is evaluated at every point
     through the full nonlocal spectrum of the m-modal state, taken for a stack
-    of corrected points at once (at SPECTRUM_STACK_ENTRIES and at the loop's
-    end), each bit-identical to the point's spectrum alone; the first failed
-    one ends the branch there, and on the first point it raises.
+    of corrected points at once (as many as the stack memory bound of
+    :mod:`mechmorph.stability` allows, and at the loop's end), each
+    bit-identical to the point's spectrum alone; the first failed one ends
+    the branch there, and on the first point it raises.
 
     ``terminated_by``: "step_limit" (max_points taken), "kappa_bound" (the
     first corrected point past kappa_range, the branch's first included, is
@@ -223,7 +220,7 @@ def continue_branch(
 
     points: list[BranchPoint] = []
     queue: list[tuple[float, float, SteadyState]] = []  # (s, amplitude, state), spectra pending
-    stack_rows = 1 + SPECTRUM_STACK_ENTRIES // (3 * (n // 4 + 1) ** 2)
+    stack_rows = _stack_rows(n)
 
     def take_spectra() -> tuple[str, str] | None:
         """Points from one stack of the queued spectra, up to the first failure."""

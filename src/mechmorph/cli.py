@@ -55,8 +55,7 @@ DEFAULTS = {
     "simulate": {"t_end": 200.0, "dt": 1e-3, "record_every": 100, "perturb": 0.01,
                  "steady_tol": 1e-9, "init": "cosine"},
     "steady": {"t_end": 500.0, "dt": 1e-3, "init": "cosine", "perturb": 0.01},
-    "spectrum": {"t_end": 500.0, "dt": 1e-3, "init": "cosine", "perturb": 0.01,
-                 "n_modes": 0},
+    "spectrum": {"t_end": 500.0, "dt": 1e-3, "init": "cosine", "perturb": 0.01},
     "branch": {"n": 1, "step": 0.05, "max_points": 120, "kappa_min": 0.0,
                "kappa_max": 0.0},
     "sweep": {"D_values": "0.005,0.02", "kappa_values": "1.0,1.5,2.0", "trials": 3,
@@ -215,7 +214,7 @@ def _cmd_steady(cfg):
 def _cmd_spectrum(cfg):
     """stability spectrum with cross-check"""
     state = _steady_state_for(cfg)
-    check = spectrum_crosscheck(state, n_modes=cfg["n_modes"] or None)
+    check = spectrum_crosscheck(state)
     out = ensure_dir(cfg["out"])
     write_json(
         os.path.join(out, "spectrum.json"),

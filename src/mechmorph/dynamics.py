@@ -458,9 +458,12 @@ def _relax_stack(
     out or when it fails.  Returns, for each start in order, the last
     accepted state, whether the detector fired on it and the counters of
     its run, or the exception that ended the run.  Every row is
-    bit-identical to its start relaxed alone.
+    bit-identical to its start relaxed alone.  The rate is >= 0, so a
+    steady_tol <= 0 could never fire and raises ConfigurationError.
     """
     _check_run(t_end, steady_tol)
+    if steady_tol <= 0.0:
+        raise ConfigurationError(f"steady_tol must be positive, got {steady_tol}")
     grid = starts[0].grid
     stepper = _Stepper(grid, params, dt, len(starts))
     results: list = [None] * len(starts)
@@ -491,7 +494,7 @@ def _relax_stack(
             if rejected:
                 new.copy_rows(p, list(rejected))  # the stack evaluates finite rows only
             stepper.evaluate(new)
-            changes = stepper.change(new, p).reshape(-1).tolist() if steady_tol > 0.0 else None
+            changes = stepper.change(new, p).reshape(-1).tolist()
             old_energy, new_energy = p.energies(), new.energies()
         converged = []
         for r, row in enumerate(rows):
@@ -504,8 +507,7 @@ def _relax_stack(
                 continue
             row.accepted += 1
             row.flow_time += row.h
-            if changes is not None:
-                row.rate = changes[r] / row.h
+            row.rate = changes[r] / row.h
             if row.rate < steady_tol:
                 converged.append(r)
             else:

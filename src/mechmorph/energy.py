@@ -26,7 +26,7 @@ from ._operators import (
 )
 from .errors import ConfigurationError
 from .grid import Field, to_spectral
-from .model import ModelParams, check_modes
+from .model import ModelParams, check_count
 
 __all__ = ["ModelParams", "BoundsReport", "energy", "first_variation", "hessian_matrix", "bounds"]
 
@@ -59,9 +59,14 @@ def hessian_matrix(u: Field, params: ModelParams, n_modes: int) -> np.ndarray:
     symmetric (2 n_modes + 1) square matrix.  It is -L, the negative of the
     Galerkin matrix of the linearization, because the evolution equation is
     the gradient flow of J.  Row and column 0 reduce to (1, 0, ..., 0)
-    because the density e^u / int e^u integrates to one.
+    because the density e^u / int e^u integrates to one.  n_modes must be
+    an integer in [1, n_points/4], where the Galerkin quadrature stays
+    alias-safe.
     """
-    check_modes(n_modes, u.grid.n_points)
+    check_count("n_modes", n_modes, 1)
+    if n_modes > u.grid.n_points // 4:
+        raise ConfigurationError(
+            f"n_modes must be in [1, n_points/4], got {n_modes} at n_points={u.grid.n_points}")
     return -linearization_dense(shifted_exp(u.values), u.grid, params, n_modes, "full")
 
 

@@ -9,17 +9,20 @@ Steady states are even about a peak, so L splits under the reflection
 about it.  The state is recentered (its rfft coefficients rotated by the
 phase of harmonic ``modality``) and L is assembled in two blocks from the
 Fourier coefficients of e^U: one shifted exponential and one rfft serve
-both blocks, and no basis is sampled.  The cosine block carries the
-local part and the whole rank-one coupling.  The sine block is purely
-local (int e^U sin = 0); the sine eigenvector that overlaps U_x most is
-the translation mode.  A 1/m-periodic state (m >= 2 peaks) makes L commute
-with the shift by 1/m, so both blocks split further into the Bloch classes
-of wavenumbers k = +-r (mod m), one eigensolve each.  Only the class r = 0
-meets the coupling (int e^U cos k = 0 unless m divides k): the classes
-r != 0 are purely local, so the strain-conservation inhibition does not act
-on their coarsening modes, and there the instability of multimodal states
-lives; they keep their local eigenvalues.  The local eigenvectors are kept
-as the blocks give them; a spectrum builds the rfft rows of only the leading
+both blocks, and no basis is sampled; the same rfft gives the truncation
+K.  The cosine block carries the local part and the whole rank-one
+coupling.  The sine block is purely local (int e^U sin = 0) and holds the
+translation mode U_x, found by Sturm's oscillation theorem: U_x has m/p - 1
+zeros inside the half period of an m-peaked state of period 1/p, so its
+eigenvalue is the (m/p)-th largest of the class-0 sines (below).  A
+1/m-periodic state (m >= 2 peaks) makes L commute with the shift by 1/m, so
+both blocks split further into the Bloch classes of wavenumbers k = +-r
+(mod m), one eigensolve each.  Only the class r = 0 meets the coupling
+(int e^U cos k = 0 unless m divides k): the classes r != 0 are purely
+local, so the strain-conservation inhibition does not act on their
+coarsening modes, and there the instability of multimodal states lives;
+they keep their local eigenvalues.  The local eigenvectors are kept as the
+blocks give them; a spectrum builds the rfft rows of only the leading
 N_VERIFY, which the oscillation check synthesizes and counts.
 
 Spectra run in stacks: states of equal (n_points, K, period, modality) share
@@ -60,7 +63,6 @@ import numpy as np
 from ._operators import exp_range_error, linearization_dense, linearization_parts, shifted_exp
 from .errors import BracketError, ConfigurationError, MechmorphError, ResolutionError
 from .grid import irfft, rfft
-from .model import check_modes
 from .steady import SteadyState
 
 __all__ = [
@@ -87,21 +89,29 @@ N_VERIFY = 5  # leading local eigenfunctions checked against the oscillation pat
 INTERLACE_TOL = 1e-12  # relative to max(1, max |lambda|)
 CROSSCHECK_TOL = 1e-6  # largest direct-vs-secular deviation spectrum_crosscheck accepts
 N_COMPARE = 10  # leading eigenvalues spectrum_crosscheck compares
+# memory bound of a stack of spectra: beyond one spectrum's, its live matrices,
+# three (K + 1)^2 blocks a row at the largest K = n_points/4, hold at most
+# 50,000 entries (0.4 MB)
+SPECTRUM_STACK_ENTRIES = 50_000
 
 _log = logging.getLogger(__name__)
 
 
-def _default_modes(state, coef: np.ndarray | None) -> int:
-    """Truncation adapted to the state's own spectral content.
+def _stack_rows(n_points: int) -> int:
+    """Rows per stack of spectra on n_points within SPECTRUM_STACK_ENTRIES:
+    4 at n_points = 256, 2 at 512 and 1 from 1024 on."""
+    return 1 + SPECTRUM_STACK_ENTRIES // (3 * (n_points // 4 + 1) ** 2)
+
+
+def _default_modes(coef: np.ndarray, n: int) -> int:
+    """Truncation K of a state with rfft coef on n points.
 
     The eigenfunctions of the linearization concentrate on the scale of the
     reaction density, roughly half the state's shortest scale, so twice the
-    state's significant bandwidth is kept (at least 64 modes, at most
-    n_points/4 where the Galerkin quadrature stays alias-safe).  coef is
-    the state's rfft, or None to take it here.
+    state's significant bandwidth is kept (at least 64 modes, at most n/4,
+    where the Galerkin quadrature stays alias-safe; K >= 2 on every grid).
     """
-    n = state.field.grid.n_points
-    coef = np.abs(rfft(state.field.values) if coef is None else coef)
+    coef = np.abs(coef)
     top = coef.max()
     significant = np.nonzero(coef > 1e-12 * top)[0]
     bandwidth = int(significant.max()) if significant.size else 0
@@ -113,8 +123,8 @@ class LocalSpectrum:
     """Spectrum of the local problem D psi_xx + A(x) psi = lambda psi.
 
     lambdas are sorted decreasing.  zero_counts holds the sign changes per
-    period of the leading min(5, len(lambdas)) eigenfunctions, the rows the
-    oscillation check reads.  vectors = (cos_vecs, sin_vecs, order, back)
+    period of the leading five eigenfunctions, the rows the oscillation
+    check reads.  vectors = (cos_vecs, sin_vecs, order, back)
     are the eigenvectors as the blocks give them: cosine coefficients
     k = 0..K and sine coefficients k = 1..K in columns, lambdas[i] belonging
     to column order[i] of the two side by side, and the phase that rotates
@@ -153,9 +163,10 @@ class EigenReport:
     ones.  verdict follows the thresholds max nu > 1e-8 (unstable) and
     |max nu| <= 1e-8 (marginal); a nonconstant state always carries a
     translation eigenvalue at zero, so a pattern that is stable modulo
-    shifts reports "marginal".  translation_nu is the sine eigenvalue whose
-    eigenvector overlaps U_x most (None for the constant state); leading_nu,
-    the largest eigenvalue without it, changes sign at folds.
+    shifts reports "marginal".  translation_nu is the eigenvalue of U_x,
+    the (m/p)-th largest class-0 sine eigenvalue by Sturm's rule above
+    (None for the constant state); leading_nu, the largest eigenvalue
+    without it, changes sign at folds.
     """
 
     local: LocalSpectrum
@@ -205,24 +216,18 @@ def _zero_counts(functions: np.ndarray, floors: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _check_modes(state: SteadyState, n_modes: int | None, coef: np.ndarray | None = None) -> int:
-    if n_modes is None:
-        n_modes = _default_modes(state, coef)
-    check_modes(n_modes, state.field.grid.n_points)
-    return n_modes
-
-
-def assemble_linearization(state: SteadyState, n_modes: int | None = None) -> np.ndarray:
-    """Dense Galerkin matrix of L in the full trigonometric basis.
+def assemble_linearization(state: SteadyState) -> np.ndarray:
+    """Dense Galerkin matrix of L in the full trigonometric basis, at the
+    spectra's truncation K.
 
     Basis ordering matches :func:`mechmorph.energy.hessian_matrix`
     (constant, then alternating cos/sin), of which this matrix is the
     negative: both are one ``linearization_dense(..., "full")`` assembly,
     which checks the split spectra against the unsplit basis.
     """
-    grid, n_modes = state.field.grid, _check_modes(state, n_modes)
-    exp_u = shifted_exp(state.field.values)
-    return linearization_dense(exp_u, grid, state.params, n_modes, "full")
+    values, grid = state.field.values, state.field.grid
+    k = _default_modes(rfft(values), grid.n_points)
+    return linearization_dense(shifted_exp(values), grid, state.params, k, "full")
 
 
 def _coefficient_rows(cos_vecs, sin_vecs, order, back, rows: int) -> np.ndarray:
@@ -265,7 +270,7 @@ def _class_eigh(matrix: np.ndarray, classes: list) -> tuple[np.ndarray, np.ndarr
     return vals, vecs
 
 
-def _spectra(states: list[SteadyState], n_modes: int | None = None) -> list:
+def _spectra(states: list[SteadyState]) -> list:
     """Direct-route spectra of steady states: for each, in order, its
     EigenReport or the MechmorphError that it raises alone.
 
@@ -283,15 +288,11 @@ def _spectra(states: list[SteadyState], n_modes: int | None = None) -> list:
         centered = coef * back.conj()
         asymmetric = np.abs(centered.imag).max(axis=1) > SYMMETRY_TOL * np.abs(centered).max(axis=1)
         for r, (i, p) in enumerate(zip(index, _period(centered, m).tolist())):
-            try:
-                k = _check_modes(states[i], n_modes, coef[r])
-            except ConfigurationError as exc:
-                results[i] = exc
-                continue
             if asymmetric[r]:
                 results[i] = ResolutionError("steady state is not reflection-symmetric about a peak")
             else:
-                stacks.setdefault((n, k, p, m), []).append((i, states[i], centered[r].real, back[r]))
+                stacks.setdefault((n, _default_modes(coef[r], n), p, m), []).append(
+                    (i, states[i], centered[r].real, back[r]))
     for (_, k, p, m), rows in stacks.items():
         index, stack, coef, back = zip(*rows)
         for i, result in zip(index, _stack_spectra(stack, np.array(coef), np.array(back), k, p, m)):
@@ -339,7 +340,7 @@ def _stack_spectra(states, coef, back, k: int, p: int, m: int) -> list:
     # significance floor per eigenfunction: truncation ripples in the flat
     # exponential tails scale with the energy in the last coefficients
     checked = order[:, None, :N_VERIFY]  # column j <= K is cosine vector j, else sine j - K - 1
-    b, low = rows[:, None, None], np.arange(-min(k, max(2, k // 4)), 0)[:, None]
+    b, low = rows[:, None, None], np.arange(-max(2, k // 4), 0)[:, None]
     last = np.where(checked > k, sin_vecs[b, low, np.maximum(checked - k - 1, 0)],
                     cos_vecs[b, low, np.minimum(checked, k)])
     floors = 10.0 * np.linalg.norm(last, axis=1)
@@ -353,20 +354,19 @@ def _stack_spectra(states, coef, back, k: int, p: int, m: int) -> list:
     gaps = np.abs(np.diff(eigvals, axis=1)) > 1e-9 * spread[:, None]
     edge = np.ones((len(states), 1), dtype=bool)
     isolated = np.concatenate([gaps, edge], axis=1) & np.concatenate([edge, gaps], axis=1)
-    expected = [2 * ((i + 1) // 2) for i in range(counts.shape[1])]
-    wrong = isolated[:, : counts.shape[1]] & (counts != expected)
+    expected = [2 * ((i + 1) // 2) for i in range(N_VERIFY)]
+    wrong = isolated[:, :N_VERIFY] & (counts != expected)
     simple = eigvals[:, 0] - eigvals[:, 1] > 1e-10  # 2K + 1 >= 3 eigenvalues
 
     betas = np.exp(top)[:, None] * (cos_vecs.swapaxes(1, 2) @ cos_c[:, :, None])[:, :, 0]
     betas = np.concatenate([betas, np.zeros((len(states), k))], axis=1)[rows[:, None], order]
     nonlocal_eigs = np.sort(np.concatenate([cos_eigs, sin_vals], axis=1), axis=1)[:, ::-1]
-    others = sin_vals.copy()
-    if m:
-        # sine coefficients of U_x are -2 pi k a_k for the cosine coefficients a_k
-        ux = np.arange(1, k + 1) * coef[:, 1 : k + 1]
-        translation = np.abs((sin_vecs.swapaxes(1, 2) @ ux[:, :, None])[:, :, 0]).argmax(axis=1)
-        others[rows, translation] = -np.inf
-    leading = np.maximum(cos_eigs.max(axis=1), others.max(axis=1, initial=-np.inf))
+    # Sturm: U_x is odd and 1/p-periodic with m/p - 1 zeros inside its half
+    # period, so it is the (m/p)-th largest class-0 sine eigenvector; class 0
+    # comes first in the sine columns, ascending
+    translation = zero.size - 1 - m // p
+    others = np.delete(sin_vals, translation, axis=1) if m else sin_vals
+    leading = np.maximum(cos_eigs.max(axis=1), others.max(axis=1))
 
     m_coef = np.array(m_shifted) * np.exp(-2.0 * top)  # undo the max(U) shift
     results, tiny = [], np.finfo(float).tiny
@@ -384,11 +384,11 @@ def _stack_spectra(states, coef, back, k: int, p: int, m: int) -> list:
             error.local = local  # the local problem does not need M
         results.append(error or EigenReport(
             local, betas[i], m_coef[i], nonlocal_eigs[i], _verdict(float(nonlocal_eigs[i, 0])),
-            float(leading[i]), None if m == 0 else float(sin_vals[i, translation[i]])))
+            float(leading[i]), None if m == 0 else float(sin_vals[i, translation])))
     return results
 
 
-def local_spectrum(state: SteadyState, n_modes: int | None = None) -> LocalSpectrum:
+def local_spectrum(state: SteadyState) -> LocalSpectrum:
     """Eigen-decomposition of the local problem, sorted decreasing.
 
     The leading five eigenfunctions are checked against the oscillation
@@ -396,7 +396,7 @@ def local_spectrum(state: SteadyState, n_modes: int | None = None) -> LocalSpect
     per period) and the ordering chain; a mismatch raises
     :class:`ResolutionError`.
     """
-    result = _spectra([state], n_modes)[0]
+    result = _spectra([state])[0]
     if not hasattr(result, "local"):  # a report, or the error of an M out of range has one
         raise result
     return result.local
@@ -410,7 +410,7 @@ def _verdict(max_nu: float) -> str:
     return "stable"
 
 
-def nonlocal_spectrum(state: SteadyState, n_modes: int | None = None) -> EigenReport:
+def nonlocal_spectrum(state: SteadyState) -> EigenReport:
     """Direct-route spectrum of the full linearization, with verdict.
 
     The cosine block of L is diagonalized with its rank-one term; the sine
@@ -421,7 +421,7 @@ def nonlocal_spectrum(state: SteadyState, n_modes: int | None = None) -> EigenRe
     it is excluded from ``leading_nu`` (but not from the verdict
     thresholds).
     """
-    result = _spectra([state], n_modes)[0]
+    result = _spectra([state])[0]
     if isinstance(result, MechmorphError):
         raise result
     return result
@@ -633,7 +633,7 @@ def _interlaces(lambdas: np.ndarray, nus: np.ndarray) -> bool:
     return bool(np.all(nus <= lambdas + tol) and np.all(nus[:-1] >= lambdas[1:] - tol))
 
 
-def spectrum_crosscheck(state: SteadyState, n_modes: int | None = None) -> CrosscheckReport:
+def spectrum_crosscheck(state: SteadyState) -> CrosscheckReport:
     """Compare the direct and secular spectra on the leading eigenvalues.
 
     Raises :class:`ResolutionError` (with both lists attached) if the
@@ -644,7 +644,7 @@ def spectrum_crosscheck(state: SteadyState, n_modes: int | None = None) -> Cross
     Logs the :class:`SecularStats` of the secular solve at DEBUG on the
     ``mechmorph.stability`` logger.
     """
-    report = nonlocal_spectrum(state, n_modes)
+    report = nonlocal_spectrum(state)
     solution = _secular_solve(report.local, report.betas, report.M)
     _log.debug("spectrum_crosscheck: %s", solution.stats,
                extra={"secular_stats": solution.stats})

@@ -308,8 +308,9 @@ def relax_to_steady(
     budget of steps, not a flow time: at most ceil(t_end / dt) steps,
     accepted or rejected, the number a fixed-dt flow takes to reach t_end.
     steady_tol is the detector threshold on max|u_{n+1}-u_n|/h; a looser
-    value hands over to Newton earlier.  Raises ConvergenceError if neither the flow nor the
-    polish reaches its tolerance.
+    value hands over to Newton earlier, and a value <= 0, which could never
+    fire, raises ConfigurationError.  Raises ConvergenceError if neither the
+    flow nor the polish reaches its tolerance.
     """
     (flow,) = _relax_stack([u0], params, dt, t_end, steady_tol)
     return _handoff(flow, params, dt, t_end, steady_tol)

@@ -480,6 +480,26 @@ def density_form_hessian(u, params, n_modes):
     return np.diag(1.0 + params.D * np.array(mu)) - params.kappa * (w - np.outer(v, v))
 
 
+def overlap_translation(state, report):
+    """(translation_nu, leading_nu) of a nonlocal spectrum, with the
+    translation mode taken as the sine eigenvector that overlaps U_x most.
+
+    The sine coefficients of U_x are -2 pi k a_k for the recentered cosine
+    coefficients a_k; leading_nu is the largest eigenvalue left when one
+    copy of translation_nu is taken out.
+    """
+    _, sin_vecs, order, back = report.local.vectors
+    k = sin_vecs.shape[0]
+    coef = (np.fft.rfft(state.field.values) * back.conj()).real
+    ux = np.arange(1, k + 1) * coef[1 : k + 1]
+    column = int(np.argmax(np.abs(sin_vecs.T @ ux)))
+    # lambdas[i] belongs to column order[i] of the cosine and sine columns side by side
+    translation = report.local.lambdas[np.flatnonzero(order == k + 1 + column)[0]]
+    others = list(report.nonlocal_eigs)
+    others.remove(translation)
+    return float(translation), float(max(others))
+
+
 def unshifted_coupling(state, local):
     """beta_n = int e^U psi_n over the local eigenfunctions, and M = kappa / (int e^U)^2."""
     c = np.exp(state.field.values)

@@ -457,7 +457,7 @@ def test_a_failed_spectrum_ends_the_branch_where_the_oracle_does(monkeypatch, gr
     bp = mm.critical_kappas(0.005, 1)[0]
     kwargs = dict(step=0.05, max_points=120, kappa_range=(0.0, bp.kappa_n + 1.0), grid=grid256)
     intact = mm.continue_branch(bp, **kwargs)
-    stack_rows = 1 + bifurcation.SPECTRUM_STACK_ENTRIES // (3 * (256 // 4 + 1) ** 2)
+    stack_rows = stability._stack_rows(256)
     assert len(intact.points) == 38 and 4 <= stack_rows < 37
     row = {"first": 0, "mid-stack": stack_rows + stack_rows // 2,
            "end of a stack": stack_rows - 1, "last queued": 37}[where]

@@ -37,7 +37,6 @@ SWEEP = ([0.02], [1.5])
         lambda: mm.simulate(mm.Field(GRID, np.full(64, 1.5)), PARAMS, t_end=1.0, record_every=True),
         lambda: mm.continue_branch(BP, max_points=2.5, grid=GRID),
         lambda: mm.continue_branch(BP, n_modes=20.5, grid=GRID),
-        lambda: mm.nonlocal_spectrum(mm.constant_state(PARAMS, GRID), n_modes=10.5),
         lambda: mm.sweep(*SWEEP, trials=1.5, n_points=64),
         lambda: mm.sweep(*SWEEP, workers=1.5, n_points=64),
         lambda: mm.sweep(*SWEEP, seed=-1, n_points=64),
@@ -48,7 +47,7 @@ SWEEP = ([0.02], [1.5])
         lambda: mm.hessian_matrix(mm.constant_state(PARAMS, GRID).field, PARAMS, True),
     ],
     ids=["record_every=2.5", "record_every=True", "max_points=2.5", "n_modes=20.5",
-         "spectrum-n_modes=10.5", "trials=1.5", "workers=1.5",
+         "trials=1.5", "workers=1.5",
          "seed=-1", "seed=1.5", "n_max=2.0", "m=2.0", "hessian-n_modes=2.5",
          "hessian-n_modes=True"],
 )

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import mechmorph as mm
 from mechmorph import stability, steady
 from mechmorph.errors import ConfigurationError, ResolutionError
-from mechmorph.grid import irfft
+from mechmorph.grid import irfft, rfft
 from mechmorph.stability import _interlaces, _secular_solve, _zero_counts
 
 from conftest import perturbed_constant
@@ -20,6 +20,7 @@ from oracles import (
     count_sign_changes,
     density_form_hessian,
     eager_coefficient_rows,
+    overlap_translation,
     scalar_secular_roots,
     unshifted_coupling,
 )
@@ -27,36 +28,41 @@ from oracles import (
 MU_1 = 4.0 * np.pi**2
 
 
-def constant_report(grid, D, kappa, n_modes=None):
+def constant_report(grid, D, kappa):
     state = mm.constant_state(mm.ModelParams(D=D, kappa=kappa), grid)
-    return state, mm.nonlocal_spectrum(state, n_modes=n_modes)
+    return state, mm.nonlocal_spectrum(state)
+
+
+def truncation(dense):
+    """K of a full-basis matrix of 2K + 1 rows."""
+    return (dense.shape[0] - 1) // 2
 
 
 def test_linearization_diagonal_at_constant(grid256):
     D, kappa = 0.01, 1.2
     state = mm.constant_state(mm.ModelParams(D=D, kappa=kappa), grid256)
-    dense = mm.assemble_linearization(state, 6)
-    mu = np.concatenate([[0.0], np.repeat(MU_1 * np.arange(1, 7) ** 2, 2)])
+    dense = mm.assemble_linearization(state)
+    mu = np.concatenate([[0.0], np.repeat(MU_1 * np.arange(1, truncation(dense) + 1) ** 2, 2)])
     expected = np.diag(kappa - 1.0 - D * mu)
     expected[0, 0] = -1.0
     assert np.max(np.abs(dense - expected)) < 1e-12
 
 
 def test_linearization_is_symmetric(unimodal_16):
-    dense = mm.assemble_linearization(unimodal_16, 20)
+    dense = mm.assemble_linearization(unimodal_16)
     assert np.max(np.abs(dense - dense.T)) < 1e-10
 
 
 def test_linearization_is_negative_hessian(unimodal_16):
     # assembled from A, C, M; the energy Hessian from the density formulas
-    dense = mm.assemble_linearization(unimodal_16, 16)
-    hess = density_form_hessian(unimodal_16.field, unimodal_16.params, 16)
+    dense = mm.assemble_linearization(unimodal_16)
+    hess = density_form_hessian(unimodal_16.field, unimodal_16.params, truncation(dense))
     assert np.max(np.abs(dense + hess)) < 1e-10
 
 
 def test_energy_hessian_duality_of_spectra(unimodal_16):
-    dense = mm.assemble_linearization(unimodal_16, 24)
-    hess = density_form_hessian(unimodal_16.field, unimodal_16.params, 24)
+    dense = mm.assemble_linearization(unimodal_16)
+    hess = density_form_hessian(unimodal_16.field, unimodal_16.params, truncation(dense))
     lead_l = np.linalg.eigvalsh(dense).max()
     small_h = np.linalg.eigvalsh(hess).min()
     assert abs(lead_l + small_h) < 1e-8
@@ -89,10 +95,10 @@ def test_constant_state_marginal_at_threshold(grid256):
 def test_local_spectrum_constant_state(grid256):
     D, kappa = 0.008, 1.3
     state = mm.constant_state(mm.ModelParams(D=D, kappa=kappa), grid256)
-    local = mm.local_spectrum(state, n_modes=8)
+    local = mm.local_spectrum(state)
     # A(x) = kappa - 1 constant: lambda_0 = kappa - 1, pairs at kappa-1-D mu_k
     assert local.lambdas[0] == pytest.approx(kappa - 1.0, abs=1e-12)
-    for k in range(1, 9):
+    for k in range(1, (local.lambdas.size - 1) // 2 + 1):
         expected = kappa - 1.0 - D * MU_1 * k**2
         assert local.lambdas[2 * k - 1] == pytest.approx(expected, abs=1e-11)
         assert local.lambdas[2 * k] == pytest.approx(expected, abs=1e-11)
@@ -146,16 +152,11 @@ def test_oscillation_check_rejects_a_wrong_count(monkeypatch, unimodal_16, row, 
         mm.local_spectrum(unimodal_16)
 
 
-def test_zero_counts_cover_the_checked_rows(grid256, unimodal_16, twomodal_16):
+def test_zero_counts_cover_the_checked_rows(unimodal_16, twomodal_16):
     # the tunneling pair of the 2-modal state ripples in its flat tails:
     # without the significance floors its row 1 reads 6 sign changes
     for state in (unimodal_16, twomodal_16):
         assert list(mm.local_spectrum(state).zero_counts) == [0, 2, 2, 4, 4]
-    # fewer rows than N_VERIFY: one count per row; at K = 1 the sine block
-    # has one coefficient, fewer than the floors' usual two-mode tail
-    constant = mm.constant_state(mm.ModelParams(D=0.01, kappa=1.2), grid256)
-    report = mm.nonlocal_spectrum(constant, n_modes=1)
-    assert report.nonlocal_eigs.size == report.local.zero_counts.size == 3
 
 
 def test_eigenfunctions_are_a_read_only_orthonormal_array(unimodal_16):
@@ -474,7 +475,6 @@ def test_uncoupled_classes_keep_their_local_eigenvalues(monkeypatch, request, na
     # the coupling vector is round-off on the classes r != 0, so their local
     # eigenvalues are eigenvalues of L; class 0 is diagonalized with it
     state = named_state(request, name)
-    n_modes = stability._check_modes(state, None)
     # the blocks, e^U's mean and the class eigenvalues of the spectrum, a stack of one
     seen, parts, class_eigh = {"eigh": []}, stability.linearization_parts, stability._class_eigh
 
@@ -489,7 +489,7 @@ def test_uncoupled_classes_keep_their_local_eigenvalues(monkeypatch, request, na
 
     monkeypatch.setattr(stability, "linearization_parts", spy_parts)
     monkeypatch.setattr(stability, "_class_eigh", spy_eigh)
-    report = mm.nonlocal_spectrum(state, n_modes)
+    report = mm.nonlocal_spectrum(state)
     cos_local, c_vec = seen["parts"][0][0], seen["parts"][1][0]
     m_shifted = state.params.kappa / seen["mean"] ** 2  # as the spectrum forms M, in floats
     (sin_vals, _), (cos_vals, classes) = seen["eigh"]
@@ -540,16 +540,23 @@ def test_period_needs_every_off_class_coefficient_below_tolerance(twomodal_16):
     assert stability._period(leaky, 2) == 1
 
 
+def shifted_copy(state, shift):
+    """The state rolled by 37 nodes, and moved by a further half cell for
+    shift="half-cell" (a Fourier shift)."""
+    values = np.roll(state.field.values, 37)
+    if shift == "half-cell":
+        n = values.size
+        half_cell = np.exp(-1j * np.pi * np.arange(n // 2 + 1) / n)
+        values = np.fft.irfft(np.fft.rfft(values) * half_cell, n)
+    return mm.SteadyState(mm.Field(state.field.grid, values), state.params)
+
+
 def test_shifted_copies_keep_the_spectrum(unimodal_16):
     # a rolled copy and a half-cell Fourier shift of it are recentered before
     # the split; eigenfunctions come back on the shifted state's own grid
     reference = mm.nonlocal_spectrum(unimodal_16)
-    rolled = np.roll(unimodal_16.field.values, 37)
-    n = rolled.size
-    half_cell = np.exp(-1j * np.pi * np.arange(n // 2 + 1) / n)
-    shifted = np.fft.irfft(np.fft.rfft(rolled) * half_cell, n)
-    for values in (rolled, shifted):
-        state = mm.SteadyState(mm.Field(unimodal_16.field.grid, values), unimodal_16.params)
+    for shift in ("rolled", "half-cell"):
+        state = shifted_copy(unimodal_16, shift)
         report = mm.nonlocal_spectrum(state)
         lead = report.nonlocal_eigs[:10] - reference.nonlocal_eigs[:10]
         assert np.max(np.abs(lead)) <= 1e-10
@@ -557,6 +564,30 @@ def test_shifted_copies_keep_the_spectrum(unimodal_16):
         assert abs(report.translation_nu) <= 1e-12
         betas, _ = unshifted_coupling(state, report.local)
         assert np.max(np.abs(report.betas - betas)) <= 1e-12 * np.max(np.abs(betas))
+
+
+@pytest.mark.parametrize("name, variant", [
+    ("unimodal_16", None), ("twomodal_16", None), ("modal_family_k2[1]", None),
+    ("modal_family_k2[2]", None), ("modal_family_k2[3]", None),
+    ("unimodal_16", "rolled"), ("unimodal_16", "half-cell"),
+    ("twomodal_16", "period 1"), ("modal_family_k2[2]", "period 1"),
+    ("modal_family_k2[3]", "period 1"),
+])
+def test_sturm_translation_matches_the_overlap_oracle(monkeypatch, request, name, variant):
+    # Sturm's rule picks U_x by its m/p - 1 zeros in the half period; the sine
+    # eigenvector that overlaps U_x most is the oracle.  With the period
+    # patched to 1 an m-modal state is solved unsplit (p = 1, m >= 2), where
+    # U_x is the m-th sine eigenvector rather than the first of its class
+    state = named_state(request, name)
+    if variant == "period 1":
+        monkeypatch.setattr(stability, "_period", lambda coef, m: np.ones(len(coef), dtype=int))
+    elif variant is not None:
+        state = shifted_copy(state, variant)
+    report = mm.nonlocal_spectrum(state)
+    translation, leading = overlap_translation(state, report)
+    assert np.float64(report.translation_nu).tobytes() == np.float64(translation).tobytes()
+    assert np.float64(report.leading_nu).tobytes() == np.float64(leading).tobytes()
+    assert abs(translation) < 1e-7
 
 
 def test_spectrum_rejects_asymmetric_state(grid256, monkeypatch):
@@ -586,18 +617,14 @@ def test_spectrum_rejects_unrepresentable_coupling(grid256):
         mm.nonlocal_spectrum(state)
 
 
-def test_spectrum_rejects_oversized_truncation(unimodal_16):
-    with pytest.raises(ConfigurationError):
-        mm.nonlocal_spectrum(unimodal_16, n_modes=unimodal_16.field.grid.n_points)
-
-
 def test_spectrum_transforms_the_state_once(monkeypatch, grid512):
-    # on more than 256 points the default truncation reads the bandwidth
-    # from the rfft that also recenters the state
+    # on more than 256 points the truncation reads the bandwidth from the
+    # rfft that also recenters the state
     params = mm.ModelParams(D=0.01, kappa=1.5)
     state = mm.relax_to_steady(perturbed_constant(grid512, 1.5), params, t_end=400.0)
-    n_modes = stability._check_modes(state, None)  # its own transform
-    explicit = mm.nonlocal_spectrum(state, n_modes)
+    # K from the state's own transform
+    n_modes = stability._default_modes(stability.rfft(state.field.values), 512)
+    explicit = mm.nonlocal_spectrum(state)
     calls = []
     rfft = stability.rfft
 
@@ -609,6 +636,7 @@ def test_spectrum_transforms_the_state_once(monkeypatch, grid512):
     report = mm.nonlocal_spectrum(state)
     assert len(calls) == 1  # of the stack of one: the state's values as its one row
     assert calls[0].shape == (1, 512) and calls[0].tobytes() == state.field.values.tobytes()
+    assert report.local.lambdas.size == 2 * n_modes + 1
     assert report.nonlocal_eigs.tobytes() == explicit.nonlocal_eigs.tobytes()
     assert report.local.lambdas.tobytes() == explicit.local.lambdas.tobytes()
 
@@ -658,7 +686,9 @@ def stack_pool(grid256, grid512):
 
 def test_stack_pool_covers_every_kind_of_row(stack_pool):
     states, singles = stack_pool
-    keys = {(s.field.grid.n_points, stability._check_modes(s, None), s.modality) for s in states}
+    sizes = [s.field.grid.n_points for s in states]
+    keys = {(n, stability._default_modes(rfft(s.field.values), n), s.modality)
+            for n, s in zip(sizes, states)}
     assert {k for n, k, m in keys if n == 512} >= {64, 128}
     assert {m for _, _, m in keys} == {0, 1, 2, 3}
     errors = [single for single in singles if isinstance(single[0], str)]
@@ -692,5 +722,5 @@ def test_the_whole_pool_as_one_stack(stack_pool):
 def test_local_spectrum_does_not_need_the_coupling_constant(grid256):
     # M = kappa e^(-2 kappa) underflows at kappa = 400; the local problem is fine
     state = mm.constant_state(mm.ModelParams(D=0.01, kappa=400.0), grid256)
-    local = mm.local_spectrum(state, n_modes=8)
-    assert local.lambdas.size == 17 and local.lambdas[0] == pytest.approx(399.0)
+    local = mm.local_spectrum(state)
+    assert local.lambdas.size == 2 * (256 // 4) + 1 and local.lambdas[0] == pytest.approx(399.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mechmorph as mm
-from mechmorph import _operators, steady
+from mechmorph import _operators, dynamics, steady
 from mechmorph.errors import (
     AmplitudeOverflowError,
     ConfigurationError,
@@ -302,6 +302,20 @@ def test_entry_points_reject_invalid_numbers(grid256, call):
     bp = mm.critical_kappas(0.02, 1)[0]
     with pytest.raises(ConfigurationError):
         call(grid256, params, bp)
+
+
+@pytest.mark.parametrize("steady_tol", [0.0, -1.0])
+def test_relaxation_refuses_a_detector_that_cannot_fire(monkeypatch, grid256, steady_tol):
+    # the detector rate is >= 0, so such a threshold would spend the whole
+    # step budget; it is refused before the first step
+    def no_steps(*args):
+        raise AssertionError("stepping started")
+
+    monkeypatch.setattr(dynamics, "_Stepper", no_steps)
+    params = mm.ModelParams(D=0.01, kappa=1.5)
+    with pytest.raises(ConfigurationError, match="steady_tol must be positive"):
+        mm.relax_to_steady(perturbed_constant(grid256, 1.5), params, t_end=1.0,
+                           steady_tol=steady_tol)
 
 
 def test_newton_tolerance_validation(grid256):
