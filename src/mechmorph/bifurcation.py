@@ -42,7 +42,8 @@ from .errors import ConfigurationError, ConvergenceError, MechmorphError, Resolu
 from .grid import Field, Grid, make_grid
 from .model import ModelParams, check_count
 from .stability import MARGINAL_TOL, _spectra, _stack_rows
-from .steady import FIRST_STEP, SteadyState, _bordered_newton, _handoff, _rescale_modal
+from .steady import FIRST_STEP, SteadyState, _bordered_newton, _certified, _handoff
+from .steady import _rescale_modal
 
 __all__ = [
     "BifPoint",
@@ -176,7 +177,8 @@ def continue_branch(
     A mode-m branch is the mode-1 branch at m^2 D, corrected in ``n_modes``
     cosine modes (default min(96, n_points/2 - 1), at least 2) and compressed
     m-fold as ``rescale_modal`` does.  Each point is certified once, on the
-    compressed state that it keeps, as it is corrected.
+    compressed state that it keeps, as it is corrected; at m = 1 from the
+    corrector's last evaluation of its z.
     The corrector is the bordered Newton of ``newton_steady`` at tolerance
     CORRECTOR_TOL, raised to the residual's round-off floor where that is
     larger.  The first point comes from the normal-form predictor with the
@@ -186,9 +188,10 @@ def continue_branch(
     step) after four easy successes.  Stability is evaluated at every point
     through the full nonlocal spectrum of the m-modal state, taken for a stack
     of corrected points at once (as many as the stack memory bound of
-    :mod:`mechmorph.stability` allows, and at the loop's end), each
-    bit-identical to the point's spectrum alone; the first failed one ends
-    the branch there, and on the first point it raises.
+    :mod:`mechmorph.stability` allows, 16 at n_points = 256, and at the loop's
+    end), each bit-identical to the point's spectrum alone; the first failed
+    one ends the branch there, the later points of its stack corrected in
+    vain, and on the first point it raises once its stack is taken.
 
     ``terminated_by``: "step_limit" (max_points taken), "kappa_bound" (the
     first corrected point past kappa_range, the branch's first included, is
@@ -214,9 +217,11 @@ def continue_branch(
         raise ConfigurationError(f"n_modes must be in [2, n_points/2 - 1], got {n_modes}")
     unimodal = critical_kappas(m**2 * bp.D, 1)[0]
 
-    def certify(z) -> SteadyState:
+    def certify(z, evaluation) -> SteadyState:
         params = ModelParams(D=unimodal.D, kappa=float(z[-1]))
-        return _rescale_modal(Field(grid, synthesize_even(z[:-1], n)), params, m)
+        if m == 1:  # the corrector's evaluation of z is the state's
+            return _certified(grid, params, evaluation)
+        return _rescale_modal(Field(grid, evaluation[0]), params, m)
 
     points: list[BranchPoint] = []
     queue: list[tuple[float, float, SteadyState]] = []  # (s, amplitude, state), spectra pending
@@ -242,11 +247,11 @@ def continue_branch(
     pin = np.zeros(n_modes + 2)
     pin[1] = 1.0
     try:
-        z = _bordered_newton(z_pred, pin, z_pred, 0.0, grid, unimodal.D, CORRECTOR_TOL)
+        z, evaluation = _bordered_newton(z_pred, pin, z_pred, 0.0, grid, unimodal.D, CORRECTOR_TOL)
     except MechmorphError as exc:
         raise ConvergenceError(f"could not correct the first branch point: {exc}") from exc
     s_coord = step
-    queue.append((s_coord, float(z[1]), certify(z)))
+    queue.append((s_coord, float(z[1]), certify(z, evaluation)))
     # the secant anchor behind the first point is the bifurcation point itself
     zs = [_predictor_coefficients(unimodal, 0.0, n_modes), z]
 
@@ -258,7 +263,8 @@ def continue_branch(
         tangent = diff / np.linalg.norm(diff)
         z_pred = zs[-1] + tangent * ds
         try:
-            z = _bordered_newton(z_pred, tangent, zs[-1], ds, grid, unimodal.D, CORRECTOR_TOL)
+            z, evaluation = _bordered_newton(z_pred, tangent, zs[-1], ds, grid, unimodal.D,
+                                             CORRECTOR_TOL)
             easy += 1
         except MechmorphError as exc:
             easy = 0
@@ -268,7 +274,7 @@ def continue_branch(
                 break
             continue
         try:
-            state = certify(z)
+            state = certify(z, evaluation)
         except MechmorphError as exc:
             ending = _ending(exc)
             break

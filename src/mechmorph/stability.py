@@ -89,18 +89,18 @@ N_VERIFY = 5  # leading local eigenfunctions checked against the oscillation pat
 INTERLACE_TOL = 1e-12  # relative to max(1, max |lambda|)
 CROSSCHECK_TOL = 1e-6  # largest direct-vs-secular deviation spectrum_crosscheck accepts
 N_COMPARE = 10  # leading eigenvalues spectrum_crosscheck compares
-# memory bound of a stack of spectra: beyond one spectrum's, its live matrices,
-# three (K + 1)^2 blocks a row at the largest K = n_points/4, hold at most
-# 50,000 entries (0.4 MB)
-SPECTRUM_STACK_ENTRIES = 50_000
+# memory bound of a stack of spectra: beyond one spectrum's, its live arrays,
+# four (K + 1)^2 blocks a row at the largest K = n_points/4 (tracemalloc
+# measures 3.3 to 4.4 a row), hold at most 256,000 entries (2 MB)
+SPECTRUM_STACK_ENTRIES = 256_000
 
 _log = logging.getLogger(__name__)
 
 
 def _stack_rows(n_points: int) -> int:
     """Rows per stack of spectra on n_points within SPECTRUM_STACK_ENTRIES:
-    4 at n_points = 256, 2 at 512 and 1 from 1024 on."""
-    return 1 + SPECTRUM_STACK_ENTRIES // (3 * (n_points // 4 + 1) ** 2)
+    16 at n_points = 256, 4 at 512 and 1 from 1024 on."""
+    return 1 + SPECTRUM_STACK_ENTRIES // (4 * (n_points // 4 + 1) ** 2)
 
 
 def _default_modes(coef: np.ndarray, n: int) -> int:
@@ -317,8 +317,8 @@ def _stack_spectra(states, coef, back, k: int, p: int, m: int) -> list:
     idx = np.arange(k + 1)  # classes r = min(k mod p, -k mod p)
     classes = [idx] if p == 1 else [np.flatnonzero(np.minimum(idx % p, -idx % p) == r)
                                     for r in range(p // 2 + 1)]
-    # at most three (K + 1)^2 matrices a row are live: the sine block is solved
-    # first, and the coupled class-0 block cos_local - M c c^T formed in place
+    # the sine block is solved first, the class-0 block cos_local - M c c^T formed in
+    # place: tracemalloc sees 3.4 (K + 1)^2 blocks a row here, 3.7 in _zero_counts
     sin_vals, sin_vecs = _class_eigh(sin_local, [c[c > 0] - 1 for c in classes])
     del sin_local
     cos_vals, cos_vecs = _class_eigh(cos_local, classes)

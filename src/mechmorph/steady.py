@@ -14,7 +14,9 @@ int U = kappa; this is verified a posteriori rather than imposed.
 
 A :class:`SteadyState` computes its certificate (residual, modality,
 energy) from its field when it is built; every solver returns one built
-from the field it found.
+from the field it found.  A field that Newton found is certified from
+Newton's last evaluation of the same bits (its e^U and full-grid
+residual), so the certificate evaluates nothing twice.
 
 ``relax_to_steady`` logs a :class:`RelaxStats` record at DEBUG on the
 ``mechmorph.steady`` logger, and so does each seed of a sweep cell, whose
@@ -67,11 +69,10 @@ _log = logging.getLogger(__name__)
 
 
 def _residual(values: np.ndarray, grid: Grid, params: ModelParams):
-    """The full-grid stationary residual, its RMS (the norm that is
-    certified) and ``shifted_exp(values)``, which the density came from."""
+    """The evaluation of values that a certificate reads: the values,
+    ``shifted_exp(values)`` and the full-grid stationary residual."""
     exp_u = shifted_exp(values)
-    residual = evolution_rhs(values, exp_u[0] / exp_u[1], grid, params)
-    return residual, float(np.sqrt(np.mean(residual**2))), exp_u
+    return values, exp_u, evolution_rhs(values, exp_u[0] / exp_u[1], grid, params)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,8 +82,11 @@ class SteadyState:
     The certificate is computed from the field, never passed in:
     residual_norm is the RMS of the full-grid stationary residual, modality
     ``count_modes(field)`` (0 for the constant state) and energy J(field).
-    Raises ConvergenceError for residual_norm >= RESIDUAL_CERT and
-    ResolutionError for |int U - kappa| >= MASS_TOL.
+    A field that Newton found is certified from Newton's last evaluation of
+    the same bits at the same parameters (``_certified``), so the numbers
+    and errors are those of ``SteadyState(field, params)``.  Raises
+    ConvergenceError for residual_norm >= RESIDUAL_CERT and ResolutionError
+    for |int U - kappa| >= MASS_TOL.
     """
 
     field: Field
@@ -92,20 +96,38 @@ class SteadyState:
     energy: float = dataclasses.field(init=False)
 
     def __post_init__(self):
-        _, residual_norm, exp_u = _residual(self.field.values, self.field.grid, self.params)
-        if residual_norm >= RESIDUAL_CERT:
-            raise ConvergenceError(f"residual norm {residual_norm:.3e} exceeds {RESIDUAL_CERT:g}")
-        mass_defect = abs(integrate(self.field) - self.params.kappa)
-        if mass_defect >= MASS_TOL:
-            raise ResolutionError(
-                f"stationary mass defect |int U - kappa| = {mass_defect:.3e} exceeds {MASS_TOL:g}"
-            )
-        object.__setattr__(self, "residual_norm", residual_norm)
-        object.__setattr__(self, "modality", count_modes(self.field))
-        # J takes log(int e^U) from the residual's e^U instead of a second exp
-        weights = energy_weights(self.field.grid, self.params.D)
-        energy = free_energy(rfft(self.field.values), self.params, weights, exp_u[2])
-        object.__setattr__(self, "energy", energy)
+        _certify(self, _residual(self.field.values, self.field.grid, self.params))
+
+
+def _certify(state: SteadyState, evaluation) -> SteadyState:
+    """Check and set the certificate of state from the evaluation (values,
+    exp_u, residual) of its values at its params."""
+    _, exp_u, residual = evaluation
+    residual_norm = float(np.sqrt(np.mean(residual**2)))
+    if residual_norm >= RESIDUAL_CERT:
+        raise ConvergenceError(f"residual norm {residual_norm:.3e} exceeds {RESIDUAL_CERT:g}")
+    mass_defect = abs(integrate(state.field) - state.params.kappa)
+    if mass_defect >= MASS_TOL:
+        raise ResolutionError(
+            f"stationary mass defect |int U - kappa| = {mass_defect:.3e} exceeds {MASS_TOL:g}"
+        )
+    object.__setattr__(state, "residual_norm", residual_norm)
+    object.__setattr__(state, "modality", count_modes(state.field))
+    # J takes log(int e^U) from the residual's e^U instead of a second exp
+    weights = energy_weights(state.field.grid, state.params.D)
+    energy = free_energy(rfft(state.field.values), state.params, weights, exp_u[2])
+    object.__setattr__(state, "energy", energy)
+    return state
+
+
+def _certified(grid: Grid, params: ModelParams, evaluation) -> SteadyState:
+    """``SteadyState(Field(grid, values), params)``, certified from the
+    evaluation (values, exp_u, residual) that ``_bordered_newton`` returns
+    with its z; params must be those the Newton evaluated at."""
+    state = object.__new__(SteadyState)
+    object.__setattr__(state, "field", Field(grid, evaluation[0]))
+    object.__setattr__(state, "params", params)
+    return _certify(state, evaluation)
 
 
 def constant_state(params: ModelParams, grid: Grid | None = None) -> SteadyState:
@@ -191,12 +213,13 @@ def newton_steady(
 
 def _pinned_newton(values, grid: Grid, params: ModelParams, tol: float = 1e-10, history=None):
     """The state that ``_bordered_newton`` reaches from the even field
-    ``values`` over all n_points/2 + 1 cosines, kappa pinned at params.kappa."""
+    ``values`` over all n_points/2 + 1 cosines, kappa pinned at params.kappa
+    (every step's kappa component is exactly 0)."""
     z = np.append(project_even(values, grid.n_points // 2), params.kappa)
     pin = np.zeros(z.size)
     pin[-1] = 1.0
-    z = _bordered_newton(z, pin, z, 0.0, grid, params.D, tol, history)
-    return SteadyState(Field(grid, synthesize_even(z[:-1], grid.n_points)), params)
+    _, evaluation = _bordered_newton(z, pin, z, 0.0, grid, params.D, tol, history)
+    return _certified(grid, params, evaluation)
 
 
 def _bordered_newton(z, tangent, anchor, ds, grid: Grid, D: float, tol: float, history=None):
@@ -219,7 +242,9 @@ def _bordered_newton(z, tangent, anchor, ds, grid: Grid, D: float, tol: float, h
     evaluated once, the accepted trial's evaluation serving the next step,
     with one e^(U - max U) for its residual, kappa column and Jacobian; the
     Jacobian and its right-hand side are allocated once per call.  Returns
-    z; ``history``, if given, receives each iterate's residual RMS.
+    z and its evaluation for ``_certified``: the grid values, their
+    ``shifted_exp`` and full-grid residual at kappa = z[-1].  ``history``,
+    if given, receives each iterate's residual RMS.
     """
     n_modes = z.size - 2
     jac = np.empty((z.size, z.size))
@@ -231,16 +256,17 @@ def _bordered_newton(z, tangent, anchor, ds, grid: Grid, D: float, tol: float, h
         values = synthesize_even(z[:-1], grid.n_points)
         exp_u = shifted_exp(values)
         p = exp_u[0] / exp_u[1]
-        proj = project_even(evolution_rhs(values, p, grid, params), n_modes, rhs[:-1])
+        residual = evolution_rhs(values, p, grid, params)
+        proj = project_even(residual, n_modes, rhs[:-1])
         border = float(tangent @ (z - anchor)) - ds
-        return z, params, values, exp_u, p, float(np.linalg.norm(proj)), border
+        return z, params, values, exp_u, residual, p, float(np.linalg.norm(proj)), border
 
-    z, params, values, exp_u, p, res, border = evaluate(z)
+    z, params, values, exp_u, residual, p, res, border = evaluate(z)
     for iteration in range(NEWTON_MAX_ITER + 1):
         if history is not None:
             history.append(res)
         if abs(border) < 1e-12 and (res < tol or res < residual_floor(values, grid, params)):
-            return z
+            return z, (values, exp_u, residual)
         if iteration == NEWTON_MAX_ITER:
             break
         linearization_dense(exp_u, grid, params, n_modes, "even", jac[:-1, :-1])
@@ -256,7 +282,7 @@ def _bordered_newton(z, tangent, anchor, ds, grid: Grid, D: float, tol: float, h
         for _halving in range(21):
             trial = evaluate(z + step)
             if math.hypot(*trial[-2:]) < merit:
-                z, params, values, exp_u, p, res, border = trial
+                z, params, values, exp_u, residual, p, res, border = trial
                 break
             step *= 0.5
         else:
@@ -367,11 +393,8 @@ def rescale_modal(state: SteadyState, m: int) -> SteadyState:
 
 
 def _rescale_modal(field: Field, params: ModelParams, m: int) -> SteadyState:
-    """``rescale_modal`` of a field at params that is not certified itself:
-    the m-fold compression is the one state certified.  At m = 1 that is
-    the field's own certificate, whose errors pass through unchanged."""
-    if m == 1:
-        return SteadyState(field, params)
+    """``rescale_modal`` at m >= 2 of a field at params that is not certified
+    itself: the m-fold compression is the one state certified."""
     grid = field.grid
     values = field.values[(m * np.arange(grid.n_points)) % grid.n_points]
     params = ModelParams(D=params.D / m**2, kappa=params.kappa)

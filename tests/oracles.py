@@ -51,7 +51,7 @@ from mechmorph.errors import (
     SingularJacobianError,
 )
 from mechmorph.stability import BETA_TOL, BISECT_TOL, BRACKET_INSET, MARGINAL_TOL, MERGE_TOL
-from mechmorph.steady import FLAT_TOL, _bordered_newton, _rescale_modal
+from mechmorph.steady import FLAT_TOL, _bordered_newton, _rescale_modal, _residual
 
 
 def gauss_legendre_integral(f, n_panels=64, order=10):
@@ -209,11 +209,19 @@ def window_linearization_parts(values, grid, params, n_modes, kind):
     return local, c_vec, params.kappa / mean_c**2
 
 
+def evaluated(z, grid, D):
+    """z and the evaluation that ``steady._bordered_newton`` returns with it,
+    computed as ``mm.SteadyState`` computes its own (``steady._residual``)."""
+    values = synthesize_even(z[:-1], grid.n_points)
+    return z, _residual(values, grid, mm.ModelParams(D=D, kappa=float(z[-1])))
+
+
 def two_pass_corrector_solve(z0, tangent, anchor, ds, grid, D, tol, history=None):
     """The branch corrector with full Newton steps, a fixed tolerance
     CORRECTOR_TOL and at most 12 iterations, evaluating each iterate in two
     passes; ``tol`` and ``history`` are taken and ignored, so that it can
-    stand in for ``steady._bordered_newton``.
+    stand in for ``steady._bordered_newton``.  The evaluation it returns
+    with z is the certificate's own (``evaluated``).
 
     The residual pass synthesizes the field and evaluates e^U for the
     density; the Jacobian pass synthesizes it again and evaluates e^U for
@@ -240,7 +248,7 @@ def two_pass_corrector_solve(z0, tangent, anchor, ds, grid, D, tol, history=None
         res_norm = float(np.linalg.norm(proj))
         norm_eq = float(tangent @ (z - anchor)) - ds
         if res_norm < CORRECTOR_TOL and abs(norm_eq) < 1e-12:
-            return z
+            return evaluated(z, grid, D)
         kappa = float(z[-1])
         if kappa <= 0:
             raise ConvergenceError("corrector left the kappa > 0 domain")
@@ -286,7 +294,7 @@ def mode_n_branch(bp, step, max_points, kappa_range, grid):
     z_pred = _predictor_coefficients(bp, step, n_modes)
     pin = np.zeros(n_modes + 2)
     pin[bp.n] = 1.0
-    zs = [_bordered_newton(z_pred, pin, z_pred, 0.0, grid, bp.D, CORRECTOR_TOL)]
+    zs = [_bordered_newton(z_pred, pin, z_pred, 0.0, grid, bp.D, CORRECTOR_TOL)[0]]
     points = [make_point(zs[0], step)]
     z_origin = np.zeros(n_modes + 2)
     z_origin[[0, -1]] = bp.kappa_n
@@ -296,7 +304,7 @@ def mode_n_branch(bp, step, max_points, kappa_range, grid):
         tangent = diff / np.linalg.norm(diff)
         try:
             z = _bordered_newton(zs[-1] + tangent * ds, tangent, zs[-1], ds, grid, bp.D,
-                                 CORRECTOR_TOL)
+                                 CORRECTOR_TOL)[0]
             easy += 1
         except MechmorphError as exc:
             easy, ds = 0, ds * 0.5
@@ -335,7 +343,8 @@ def per_point_branch(bp, step=0.05, max_points=200, kappa_range=None, grid=None)
 
     def make_point(z, s):
         params = mm.ModelParams(D=unimodal.D, kappa=float(z[-1]))
-        state = _rescale_modal(mm.Field(grid, synthesize_even(z[:-1], n)), params, m)
+        field = mm.Field(grid, synthesize_even(z[:-1], n))
+        state = mm.SteadyState(field, params) if m == 1 else _rescale_modal(field, params, m)
         nu = mm.nonlocal_spectrum(state).leading_nu
         return mm.BranchPoint(s=s, kappa=float(z[-1]), field=state.field, amplitude=float(z[1]),
                               stable=nu <= MARGINAL_TOL, leading_nu=nu, energy=state.energy)
@@ -343,7 +352,7 @@ def per_point_branch(bp, step=0.05, max_points=200, kappa_range=None, grid=None)
     z_pred = _predictor_coefficients(unimodal, step, n_modes)
     pin = np.zeros(n_modes + 2)
     pin[1] = 1.0
-    z = _bordered_newton(z_pred, pin, z_pred, 0.0, grid, unimodal.D, CORRECTOR_TOL)
+    z = _bordered_newton(z_pred, pin, z_pred, 0.0, grid, unimodal.D, CORRECTOR_TOL)[0]
     points = [make_point(z, step)]
     zs = [_predictor_coefficients(unimodal, 0.0, n_modes), z]
     terminated_by, reason, ds, easy = "step_limit", None, step, 0
@@ -352,7 +361,7 @@ def per_point_branch(bp, step=0.05, max_points=200, kappa_range=None, grid=None)
         tangent = diff / np.linalg.norm(diff)
         try:
             z = _bordered_newton(zs[-1] + tangent * ds, tangent, zs[-1], ds, grid, unimodal.D,
-                                 CORRECTOR_TOL)
+                                 CORRECTOR_TOL)[0]
             easy += 1
         except MechmorphError as exc:
             easy, ds = 0, ds * 0.5

@@ -13,6 +13,7 @@ from mechmorph.errors import (
 )
 
 from oracles import (
+    evaluated,
     mode_n_branch,
     per_point_branch,
     reference_classify_cell,
@@ -320,13 +321,13 @@ def test_each_newton_exit_keeps_its_cause(monkeypatch, exit_name):
 
     # every corrector after the first point's fails: the step halves down to
     # step / 64 and the branch ends with the last failure as its reason
-    certify = bifurcation._rescale_modal
+    certify = bifurcation._certified
 
     def breaking_after_first_point(*args):
         break_newton(monkeypatch)
         return certify(*args)
 
-    monkeypatch.setattr(bifurcation, "_rescale_modal", breaking_after_first_point)
+    monkeypatch.setattr(bifurcation, "_certified", breaking_after_first_point)
     branch = mm.continue_branch(bp, max_points=10, grid=grid)
     assert len(branch.points) == 1
     assert branch.terminated_by == "failure"
@@ -363,13 +364,13 @@ def test_branch_that_reaches_the_constant_state_ends_with_reconnect(monkeypatch,
     correct = bifurcation._bordered_newton
     calls = []
 
-    def reconnects(z, *args):
+    def reconnects(z, tangent, anchor, ds, grid, D, tol):
         calls.append(None)
         if len(calls) == 2:
             constant = np.zeros_like(z)
             constant[[0, -1]] = z[-1]
-            return constant
-        return correct(z, *args)
+            return evaluated(constant, grid, D)
+        return correct(z, tangent, anchor, ds, grid, D, tol)
 
     monkeypatch.setattr(bifurcation, "_bordered_newton", reconnects)
     bp = mm.critical_kappas(0.005, mode)[mode - 1]
@@ -391,6 +392,44 @@ def test_each_mode2_point_is_certified_once(monkeypatch, grid256):
     branch = mm.continue_branch(mm.critical_kappas(0.005, 2)[1], max_points=5, grid=grid256)
     assert len(branch.points) == 5
     assert len(calls) == 5
+
+
+def test_each_mode1_point_is_certified_from_the_correctors_evaluation(monkeypatch, grid256):
+    # the corrector's last evaluation of z is the certificate's: no residual is computed again
+    residual = steady._residual
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return residual(*args)
+
+    monkeypatch.setattr(steady, "_residual", counted)
+    branch = mm.continue_branch(mm.critical_kappas(0.005, 1)[0], max_points=5, grid=grid256)
+    assert len(branch.points) == 5
+    assert len(calls) == 0
+
+
+def test_a_handed_over_certificate_equals_a_recomputed_one(monkeypatch, grid256):
+    params = mm.ModelParams(D=0.01, kappa=1.5)
+    guess = mm.Field(grid256, 1.5 * (1.0 + np.cos(2.0 * np.pi * grid256.nodes)))
+    states = {"newton_steady": mm.newton_steady(guess, params),
+              "relax_to_steady": mm.relax_to_steady(guess, params)}
+    certified = []
+    for name in ("_certified", "_rescale_modal"):
+        def kept(*args, certify=getattr(bifurcation, name)):
+            certified.append(certify(*args))
+            return certified[-1]
+
+        monkeypatch.setattr(bifurcation, name, kept)
+    for mode, point in ((1, 0), (1, 4), (2, 2)):
+        certified.clear()
+        mm.continue_branch(mm.critical_kappas(0.005, mode)[mode - 1], max_points=5, grid=grid256)
+        states[f"mode-{mode} point {point}"] = certified[point]
+    assert [state.modality for state in states.values()] == [1, 1, 1, 1, 2]
+    for name, state in states.items():
+        again = mm.SteadyState(state.field, state.params)
+        assert state.residual_norm.hex() == again.residual_norm.hex(), name
+        assert (state.modality, state.energy.hex()) == (again.modality, again.energy.hex()), name
 
 
 def test_mode2_branch_matches_the_mode_n_oracle(grid256):

@@ -528,6 +528,38 @@ def test_spectrum_keeps_no_coefficient_rows(modal_family_k2):
     assert peak - base < 1.5 * rows
 
 
+def traced_peak(states):
+    """Peak traced memory of ``_spectra(states)``, one-time costs paid before."""
+    stability._spectra(states)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reports = stability._spectra(states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(report, mm.EigenReport) for report in reports)
+    return peak - base
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_a_full_stack_of_spectra_stays_within_its_memory_bound(n):
+    # the bound counts four (K + 1)^2 blocks a row at K = n/4; tracemalloc
+    # sees about 3.7 at n = 256, so three a row, with 21 rows, would exceed it
+    bp = mm.critical_kappas(0.005, 1)[0]
+    branch = mm.continue_branch(bp, max_points=120, kappa_range=(0.0, bp.kappa_n + 1.0),
+                                grid=mm.make_grid(n))
+    states = [mm.SteadyState(point.field, mm.ModelParams(D=bp.D, kappa=point.kappa))
+              for point in branch.points]
+    widest = [state for state in states
+              if stability._default_modes(rfft(state.field.values), n) == n // 4]
+    rows = stability._stack_rows(n)
+    assert rows == {256: 16, 512: 4}[n] and len(widest) >= rows
+    extra = traced_peak(widest[:rows]) - traced_peak(widest[:1])
+    assert 0 < extra <= 8 * stability.SPECTRUM_STACK_ENTRIES
+
+
 def test_period_needs_every_off_class_coefficient_below_tolerance(twomodal_16):
     coef = np.fft.rfft(twomodal_16.field.values)  # a peak sits at x = 0
     top = np.max(np.abs(coef))
