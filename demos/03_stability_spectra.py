@@ -33,19 +33,19 @@ for kappa in (kappa_c - 0.05, kappa_c + 0.05):
 
 # a stable pattern: verdict is 'marginal' because translation of the peak
 # costs nothing (an exact zero eigenvalue); every other direction decays.
-# U_x is odd about the peak, so the translation mode is the sine-block
-# eigenvector that overlaps U_x most
+# U_x is odd about the peak with no zero inside the half period, so by
+# Sturm's oscillation theorem the translation mode is the sine block's
+# leading eigenvector
 params = mm.ModelParams(D=0.01, kappa=1.6)
 u0 = mm.Field(grid, 1.6 * (1.0 + 0.01 * np.cos(2.0 * np.pi * grid.nodes)))
 pattern = mm.relax_to_steady(u0, params, t_end=400.0)
-report = mm.nonlocal_spectrum(pattern)
+check = mm.spectrum_crosscheck(pattern)  # both routes; check.report is the direct one
+report = check.report
 print(f"\nunimodal pattern at D=0.01, kappa=1.6: {report.verdict}")
 print(f"  translation eigenvalue : {report.translation_nu:+.2e}")
 print(f"  leading non-translation: {report.leading_nu:+.4f}")
 print(f"  local lambda_0..4      : {np.array2string(report.local.lambdas[:5], precision=4)}")
 print(f"  zero counts            : {report.local.zero_counts[:5]}")
-
-check = mm.spectrum_crosscheck(pattern)
 print(f"  direct vs secular      : max deviation {check.max_deviation:.2e} "
       f"on {check.n_compared} eigenvalues")
 print(f"  direct interlaces local: {check.interlacing_ok}")

@@ -1,7 +1,8 @@
 """Shared field-level operators: the shifted exponential, reaction density,
 free energy, PDE right-hand side, even projection, the bump and
 noisy-constant seeds of the sweep and the CLI, coefficients in the even
-(cosine) basis and the Galerkin assembly of the linearization.
+(cosine) basis and the Galerkin assembly of the linearization, with the
+one truncation rule of a state's full-basis matrix.
 
 Everything here works on raw value arrays so that the public modules can
 expose their own domain types without import cycles.  All quadratures are
@@ -82,13 +83,12 @@ def quadratic_energy(
     return np.vecdot(np.multiply(weights, v, out), v)
 
 
-def free_energy(
-    u_hat: np.ndarray, params: ModelParams, weights: np.ndarray, log_int: float
-) -> float:
-    """J(u) = (D/2) int u_x^2 + (1/2) int u^2 - kappa log(int e^u), with
-    u_hat the forward-normalized rfft of the grid values, weights as in
-    ``quadratic_energy`` and log_int = log(int e^u) (``shifted_exp(values)[2]``)."""
-    return float(quadratic_energy(u_hat.view(float), weights)) - params.kappa * log_int
+def free_energy(values: np.ndarray, grid: Grid, params: ModelParams, log_int: float) -> float:
+    """J(u) = (D/2) int u_x^2 + (1/2) int u^2 - kappa log(int e^u) of the grid
+    values, the quadratic part over their rfft (Parseval), with
+    log_int = log(int e^u) (``shifted_exp(values)[2]``)."""
+    quadratic = quadratic_energy(rfft(values).view(float), energy_weights(grid, params.D))
+    return float(quadratic) - params.kappa * log_int
 
 
 def evolution_rhs(
@@ -258,6 +258,14 @@ def linearization_parts(
     return local, np.concatenate([cos_c, sin_c])[order], m_coef
 
 
+def subtract_coupling(local: np.ndarray, c_vec: np.ndarray, m_coef: float, out=None) -> np.ndarray:
+    """local - M c c^T, the rank-one coupling taken off the local block, into
+    ``out`` if given (local itself, or a view of a larger array)."""
+    coupling = np.multiply.outer(c_vec, c_vec)
+    coupling *= m_coef
+    return np.subtract(local, coupling, out)
+
+
 def linearization_dense(
     exp_u: tuple[np.ndarray, float, float], grid: Grid, params: ModelParams, n_modes: int,
     kind: str, out: np.ndarray | None = None,
@@ -269,7 +277,26 @@ def linearization_dense(
     larger array, such as the block of a bordered Jacobian."""
     if kind not in ("even", "full"):
         raise ValueError(f"unknown basis kind {kind!r}")
-    local, c_vec, m_coef = linearization_parts(exp_u, grid, params, n_modes, kind)
-    coupling = np.multiply.outer(c_vec, c_vec)
-    coupling *= m_coef
-    return np.subtract(local, coupling, out)
+    return subtract_coupling(*linearization_parts(exp_u, grid, params, n_modes, kind), out)
+
+
+def default_modes(coef: np.ndarray, n: int) -> int:
+    """Truncation K of the Galerkin matrices of a state with rfft coef on n points.
+
+    The eigenfunctions of the linearization concentrate on the scale of the
+    reaction density, roughly half the state's shortest scale, so twice the
+    state's significant bandwidth is kept (at least 64 modes, at most n/4,
+    where the Galerkin quadrature stays alias-safe; K >= 2 on every grid).
+    """
+    coef = np.abs(coef)
+    top = coef.max()
+    significant = np.nonzero(coef > 1e-12 * top)[0]
+    bandwidth = int(significant.max()) if significant.size else 0
+    return min(n // 4, max(64, 2 * bandwidth))
+
+
+def full_linearization(values: np.ndarray, grid: Grid, params: ModelParams) -> np.ndarray:
+    """Galerkin matrix of L at the state values in the "full" basis, at the
+    truncation K = ``default_modes`` of their rfft: 2K + 1 rows."""
+    k = default_modes(rfft(values), grid.n_points)
+    return linearization_dense(shifted_exp(values), grid, params, k, "full")

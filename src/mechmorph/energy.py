@@ -16,17 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._operators import (
-    density,
-    energy_weights,
-    evolution_rhs,
-    free_energy,
-    linearization_dense,
-    shifted_exp,
-)
+from ._operators import density, evolution_rhs, free_energy, full_linearization, shifted_exp
 from .errors import ConfigurationError
-from .grid import Field, to_spectral
-from .model import ModelParams, check_count
+from .grid import Field
+from .model import ModelParams
 
 __all__ = ["ModelParams", "BoundsReport", "energy", "first_variation", "hessian_matrix", "bounds"]
 
@@ -36,10 +29,7 @@ D1_SCAN_CAP = 2_000_000  # largest mode count N the d1 scan tries
 
 def energy(u: Field, params: ModelParams) -> float:
     """Evaluate J(u); the quadratic part is computed spectrally (Parseval)."""
-    return free_energy(
-        to_spectral(u).coefficients, params, energy_weights(u.grid, params.D),
-        shifted_exp(u.values)[2],
-    )
+    return free_energy(u.values, u.grid, params, shifted_exp(u.values)[2])
 
 
 def first_variation(u: Field, params: ModelParams) -> Field:
@@ -51,23 +41,19 @@ def first_variation(u: Field, params: ModelParams) -> Field:
     return Field(u.grid, -evolution_rhs(u.values, density(u.values), u.grid, params))
 
 
-def hessian_matrix(u: Field, params: ModelParams, n_modes: int) -> np.ndarray:
+def hessian_matrix(u: Field, params: ModelParams) -> np.ndarray:
     """Second variation of J at u over the truncated Laplacian eigenbasis.
 
     Basis ordering: index 0 is the constant, then alternating
-    (sqrt2 cos(2 pi k x), sqrt2 sin(2 pi k x)) for k = 1 .. n_modes, giving a
-    symmetric (2 n_modes + 1) square matrix.  It is -L, the negative of the
-    Galerkin matrix of the linearization, because the evolution equation is
-    the gradient flow of J.  Row and column 0 reduce to (1, 0, ..., 0)
-    because the density e^u / int e^u integrates to one.  n_modes must be
-    an integer in [1, n_points/4], where the Galerkin quadrature stays
-    alias-safe.
+    (sqrt2 cos(2 pi k x), sqrt2 sin(2 pi k x)) for k = 1 .. K, at the
+    truncation K of the spectra (``default_modes`` of u's rfft); the leading
+    2k + 1 rows and columns are the Hessian over the first k modes.  It is
+    -L, the negative of :func:`mechmorph.stability.assemble_linearization`,
+    because the evolution equation is the gradient flow of J.  Row and
+    column 0 reduce to (1, 0, ..., 0) because the density e^u / int e^u
+    integrates to one.
     """
-    check_count("n_modes", n_modes, 1)
-    if n_modes > u.grid.n_points // 4:
-        raise ConfigurationError(
-            f"n_modes must be in [1, n_points/4], got {n_modes} at n_points={u.grid.n_points}")
-    return -linearization_dense(shifted_exp(u.values), u.grid, params, n_modes, "full")
+    return -full_linearization(u.values, u.grid, params)
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._operators import exp_range_error, linearization_dense, linearization_parts, shifted_exp
+from ._operators import default_modes, exp_range_error, full_linearization, linearization_parts
+from ._operators import subtract_coupling
 from .errors import BracketError, ConfigurationError, MechmorphError, ResolutionError
 from .grid import irfft, rfft
 from .steady import SteadyState
@@ -93,29 +94,16 @@ N_COMPARE = 10  # leading eigenvalues spectrum_crosscheck compares
 # four (K + 1)^2 blocks a row at the largest K = n_points/4 (tracemalloc
 # measures 3.3 to 4.4 a row), hold at most 256,000 entries (2 MB)
 SPECTRUM_STACK_ENTRIES = 256_000
+SPECTRUM_STACK_ROWS = 16  # and at most 16 rows: a failed spectrum wastes <= 15 corrections
 
 _log = logging.getLogger(__name__)
 
 
 def _stack_rows(n_points: int) -> int:
-    """Rows per stack of spectra on n_points within SPECTRUM_STACK_ENTRIES:
-    16 at n_points = 256, 4 at 512 and 1 from 1024 on."""
-    return 1 + SPECTRUM_STACK_ENTRIES // (4 * (n_points // 4 + 1) ** 2)
-
-
-def _default_modes(coef: np.ndarray, n: int) -> int:
-    """Truncation K of a state with rfft coef on n points.
-
-    The eigenfunctions of the linearization concentrate on the scale of the
-    reaction density, roughly half the state's shortest scale, so twice the
-    state's significant bandwidth is kept (at least 64 modes, at most n/4,
-    where the Galerkin quadrature stays alias-safe; K >= 2 on every grid).
-    """
-    coef = np.abs(coef)
-    top = coef.max()
-    significant = np.nonzero(coef > 1e-12 * top)[0]
-    bandwidth = int(significant.max()) if significant.size else 0
-    return min(n // 4, max(64, 2 * bandwidth))
+    """Rows per stack of spectra on n_points within SPECTRUM_STACK_ENTRIES and
+    at most SPECTRUM_STACK_ROWS: 16 up to n_points = 256, 4 at 512 and 1 from
+    1024 on."""
+    return min(SPECTRUM_STACK_ROWS, 1 + SPECTRUM_STACK_ENTRIES // (4 * (n_points // 4 + 1) ** 2))
 
 
 @dataclass(frozen=True)
@@ -222,12 +210,10 @@ def assemble_linearization(state: SteadyState) -> np.ndarray:
 
     Basis ordering matches :func:`mechmorph.energy.hessian_matrix`
     (constant, then alternating cos/sin), of which this matrix is the
-    negative: both are one ``linearization_dense(..., "full")`` assembly,
-    which checks the split spectra against the unsplit basis.
+    negative: both are one ``full_linearization`` assembly, which checks
+    the split spectra against the unsplit basis.
     """
-    values, grid = state.field.values, state.field.grid
-    k = _default_modes(rfft(values), grid.n_points)
-    return linearization_dense(shifted_exp(values), grid, state.params, k, "full")
+    return full_linearization(state.field.values, state.field.grid, state.params)
 
 
 def _coefficient_rows(cos_vecs, sin_vecs, order, back, rows: int) -> np.ndarray:
@@ -291,7 +277,7 @@ def _spectra(states: list[SteadyState]) -> list:
             if asymmetric[r]:
                 results[i] = ResolutionError("steady state is not reflection-symmetric about a peak")
             else:
-                stacks.setdefault((n, _default_modes(coef[r], n), p, m), []).append(
+                stacks.setdefault((n, default_modes(coef[r], n), p, m), []).append(
                     (i, states[i], centered[r].real, back[r]))
     for (_, k, p, m), rows in stacks.items():
         index, stack, coef, back = zip(*rows)
@@ -328,9 +314,7 @@ def _stack_spectra(states, coef, back, k: int, p: int, m: int) -> list:
                                                          cos_c[:, zero])
     del cos_local
     for i in rows:  # no view of coupled outlives it
-        outer = np.multiply.outer(c_zero[i], c_zero[i])
-        outer *= -m_shifted[i]
-        coupled[i] += outer
+        subtract_coupling(coupled[i], c_zero[i], m_shifted[i], coupled[i])
     cos_eigs = np.concatenate([np.linalg.eigvalsh(coupled), cos_vals[:, zero.size :]], axis=1)
     del coupled
     both = np.concatenate([cos_vals, sin_vals], axis=1)

@@ -32,7 +32,6 @@ import math
 import numpy as np
 
 from ._operators import (
-    energy_weights,
     even_part,
     evolution_rhs,
     free_energy,
@@ -46,7 +45,7 @@ from .dynamics import _relax_stack
 from .errors import (
     ConfigurationError, ConvergenceError, MechmorphError, ResolutionError, SingularJacobianError,
 )
-from .grid import Field, Grid, integrate, make_grid, rfft
+from .grid import Field, Grid, integrate, make_grid
 from .model import ModelParams, check_count
 
 __all__ = [
@@ -114,8 +113,7 @@ def _certify(state: SteadyState, evaluation) -> SteadyState:
     object.__setattr__(state, "residual_norm", residual_norm)
     object.__setattr__(state, "modality", count_modes(state.field))
     # J takes log(int e^U) from the residual's e^U instead of a second exp
-    weights = energy_weights(state.field.grid, state.params.D)
-    energy = free_energy(rfft(state.field.values), state.params, weights, exp_u[2])
+    energy = free_energy(state.field.values, state.field.grid, state.params, exp_u[2])
     object.__setattr__(state, "energy", energy)
     return state
 

@@ -244,7 +244,7 @@ def test_criterion_9_bounds_sanity(grid256):
     params = mm.ModelParams(D=1.1 * mm.bounds(1.5).d_max, kappa=1.5)
     for _ in range(50):
         u = random_smooth_field(grid128, rng, amplitude=2.0, mean=1.5)
-        h = mm.hessian_matrix(u, params, 16)
+        h = mm.hessian_matrix(u, params)
         hessian_ok &= float(np.linalg.eigvalsh(h).min()) >= -1e-8
     record(
         9,

@@ -485,6 +485,19 @@ def test_stacked_branch_spectra_match_the_per_point_oracle(D, mode, n, step, max
     assert_same_branch(mm.continue_branch(bp, **kwargs), per_point_branch(bp, **kwargs))
 
 
+def fail_spectrum_of(monkeypatch, target, error):
+    """Make the spectrum of the state whose values have the bytes target
+    raise error("injected"), the other rows of its stack unchanged."""
+    stack_spectra = stability._stack_spectra
+
+    def failing_on_target(states, *args):
+        results = stack_spectra(states, *args)
+        return [error("injected") if state.field.values.tobytes() == target else result
+                for state, result in zip(states, results)]
+
+    monkeypatch.setattr(stability, "_stack_spectra", failing_on_target)
+
+
 @pytest.mark.parametrize("where, error", [
     ("first", ResolutionError), ("mid-stack", ResolutionError),
     ("end of a stack", ConfigurationError), ("last queued", ResolutionError),
@@ -500,15 +513,7 @@ def test_a_failed_spectrum_ends_the_branch_where_the_oracle_does(monkeypatch, gr
     assert len(intact.points) == 38 and 4 <= stack_rows < 37
     row = {"first": 0, "mid-stack": stack_rows + stack_rows // 2,
            "end of a stack": stack_rows - 1, "last queued": 37}[where]
-    target = intact.points[row].field.values.tobytes()
-    stack_spectra = stability._stack_spectra
-
-    def failing_on_target(states, *args):
-        results = stack_spectra(states, *args)
-        return [error("injected") if state.field.values.tobytes() == target else result
-                for state, result in zip(states, results)]
-
-    monkeypatch.setattr(stability, "_stack_spectra", failing_on_target)
+    fail_spectrum_of(monkeypatch, intact.points[row].field.values.tobytes(), error)
     if row == 0:  # the first point's error propagates
         for trace in (mm.continue_branch, per_point_branch):
             with pytest.raises(error, match="injected"):
@@ -518,6 +523,26 @@ def test_a_failed_spectrum_ends_the_branch_where_the_oracle_does(monkeypatch, gr
     assert len(branch.points) == row
     ends = "resolution" if error is ResolutionError else "failure"
     assert (branch.terminated_by, branch.reason) == (ends, f"{error.__name__}: injected")
+    assert_same_branch(branch, per_point_branch(bp, **kwargs))
+
+
+def test_a_failed_spectrum_on_a_coarse_grid_discards_at_most_one_stack(monkeypatch):
+    # the 128-point D = 0.02 branch takes whole stacks of 16 rows; a spectrum
+    # failing at point 3 leaves the points before it, corrected up to 15 points ahead
+    bp = mm.critical_kappas(0.02, 1)[0]
+    kwargs = dict(step=0.05, max_points=120, grid=mm.make_grid(128))
+    target = mm.continue_branch(bp, **kwargs).points[3].field.values.tobytes()
+    corrector, corrections = bifurcation._bordered_newton, []
+
+    def counting(*args):
+        corrections.append(None)
+        return corrector(*args)
+
+    fail_spectrum_of(monkeypatch, target, ResolutionError)
+    monkeypatch.setattr(bifurcation, "_bordered_newton", counting)
+    branch = mm.continue_branch(bp, **kwargs)
+    assert len(branch.points) == 3 and branch.reason == "ResolutionError: injected"
+    assert len(corrections) - 4 <= 15  # points 4 .. 58 with the memory bound alone
     assert_same_branch(branch, per_point_branch(bp, **kwargs))
 
 

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mechmorph as mm
+from mechmorph._operators import linearization_dense, shifted_exp
 from mechmorph.errors import AmplitudeOverflowError, ConfigurationError
 
 from oracles import (
@@ -71,11 +72,25 @@ def test_gradient_matches_finite_differences(grid256):
         assert abs(inner - approx) < 1e-6 * max(1.0, abs(inner))
 
 
+def leading(h, k):
+    """The Hessian over the first k modes: the leading 2k + 1 rows and columns."""
+    return h[: 2 * k + 1, : 2 * k + 1]
+
+
+def test_hessian_is_the_negated_full_linearization(unimodal_16):
+    u, params = unimodal_16.field, unimodal_16.params
+    h = mm.hessian_matrix(u, params)
+    assert h.tobytes() == (-mm.assemble_linearization(mm.SteadyState(u, params))).tobytes()
+    for k in (6, 8, 10, 12):
+        block = -linearization_dense(shifted_exp(u.values), u.grid, params, k, "full")
+        assert leading(h, k).tobytes() == block.tobytes()
+
+
 def test_hessian_at_constant_state(grid256):
     D, kappa = 0.02, 1.4
     params = mm.ModelParams(D=D, kappa=kappa)
     u = mm.Field(grid256, np.full(256, kappa))
-    h = mm.hessian_matrix(u, params, 6)
+    h = leading(mm.hessian_matrix(u, params), 6)
     mu = np.concatenate([[0.0], np.repeat(MU_1 * np.arange(1, 7) ** 2, 2)])
     expected = np.diag(1.0 + D * mu - kappa)
     expected[0, 0] = 1.0
@@ -86,7 +101,7 @@ def test_hessian_symmetry_and_row0(grid256):
     params = mm.ModelParams(D=0.03, kappa=2.2)
     rng = np.random.Generator(np.random.PCG64(22))
     u = random_smooth_field(grid256, rng, amplitude=1.5, mean=2.0)
-    h = mm.hessian_matrix(u, params, 10)
+    h = mm.hessian_matrix(u, params)
     assert np.max(np.abs(h - h.T)) < 1e-12
     assert abs(h[0, 0] - 1.0) < 1e-12
     assert np.max(np.abs(h[0, 1:])) < 1e-12
@@ -98,7 +113,7 @@ def test_hessian_quadratic_form_matches_finite_differences(grid256):
     basis, _ = trig_basis(grid256, 8, kind="full")
     for _ in range(5):
         u = random_smooth_field(grid256, rng, amplitude=1.0, mean=1.5)
-        h = mm.hessian_matrix(u, params, 8)
+        h = leading(mm.hessian_matrix(u, params), 8)
         coeffs = rng.standard_normal(17)
         coeffs /= np.linalg.norm(coeffs)
         psi = coeffs @ basis
@@ -114,7 +129,7 @@ def test_hessian_coefficient_bounds(grid256):
     mu = np.concatenate([[0.0], np.repeat(MU_1 * np.arange(1, 9) ** 2, 2)])
     for _ in range(10):
         u = random_smooth_field(grid256, rng, amplitude=2.0, mean=1.0)
-        h = mm.hessian_matrix(u, params, 8)
+        h = leading(mm.hessian_matrix(u, params), 8)
         diag = np.diag(h)[1:]
         upper = 1.0 + params.D * mu[1:]
         assert np.all(diag <= upper + 1e-10)
@@ -130,7 +145,7 @@ def test_hessian_positive_definite_beyond_dmax(grid256):
     rng = np.random.Generator(np.random.PCG64(25))
     for _ in range(5):
         u = random_smooth_field(grid256, rng, amplitude=2.5, mean=kappa)
-        h = mm.hessian_matrix(u, params, 12)
+        h = mm.hessian_matrix(u, params)
         assert np.linalg.eigvalsh(h).min() >= -1e-8
 
 
@@ -222,10 +237,12 @@ def test_energy_and_modes_are_translation_and_reflection_invariant(case, shift):
 
 @given(smooth_fields(), st.floats(1e-4, 0.1), st.floats(0.2, 5.0), st.data())
 def test_hessian_matches_density_form_oracle(case, D, kappa, data):
-    # hessian_matrix is -L as the package assembles it from A, C and M
+    # hessian_matrix is -L as the package assembles it from A, C and M; its
+    # leading block over any n_modes <= K is the Hessian over those modes
     u = case[0]
-    n_modes = data.draw(st.integers(1, u.grid.n_points // 4))
     params = mm.ModelParams(D=D, kappa=kappa)
+    h = mm.hessian_matrix(u, params)
+    n_modes = data.draw(st.integers(1, (h.shape[0] - 1) // 2))
     expected = density_form_hessian(u, params, n_modes)
-    error = np.max(np.abs(mm.hessian_matrix(u, params, n_modes) - expected))
+    error = np.max(np.abs(leading(h, n_modes) - expected))
     assert error <= 1e-10 * np.max(np.abs(expected))

@@ -1,5 +1,3 @@
-import importlib
-
 import numpy as np
 import pytest
 
@@ -43,13 +41,10 @@ SWEEP = ([0.02], [1.5])
         lambda: mm.sweep(*SWEEP, seed=1.5, n_points=64),
         lambda: mm.critical_kappas(0.02, np.float64(2.0)),
         lambda: mm.rescale_modal(mm.constant_state(PARAMS, GRID), 2.0),
-        lambda: mm.hessian_matrix(mm.constant_state(PARAMS, GRID).field, PARAMS, 2.5),
-        lambda: mm.hessian_matrix(mm.constant_state(PARAMS, GRID).field, PARAMS, True),
     ],
     ids=["record_every=2.5", "record_every=True", "max_points=2.5", "n_modes=20.5",
          "trials=1.5", "workers=1.5",
-         "seed=-1", "seed=1.5", "n_max=2.0", "m=2.0", "hessian-n_modes=2.5",
-         "hessian-n_modes=True"],
+         "seed=-1", "seed=1.5", "n_max=2.0", "m=2.0"],
 )
 def test_integer_options_reject_non_integers_before_any_work(monkeypatch, call):
     def work(*args, **kwargs):
@@ -58,8 +53,6 @@ def test_integer_options_reject_non_integers_before_any_work(monkeypatch, call):
     monkeypatch.setattr(dynamics, "_Stepper", work)
     monkeypatch.setattr(bifurcation, "_bordered_newton", work)
     monkeypatch.setattr(bifurcation, "_classify_cell", work)
-    # the package's ``energy`` is the function, which hides the module
-    monkeypatch.setattr(importlib.import_module("mechmorph.energy"), "linearization_dense", work)
     with pytest.raises(ConfigurationError, match="and an integer"):
         call()
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import mechmorph as mm
 from mechmorph import stability, steady
+from mechmorph._operators import default_modes
 from mechmorph.errors import ConfigurationError, ResolutionError
 from mechmorph.grid import irfft, rfft
 from mechmorph.stability import _interlaces, _secular_solve, _zero_counts
@@ -553,11 +554,18 @@ def test_a_full_stack_of_spectra_stays_within_its_memory_bound(n):
     states = [mm.SteadyState(point.field, mm.ModelParams(D=bp.D, kappa=point.kappa))
               for point in branch.points]
     widest = [state for state in states
-              if stability._default_modes(rfft(state.field.values), n) == n // 4]
+              if default_modes(rfft(state.field.values), n) == n // 4]
     rows = stability._stack_rows(n)
     assert rows == {256: 16, 512: 4}[n] and len(widest) >= rows
     extra = traced_peak(widest[:rows]) - traced_peak(widest[:1])
     assert 0 < extra <= 8 * stability.SPECTRUM_STACK_ENTRIES
+
+
+@pytest.mark.parametrize("n, rows", [(64, 16), (128, 16), (256, 16), (512, 4), (1024, 1),
+                                     (2048, 1), (4096, 1)])
+def test_stacks_hold_at_most_sixteen_rows(n, rows):
+    # the memory bound alone would take 222 rows at n = 64 and 59 at n = 128
+    assert stability._stack_rows(n) == rows
 
 
 def test_period_needs_every_off_class_coefficient_below_tolerance(twomodal_16):
@@ -655,7 +663,7 @@ def test_spectrum_transforms_the_state_once(monkeypatch, grid512):
     params = mm.ModelParams(D=0.01, kappa=1.5)
     state = mm.relax_to_steady(perturbed_constant(grid512, 1.5), params, t_end=400.0)
     # K from the state's own transform
-    n_modes = stability._default_modes(stability.rfft(state.field.values), 512)
+    n_modes = default_modes(stability.rfft(state.field.values), 512)
     explicit = mm.nonlocal_spectrum(state)
     calls = []
     rfft = stability.rfft
@@ -719,7 +727,7 @@ def stack_pool(grid256, grid512):
 def test_stack_pool_covers_every_kind_of_row(stack_pool):
     states, singles = stack_pool
     sizes = [s.field.grid.n_points for s in states]
-    keys = {(n, stability._default_modes(rfft(s.field.values), n), s.modality)
+    keys = {(n, default_modes(rfft(s.field.values), n), s.modality)
             for n, s in zip(sizes, states)}
     assert {k for n, k, m in keys if n == 512} >= {64, 128}
     assert {m for _, _, m in keys} == {0, 1, 2, 3}
