@@ -157,9 +157,7 @@ def project_even(values: np.ndarray, n_modes: int, out: np.ndarray | None = None
 
 def synthesize_even(coef: np.ndarray, n_points: int) -> np.ndarray:
     """Grid values of sum_k coef_k f_k over the even basis (inverse of ``project_even``)."""
-    spec = np.zeros(n_points // 2 + 1, dtype=complex)
-    spec[: coef.size] = coef / even_weights(n_points, coef.size - 1)
-    return irfft(spec, n_points)
+    return irfft(coef / even_weights(n_points, coef.size - 1), n_points)
 
 
 @functools.lru_cache(maxsize=32)

@@ -116,19 +116,21 @@ def critical_kappas(D: float, n_max: int) -> list[BifPoint]:
     if not 0 < D < math.inf:
         raise ConfigurationError(f"D must be positive and finite, got {D}")
     check_count("n_max", n_max, 1)
-    points = []
-    for n in range(1, n_max + 1):
-        kappa_n = _threshold(D, n)
-        alpha_pp = 0.25 - 1.0 / (16.0 * D * n**2 * np.pi**2) + 2.0 * D * n**2 * np.pi**2
-        if alpha_pp < -TYPE_TOL:
-            kind = "subcritical"
-        elif alpha_pp > TYPE_TOL:
-            kind = "supercritical"
-        else:
-            kind = "degenerate"
-        points.append(BifPoint(n=n, D=float(D), kappa_n=kappa_n, alpha_pp=alpha_pp,
-                               z_amp=kappa_n / (24.0 * np.pi**2 * n**2 * D), type=kind))
-    return points
+    return [_bifurcation_point(D, n) for n in range(1, n_max + 1)]
+
+
+def _bifurcation_point(D: float, n: int) -> BifPoint:
+    """The closed form of ``critical_kappas`` for mode n alone (D > 0, n >= 1)."""
+    kappa_n = _threshold(D, n)
+    alpha_pp = 0.25 - 1.0 / (16.0 * D * n**2 * np.pi**2) + 2.0 * D * n**2 * np.pi**2
+    if alpha_pp < -TYPE_TOL:
+        kind = "subcritical"
+    elif alpha_pp > TYPE_TOL:
+        kind = "supercritical"
+    else:
+        kind = "degenerate"
+    return BifPoint(n=n, D=float(D), kappa_n=kappa_n, alpha_pp=alpha_pp,
+                    z_amp=kappa_n / (24.0 * np.pi**2 * n**2 * D), type=kind)
 
 
 def predictor_from_normal_form(bp: BifPoint, s: float, grid: Grid | None = None) -> tuple[Field, float]:
@@ -215,7 +217,7 @@ def continue_branch(
     check_count("n_modes", n_modes, 2)
     if n_modes > n // 2 - 1:
         raise ConfigurationError(f"n_modes must be in [2, n_points/2 - 1], got {n_modes}")
-    unimodal = critical_kappas(m**2 * bp.D, 1)[0]
+    unimodal = _bifurcation_point(m**2 * bp.D, 1)
 
     def certify(z, evaluation) -> SteadyState:
         params = ModelParams(D=unimodal.D, kappa=float(z[-1]))
@@ -252,18 +254,18 @@ def continue_branch(
         raise ConvergenceError(f"could not correct the first branch point: {exc}") from exc
     s_coord = step
     queue.append((s_coord, float(z[1]), certify(z, evaluation)))
-    # the secant anchor behind the first point is the bifurcation point itself
-    zs = [_predictor_coefficients(unimodal, 0.0, n_modes), z]
+    # the secant pair; the anchor behind the first point is the bifurcation point itself
+    z_prev, z_last = _predictor_coefficients(unimodal, 0.0, n_modes), z
 
     ds = step
     easy = 0
     ending = None  # (terminated_by, reason); a caught error's traceback would hold this frame
-    while len(points) + len(queue) < max_points and lo <= zs[-1][-1] <= hi:
-        diff = zs[-1] - zs[-2]
+    while len(points) + len(queue) < max_points and lo <= z_last[-1] <= hi:
+        diff = z_last - z_prev
         tangent = diff / np.linalg.norm(diff)
-        z_pred = zs[-1] + tangent * ds
+        z_pred = z_last + tangent * ds
         try:
-            z, evaluation = _bordered_newton(z_pred, tangent, zs[-1], ds, grid, unimodal.D,
+            z, evaluation = _bordered_newton(z_pred, tangent, z_last, ds, grid, unimodal.D,
                                              CORRECTOR_TOL)
             easy += 1
         except MechmorphError as exc:
@@ -280,7 +282,7 @@ def continue_branch(
             break
         s_coord += ds
         queue.append((s_coord, float(z[1]), state))
-        zs.append(z)
+        z_prev, z_last = z_last, z
         if easy >= 4:
             ds = min(ds * 1.3, step)
             easy = 0
@@ -409,6 +411,7 @@ def sweep(
     check_count("workers", workers, 1)
     check_count("seed", seed, 0)
     _check_run(t_end, HANDOFF_TOL)
+    reports = [bounds(k) for k in kappa_values]  # refuses a kappa below its floor before any cell
     children = iter(np.random.SeedSequence(seed).spawn(d_values.size * kappa_values.size))
     cells_args = [(float(d_val), float(kappa), trials, next(children), n_points, t_end)
                   for d_val in d_values for kappa in kappa_values]
@@ -417,7 +420,6 @@ def sweep(
             cells = list(pool.map(_classify_cell, cells_args))
     else:
         cells = [_classify_cell(a) for a in cells_args]
-    reports = [bounds(k) for k in kappa_values]
     overlays = {
         "kappa_c": _threshold(d_values),
         "d_min": np.array([b.d_min for b in reports]),

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from ._operators import bump_seed, noisy_constant
-from .bifurcation import continue_branch, critical_kappas, sweep
+from .bifurcation import _bifurcation_point, continue_branch, sweep
 from .dynamics import simulate
 from .errors import ConfigurationError, MechmorphError
 from .figures import FIGURE_KINDS, emit_figure_data
@@ -225,7 +225,7 @@ def _cmd_spectrum(cfg):
 
 def _cmd_branch(cfg):
     """pseudo-arclength branch continuation"""
-    bp = critical_kappas(cfg["D"], cfg["n"])[cfg["n"] - 1]
+    bp = _bifurcation_point(cfg["D"], cfg["n"])  # mode n alone, before its grid check
     # kappa_max 0 leaves the range open above
     kappa_range = (cfg["kappa_min"], cfg["kappa_max"] or math.inf)
     branch = continue_branch(

@@ -24,7 +24,7 @@ from .model import ModelParams
 __all__ = ["ModelParams", "BoundsReport", "energy", "first_variation", "hessian_matrix", "bounds"]
 
 MU_1 = 4.0 * np.pi**2
-D1_SCAN_CAP = 2_000_000  # largest mode count N the d1 scan tries
+KAPPA_FLOOR = 1e-9  # below it f's steps near N* > 1e11 are lost to rounding: d1 < 0 at 1e-14
 
 
 def energy(u: Field, params: ModelParams) -> float:
@@ -61,9 +61,9 @@ class BoundsReport:
     """Diffusivity bounds bracketing the pattern-forming regime.
 
     d1 comes from the discrete-functional construction (max over the mode
-    count N), d2 = (kappa - 1)/mu_1 from concavity at the constant state
-    (only for kappa > 1), d_min combines them, and d_max = 15 kappa / mu_1
-    guarantees global convexity of J.
+    count N of the summand f of ``_d1_search``, first attained at argmax_n),
+    d2 = (kappa - 1)/mu_1 from concavity at the constant state (only for
+    kappa > 1), d_min combines them, and d_max = 15 kappa / mu_1 guarantees global convexity of J.
     """
 
     kappa: float
@@ -78,32 +78,32 @@ class BoundsReport:
             raise ConfigurationError("bounds report requires d_min < d_max")
 
 
-def _d1_scan(kappa: float) -> tuple[float, int]:
-    # The summand tends to 0 as N -> infinity and is positive for large N,
-    # so the max is attained at finite N; stop after the expression has been
-    # decreasing for 10 consecutive N past the running max.
-    best = -np.inf
-    best_n = 1
-    decreasing = 0
-    n = 1
-    while n < D1_SCAN_CAP:
+def _d1_search(kappa: float) -> tuple[float, int]:
+    """Max over N >= 1 of f(N) = (kappa N (sqrt2 - 1) - ln 4N) / (mu_1 N^2 ln 4N),
+    and its first arg-max N*.  With a = kappa (sqrt2 - 1) and L = ln 4x, f'(x)
+    has the sign of -phi(x), phi(x) = a x (L + 1) - 2 L^2, convex on x >= 1.
+    Where phi(1) < 0, f rises and then falls, with one turn; where phi(1) >= 0
+    (kappa >~ 3.89) it falls from N = 1 on, as any dip of phi below 0 stays in
+    (1, 2) and f(2) < f(1).  f -> 0+, so the max is positive and N* is the
+    first N with f(N + 1) <= f(N): doubling brackets it, bisection finds it."""
+    def f(n: int) -> float:
         log4n = np.log(4.0 * n)
-        value = (kappa * n * (np.sqrt(2.0) - 1.0) - log4n) / (MU_1 * n**2 * log4n)
-        if value > best:
-            best, best_n, decreasing = value, n, 0
-        else:
-            decreasing += 1
-            if decreasing >= 10 and best > 0.0:
-                break
-        n += 1
-    return float(best), best_n
+        return (kappa * n * (np.sqrt(2.0) - 1.0) - log4n) / (MU_1 * n**2 * log4n)
+
+    lo, hi = 0, 1  # N* is in (lo, hi]
+    while f(hi + 1) > f(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if f(mid + 1) <= f(mid) else (mid, hi)
+    return float(f(hi)), hi
 
 
 def bounds(kappa: float) -> BoundsReport:
-    """Compute d1, d2, d_min, d_max for the given kappa > 0."""
-    if not (np.isfinite(kappa) and kappa > 0):
-        raise ConfigurationError(f"kappa must be a finite positive real, got {kappa!r}")
-    d1, argmax_n = _d1_scan(kappa)
+    """Compute d1, d2, d_min, d_max for the given finite kappa >= KAPPA_FLOOR."""
+    if not (np.isfinite(kappa) and kappa >= KAPPA_FLOOR):
+        raise ConfigurationError(f"kappa must be finite and >= {KAPPA_FLOOR:g}, got {kappa!r}")
+    d1, argmax_n = _d1_search(kappa)
     d2 = (kappa - 1.0) / MU_1 if kappa > 1.0 else None  # concavity at the constant state
     return BoundsReport(kappa=float(kappa), d1=d1, d2=d2, d_min=d1 if d2 is None else max(d1, d2),
                         d_max=15.0 * kappa / MU_1, argmax_n=argmax_n)

@@ -11,8 +11,9 @@ one loop over the nodes.  The Galerkin assembly from sliding windows, one
 kind per call, the full-step branch corrector that synthesizes each
 iterate twice and evaluates e^U three times, the coefficient rows of every
 local eigenvector scattered by rank, the sweep cell that relaxes its
-seeds one at a time, and the branch that takes the spectrum of each point
-alone are kept as bit-identity references.  Mode-n branches are
+seeds one at a time, the branch that takes the spectrum of each point
+alone, and the existence bound d1 scanned over every mode count are kept as
+bit-identity references.  Mode-n branches are
 traced at D itself, in the cosine modes of the n-peaked field.
 """
 
@@ -465,6 +466,21 @@ def reference_count_modes(u):
     if len(kinds) == 2 and abs(values[0] - values[1]) < tol:
         return 0
     return sum(kinds)
+
+
+def d1_scan(kappa):
+    """(d1, arg-max N) by scanning N = 1, 2, ... until the summand has
+    decreased for 10 consecutive N past a positive running max."""
+    best, best_n, decreasing, n = -np.inf, 1, 0, 1
+    while decreasing < 10 or best <= 0.0:
+        log4n = np.log(4.0 * n)
+        value = (kappa * n * (np.sqrt(2.0) - 1.0) - log4n) / (4.0 * np.pi**2 * n**2 * log4n)
+        if value > best:
+            best, best_n, decreasing = value, n, 0
+        else:
+            decreasing += 1
+        n += 1
+    return float(best), best_n
 
 
 def density_form_hessian(u, params, n_modes):

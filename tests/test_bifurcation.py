@@ -693,6 +693,12 @@ def test_sweep_rejects_bad_t_end_before_any_cell(monkeypatch, t_end):
         mm.sweep([0.02], [2.0], trials=1, t_end=t_end)
 
 
+def test_sweep_rejects_a_kappa_below_the_bounds_floor_before_any_cell(monkeypatch):
+    monkeypatch.setattr(bifurcation, "_classify_cell", lambda args: pytest.fail("cell ran"))
+    with pytest.raises(ConfigurationError, match="kappa must be finite and >= 1e-09"):
+        mm.sweep([0.02], [2.0, 1e-12], trials=1)
+
+
 def test_a_seed_that_fails_its_relaxation_is_counted(monkeypatch):
     # every seed at kappa = 800 starts beyond the exp() guard: each row of the
     # cell's stack ends with the guard's error, which the hand-off raises

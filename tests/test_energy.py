@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 import mechmorph as mm
 from mechmorph._operators import linearization_dense, shifted_exp
+from mechmorph.energy import KAPPA_FLOOR
 from mechmorph.errors import AmplitudeOverflowError, ConfigurationError
 
 from oracles import (
     bessel_i0,
+    d1_scan,
     density_form_hessian,
     directional_derivative,
     gauss_legendre_integral,
@@ -176,11 +178,44 @@ def test_bounds_scan_is_a_maximum():
     assert report.argmax_n == int(n[np.argmax(values)])
 
 
+# the kappa values of the tests, the demos, the default sweep, fig2-top and
+# the phase_map benchmark
+USED_KAPPAS = [0.5, 1.0, 1.15, 1.2, 1.5, 1.6, 2.0, 2.2, 2.5, 3.0, *np.linspace(0.75, 2.5, 8)]
+
+
+@pytest.mark.parametrize("kappa", [*np.geomspace(1e-3, 1e3, 61), *USED_KAPPAS])
+def test_bounds_search_matches_the_scan(kappa):
+    report = mm.bounds(kappa)
+    d1, argmax_n = d1_scan(kappa)
+    assert np.float64(report.d1).tobytes() == np.float64(d1).tobytes()
+    assert report.argmax_n == argmax_n
+
+
+@pytest.mark.parametrize("kappa", [3e-5, 1e-5])
+def test_bounds_below_the_old_scan_cap(kappa):
+    # a scan capped at N = 2,000,000 stopped at N = 1,999,999 for both
+    def summand(n):
+        log4n = np.log(4.0 * n)
+        return (kappa * n * (np.sqrt(2.0) - 1.0) - log4n) / (MU_1 * n**2 * log4n)
+
+    report = mm.bounds(kappa)
+    before, peak, after = (summand(report.argmax_n + k) for k in (-1, 0, 1))
+    assert before < peak > after
+    assert report.d1 == peak > 0.0
+    assert report.argmax_n > 2_000_000
+
+
+def test_bounds_down_to_the_kappa_floor():
+    report = mm.bounds(1e-8)
+    assert report.d1 > 0.0
+    assert report.argmax_n == pytest.approx(1.1386e10, rel=1e-4)
+    assert mm.bounds(KAPPA_FLOOR).d1 > 0.0
+
+
 def test_bounds_rejects_bad_kappa():
-    with pytest.raises(ConfigurationError):
-        mm.bounds(0.0)
-    with pytest.raises(ConfigurationError):
-        mm.bounds(-2.0)
+    for kappa in (0.0, -2.0, np.inf, np.nan, 1e-14):
+        with pytest.raises(ConfigurationError):
+            mm.bounds(kappa)
 
 
 @st.composite

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mechmorph as mm
-from mechmorph import cli, figures, stability
+from mechmorph import bifurcation, cli, figures, stability
 from mechmorph.cli import main
 from mechmorph.errors import ConvergenceError
 from mechmorph.io import dump_json, fmt
@@ -155,6 +155,18 @@ def test_cli_branch_csv(tmp_path, capsys):
     assert float(first[1]) > 1.78  # kappa near onset
     assert first[5] == "1"  # stable near onset in the supercritical regime
     assert all(line.split(",")[6] == "0" for line in lines[1:])
+
+
+def test_cli_branch_refuses_a_coarse_grid_before_building_lower_modes(tmp_path, capsys,
+                                                                     monkeypatch):
+    built = []
+    point = bifurcation.BifPoint
+    monkeypatch.setattr(bifurcation, "BifPoint", lambda **kw: built.append(kw["n"]) or point(**kw))
+    out = tmp_path / "branch"
+    assert run_cli(["branch", "--n", "100000", "--out", str(out)]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message == "mode 100000 needs at least 800002 grid points, got 256"
+    assert built == [100000] and not out.exists()
 
 
 def test_cli_branch_kappa_min_alone_bounds_the_branch(tmp_path, capsys):
@@ -388,7 +400,8 @@ def test_cli_workers_zero_means_one_per_cpu(tmp_path, monkeypatch):
     # the command refuses the init profile, the stepper the step length
     (["steady", "--config", "run.ini"], "unknown init profile"),
     (["simulate", "--dt", "0.6"], "stability guard"),
-], ids=["unknown-init", "dt-beyond-guard"])
+    (["bounds", "--kappa", "1e-14"], "kappa must be finite and >= 1e-09"),
+], ids=["unknown-init", "dt-beyond-guard", "kappa-below-floor"])
 def test_cli_refused_run_leaves_no_output_directory(tmp_path, monkeypatch, capsys, args,
                                                     message):
     monkeypatch.chdir(tmp_path)

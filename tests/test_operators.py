@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import mechmorph as mm
 from mechmorph._operators import (
+    even_weights,
     linearization_dense,
     linearization_parts,
     project_even,
@@ -12,6 +13,7 @@ from mechmorph._operators import (
     shifted_exp,
     synthesize_even,
 )
+from mechmorph.grid import irfft
 
 from oracles import sampled_linearization_parts, trig_basis, window_linearization_parts
 
@@ -61,6 +63,20 @@ def test_assembly_matches_sampled_basis(log_n, seed, amplitude, D, kappa, fracti
 
 def same(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100)
+@given(log_n=st.integers(3, 12), seed=st.integers(0, 2**32 - 1), fraction=st.floats(0.0, 1.0))
+def test_synthesis_is_bit_identical_to_a_zero_filled_spectrum(log_n, seed, fraction):
+    # irfft zero-pads a row shorter than n/2 + 1 and reads a real one as
+    # complex; K runs from 1 to the Nyquist mode n/2
+    n = 2**log_n
+    k = 1 + int(fraction * (n // 2 - 1))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    coef = rng.standard_normal(k + 1) * 10.0 ** rng.uniform(-8.0, 2.0, k + 1)
+    spec = np.zeros(n // 2 + 1, dtype=complex)
+    spec[: k + 1] = coef / even_weights(n, k)
+    assert same(synthesize_even(coef, n), irfft(spec, n))
 
 
 @settings(max_examples=100)

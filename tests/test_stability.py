@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import mechmorph as mm
@@ -591,17 +591,33 @@ def shifted_copy(state, shift):
     return mm.SteadyState(mm.Field(state.field.grid, values), state.params)
 
 
-def test_shifted_copies_keep_the_spectrum(unimodal_16):
-    # a rolled copy and a half-cell Fourier shift of it are recentered before
-    # the split; eigenfunctions come back on the shifted state's own grid
-    reference = mm.nonlocal_spectrum(unimodal_16)
-    for shift in ("rolled", "half-cell"):
-        state = shifted_copy(unimodal_16, shift)
+def moved_copy(state, shift, reflect):
+    """The state u(x - shift), reflected first to u(-x) if ``reflect``; the
+    shift is a Fourier phase, so it need not be a whole number of cells."""
+    coef = np.fft.rfft(state.field.values)
+    coef = np.conj(coef) if reflect else coef
+    coef *= np.exp(-2j * np.pi * shift * np.arange(coef.size))
+    values = np.fft.irfft(coef, state.field.grid.n_points)
+    return mm.SteadyState(mm.Field(state.field.grid, values), state.params)
+
+
+@example(shift=37 / 256, reflect=False)
+@example(shift=37.5 / 256, reflect=False)  # a half-cell shift
+@given(shift=st.floats(0.0, 1.0, exclude_max=True), reflect=st.booleans())
+def test_shifted_copies_keep_the_spectrum(unimodal_16, twomodal_16, shift, reflect):
+    # a moved copy is recentered before the split; eigenfunctions come back
+    # on the moved state's own grid.  The two-modal state takes the Bloch
+    # classes and the m/p Sturm index of its translation mode
+    for steady_state in (unimodal_16, twomodal_16):
+        reference = mm.nonlocal_spectrum(steady_state)
+        state = moved_copy(steady_state, shift, reflect)
         report = mm.nonlocal_spectrum(state)
         lead = report.nonlocal_eigs[:10] - reference.nonlocal_eigs[:10]
         assert np.max(np.abs(lead)) <= 1e-10
         assert report.verdict == reference.verdict
-        assert abs(report.translation_nu) <= 1e-12
+        # the unmoved two-modal state's translation_nu already reads -2.2e-9
+        assert abs(report.translation_nu - reference.translation_nu) <= 1e-12
+        assert abs(report.translation_nu) <= (1e-12 if steady_state is unimodal_16 else 1e-8)
         betas, _ = unshifted_coupling(state, report.local)
         assert np.max(np.abs(report.betas - betas)) <= 1e-12 * np.max(np.abs(betas))
 
