@@ -86,7 +86,7 @@ _TIME_HELP = {
     "relax": {
         "dt": "first and smallest relaxation step; each accepted step doubles it, "
               "up to 0.5, while the energy falls",
-        "t_end": "relaxation budget: at most ceil(t_end/dt) steps, accepted or rejected",
+        "t_end": "relaxation budget: at most t_end/dt steps, rounded up, accepted or rejected",
     },
 }
 

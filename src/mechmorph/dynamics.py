@@ -34,16 +34,19 @@ as it computes one state (J takes ``np.vecdot``, the BLAS dot of
 ``np.dot``, per row), and the mean of e^(u - max u), its ``np.log`` and
 J's tail are plain float arithmetic per row.
 
-A step is 14 numpy calls: kappa times the density, rfft, the two
+A step is 12 numpy calls: kappa times the density, rfft, the two
 integrating-factor products and their sum, irfft, max and min; then the
-shift, exp and sum of e^(u - max u), J's weighted product and dot, and the
-division into the density.  The detector adds three when its threshold is
-positive (the rate is >= 0, so a threshold <= 0 could never fire).  Every
-array operation writes into one of two preallocated slots, or into
-reaction and energy buffers, given as its positional output (a keyword
-``out=`` is parsed anew at every call).  A step writes only into the slot
-its start is not in, so a rejected step leaves the accepted state intact;
-rows rejected while others are accepted are copied back.  The transforms are
+shift, exp and sum of e^(u - max u) and the division into the density
+(``produce``).  The relaxation adds J's weighted product and dot at every
+step (``evaluate``), since its acceptance reads J; the detector adds three
+when its threshold is positive (the rate is >= 0, so a threshold <= 0
+could never fire).  Every array operation writes into a preallocated slot,
+or into reaction and energy buffers, given as its positional output (a
+keyword ``out=`` is parsed anew at every call).  The slots form a ring: a
+step writes only into the slot after its start, so a rejected step leaves
+the accepted state intact; rows rejected while others are accepted are
+copied back.  Each slot has its own row of rfft; the grid values, density
+and extremes alternate between two sets of buffers.  The transforms are
 :func:`mechmorph.grid.rfft` and ``irfft``, numpy's pocketfft gufuncs
 (numpy >= 2.0) called directly: at n = 256 the ``np.fft`` wrapper took
 about half of each transform.  One max and one min give the finiteness
@@ -60,14 +63,23 @@ of an extreme of exactly zero where both zeros occur (the max of
 [-0.0, 0.0] is 0.0, the value at its argmax -0.0), which only a recorded
 ``max_u``/``min_u`` shows.
 
+``simulate`` never reads J to take a step, so it takes J in blocks.  Its
+ring holds the rfft of up to RING_ROWS = 64 consecutive states in at most
+RING_FLOATS = 2^16 floats; a step keeps only its max u and its mean of
+e^(u - max u), as floats.  Every 63 steps at n = 256 (``depth`` - 1), at
+the last step and where the detector fires, ``energies`` gives the J of
+every state in the ring at once: one ``np.vecdot`` over the ring rows, one
+``np.log`` over the means and J's tail elementwise, each bit-identical to
+its state's ``evaluate``.  From them come the block's largest increment
+and the energies of its records.
+
 The step functions are closures over the slots, the buffers, kappa, n, the
 ufuncs and the transforms, bound once per buffer allocation (when the
 stepper is built, and again when ``keep`` shrinks a stack), with the
 one-state or stack form of the extremes, J and the detector chosen
 there.  ``simulate`` resolves its fixed dt to the integrating factors
-once; per step it keeps only the exp() guard, the energy increment, the
-detector and the record test: about 12 us per step at n = 256
-(``BENCH_argmax_step.json``).
+once; per step it keeps only the exp() guard, the detector and the record
+test: about 11 us per step at n = 256 (``BENCH_block_energy.json``).
 """
 
 from __future__ import annotations
@@ -96,8 +108,11 @@ class TrajectorySummary:
     """Recorded diagnostics of one trajectory.
 
     ``max_energy_increment`` is the largest single-step energy increase seen
-    over the whole run (round-off scale for a gradient flow), checked at
-    every internal step, not only at recording times.
+    over the whole run (round-off scale for a gradient flow), checked over
+    every internal step, not only at recording times: the energies of a
+    block of consecutive steps are taken at once, at the block's end, and
+    each block's first increment starts from the last state of the one
+    before.
     """
 
     times: np.ndarray
@@ -113,6 +128,12 @@ class TrajectorySummary:
 
 MAX_STEP = 0.5  # stability guard on the step length
 ENERGY_SLACK = 8.0 * np.finfo(float).eps  # round-off allowance of the energy rule, relative
+STEP_SLACK = 4.0 * np.finfo(float).eps  # relative round-off of t_end / dt that adds no step
+# a fixed-dt trajectory takes J in blocks: the rfft of up to RING_ROWS
+# consecutive states, in at most RING_FLOATS floats (64 rows up to n = 1022,
+# 6 at n = 8192); the block's weighted product takes as many again
+RING_ROWS = 64
+RING_FLOATS = 2**16
 
 
 def _tiled(a: np.ndarray, rows: int) -> np.ndarray:
@@ -129,24 +150,32 @@ _STATE = ("u_hat", "values", "density", "top", "bottom")
 
 
 class _Slot:
-    """One preallocated state of the stack and what the step reads from it.
+    """One state of the stack in the stepper's ring, and what the step reads from it.
 
-    A stack of B rows holds (B, n) arrays and (B,) extremes, one state 1-d
-    arrays and 0-d extremes; ``top_col`` broadcasts the maxima over the
-    values.  ``energy`` is J, a float for one state and a list for a stack;
-    each evaluation binds a new one.
+    ``u_hat`` is the slot's own row of the ring.  The grid values, density
+    and extremes are one of two sets of buffers, which ring neighbours never
+    share (``twin`` hands over its set).  A stack of B rows holds (B, n)
+    arrays and (B,) extremes, one state 1-d arrays and 0-d extremes;
+    ``top_col`` broadcasts the maxima over the values.  ``energy`` is J, a
+    float for one state and a list for a stack; each evaluation binds a new
+    one.  ``index`` is the slot's row in the ring.
     """
 
-    __slots__ = (*_STATE, "u_hat_float", "top_col", "energy")
+    __slots__ = (*_STATE, "u_hat_float", "top_col", "energy", "index")
 
-    def __init__(self, lead: tuple, n: int):
-        self.u_hat = np.empty((*lead, n // 2 + 1), dtype=complex)
-        self.u_hat_float = self.u_hat.view(float)  # real and imaginary parts, interleaved
-        self.values = np.empty((*lead, n))
-        self.density = np.empty((*lead, n))  # e^u / int e^u
-        self.top = np.empty(lead)  # max u
-        self.bottom = np.empty(lead)  # min u
-        self.top_col = self.top[:, None] if lead else self.top
+    def __init__(self, u_hat: np.ndarray, index: int, n: int, twin: _Slot | None = None):
+        lead = u_hat.shape[:-1]
+        self.u_hat, self.index = u_hat, index
+        self.u_hat_float = u_hat.view(float)  # real and imaginary parts, interleaved
+        if twin is None:
+            self.values = np.empty((*lead, n))
+            self.density = np.empty((*lead, n))  # e^u / int e^u
+            self.top = np.empty(lead)  # max u
+            self.bottom = np.empty(lead)  # min u
+            self.top_col = self.top[:, None] if lead else self.top
+        else:
+            self.values, self.density = twin.values, twin.density
+            self.top, self.bottom, self.top_col = twin.top, twin.bottom, twin.top_col
         self.energy = [math.nan] * lead[0] if lead else math.nan
 
     def extremes(self):
@@ -182,17 +211,22 @@ def _refusal(top: float, bottom: float, grid: Grid, last: np.ndarray, t: float,
 
 class _Stepper:
     """Exponential-Euler steps of a stack of states, or of one state, on
-    one (grid, params), between two slots.
+    one (grid, params), along a ring of ``depth`` slots.
 
-    A step writes only into the slot its start is not in, so a rejected
-    step leaves the accepted state intact.  The integrating factors are
+    A step writes only into the slot after its start, so a rejected step
+    leaves the accepted state intact.  Depth 2, the two slots the
+    relaxation and the stacks alternate between, holds a start and its
+    step; a fixed-dt trajectory keeps the rfft of ``depth`` consecutive
+    states of one state (``energies``).  The integrating factors are
     cached per step length, and rows may step with different lengths.
-    ``_bind`` binds ``advance``, ``evaluate`` and ``change``, and the
-    extremes rule ``start`` shares with ``advance``; no reference to the
-    stepper is among their locals, so no cycle keeps it alive.
+    ``_bind`` binds ``advance``, ``produce``, ``evaluate``, ``change`` and
+    ``energies``, and the extremes rule ``start`` shares with ``advance``;
+    no reference to the stepper is among their locals, so no cycle keeps
+    it alive.
     """
 
-    def __init__(self, grid: Grid, params: ModelParams, dt: float, rows: int = 1):
+    def __init__(self, grid: Grid, params: ModelParams, dt: float, rows: int = 1,
+                 depth: int = 2):
         if not (dt > 0.0):
             raise ConfigurationError(f"dt must be positive, got {dt}")
         if dt > MAX_STEP:
@@ -202,16 +236,22 @@ class _Stepper:
         self._decay = -(1.0 + params.D * grid.laplacian_eigenvalues)
         # the arrays that multiply the stack are tiled to its rows: operands
         # of one shape take numpy's fast path, and broadcasting does not
-        self.rows = rows
+        self.rows, self.depth = rows, depth
         self._weights = _tiled(energy_weights(grid, params.D), rows)
         self._factors = {}  # step length h -> factors(h)
         self._bind()
 
     def _bind(self) -> None:
         """Buffers for ``rows`` states (1-d for one), and the step functions over them."""
-        n, kappa, weights = self.n, self.kappa, self._weights
+        n, kappa, weights, depth = self.n, self.kappa, self._weights, self.depth
         lead = (self.rows,) if self.rows > 1 else ()
-        slot0, slot1 = self._slots = (_Slot(lead, n), _Slot(lead, n))
+        # an even depth: the two sets of grid buffers alternate along the
+        # ring.  Zeros: a row no state has reached yet enters the block dot as 0
+        ring = np.zeros((depth, *lead, n // 2 + 1), dtype=complex)
+        slots = [_Slot(ring[0], 0, n), _Slot(ring[1], 1, n)]
+        slots += [_Slot(ring[r], r, n, slots[r % 2]) for r in range(2, depth)]
+        self._slots = slots
+        successor = {s: slots[(s.index + 1) % depth] for s in slots}
         reaction = np.empty((*lead, n))
         reaction_hat = np.empty((*lead, n // 2 + 1), dtype=complex)
         self._row_factors = np.empty((2, *lead, n // 2 + 1), dtype=complex)
@@ -226,10 +266,10 @@ class _Stepper:
         forward, inverse = rfft, irfft
 
         def advance(p: _Slot, step: tuple) -> _Slot:
-            """One step (``factors(h)``) from p into the other slot: its rfft,
-            grid values and extremes.  ``evaluate`` completes the step."""
+            """One step (``factors(h)``) from p into the next slot: its rfft,
+            grid values and extremes.  ``produce`` completes the step."""
             _, factor, weight = step
-            new = slot1 if p is slot0 else slot0
+            new = successor[p]
             multiply(kappa_0d, p.density, reaction)
             forward(reaction, reaction_hat)
             multiply(weight, reaction_hat, reaction_hat)
@@ -249,9 +289,11 @@ class _Stepper:
                 maximum(s.values, -1, None, s.top)
                 minimum(s.values, -1, None, s.bottom)
 
-            def energy(s: _Slot, total: np.ndarray) -> list[float]:
-                means = [row_total / n for row_total in total.tolist()]
-                mean[:] = means
+            def mean_of(total: np.ndarray) -> list[float]:
+                mean[:] = means = [row_total / n for row_total in total.tolist()]
+                return means
+
+            def energy(s: _Slot, means: list[float]) -> list[float]:
                 quadratic = quadratic_energy(s.u_hat_float, weights, weighted)
                 return [q - kappa * (top + float(log(m)))
                         for q, top, m in zip(quadratic.tolist(), s.top.tolist(), means)]
@@ -261,6 +303,8 @@ class _Stepper:
                 subtract(new.values, old.values, diff)
                 absolute(diff, diff)
                 return maximum(diff, -1, None, largest)
+
+            energies = None
         else:
             # one state: the values at argmax and argmin (the first NaN, if
             # any) and np.dot, the BLAS dot of np.vecdot, give the same bits
@@ -271,8 +315,11 @@ class _Stepper:
                 s.top[()] = values[values.argmax()]
                 s.bottom[()] = values[values.argmin()]
 
-            def energy(s: _Slot, total: np.ndarray) -> float:
+            def mean_of(total: np.ndarray) -> float:
                 mean[()] = m = total.item() / n
+                return m
+
+            def energy(s: _Slot, m: float) -> float:
                 v = s.u_hat_float
                 quadratic = float(dot(multiply(weights, v, weighted), v))
                 return quadratic - kappa * (s.top.item() + float(log(m)))
@@ -284,21 +331,47 @@ class _Stepper:
                 largest[()] = diff[diff.argmax()]
                 return largest
 
-        def evaluate(s: _Slot) -> None:
-            """The density and energy of s, every row within the exp() guard."""
+            ring_float = ring.view(float)
+            ring_weighted = np.empty_like(ring_float)
+
+            def energies(end: _Slot, tops: list[float], means: list[float]) -> np.ndarray:
+                """J of the len(tops) <= depth consecutive states that end
+                at the slot end, oldest first, from their max u (tops) and
+                grid means of e^(u - max u) (means).
+
+                Three calls give them all: one BLAS dot per ring row
+                (``quadratic_energy``), one log over the means and the
+                arithmetic of ``energy``, elementwise.  np.log gives each
+                element of an array the bits it gives the element alone,
+                so every J is the one ``evaluate`` gives its state."""
+                quadratic = quadratic_energy(ring_float, weights, ring_weighted)
+                # the ring twice over: the rows that end at end are one slice
+                stop = end.index + 1 + depth
+                quadratic = np.concatenate((quadratic, quadratic))[stop - len(tops):stop]
+                return quadratic - kappa * (np.array(tops) + log(means))
+
+        def produce(s: _Slot):
+            """The density of s, every row within the exp() guard; returns
+            the grid mean of e^(u - max u), of each row for a stack."""
             density = s.density
             subtract(s.values, s.top_col, density)
             exp(density, density)
-            total = total_of(density, -1, None, mean)  # sums, for now
-            # J = (its quadratic part) - kappa log(int e^u)
-            s.energy = energy(s, total)
+            means = mean_of(total_of(density, -1, None, mean))
             divide(density, mean_col, density)
+            return means
 
-        self.advance, self.evaluate, self.change, self._bound = advance, evaluate, change, bound
+        def evaluate(s: _Slot) -> None:
+            """The density and the energy of s, every row within the exp() guard."""
+            # J = (its quadratic part) - kappa log(int e^u)
+            s.energy = energy(s, produce(s))
+
+        self.advance, self.produce, self.evaluate, self.change = advance, produce, evaluate, change
+        self.energies, self._bound = energies, bound
 
     def start(self, values: np.ndarray) -> _Slot:
         """The first states (one row each, or one 1-d state), in slot 0:
-        their rfft, grid values and extremes.  ``evaluate`` completes them."""
+        their rfft, grid values and extremes.  ``produce`` or ``evaluate``
+        completes them."""
         s = self._slots[0]
         s.values[...] = values
         rfft(s.values, s.u_hat)
@@ -345,6 +418,21 @@ def _check_run(t_end: float, steady_tol: float) -> None:
         raise ConfigurationError("steady_tol must be a number, got nan")
 
 
+def _step_budget(t_end: float, dt: float) -> int:
+    """The steps of length dt that reach t_end: the least N with N dt >= t_end,
+    where a quotient t_end / dt within a few ulps above an integer counts as
+    that integer (0.07 / 0.01 is 7.000000000000001, and takes 7 steps)."""
+    return math.ceil(t_end / dt * (1.0 - STEP_SLACK))
+
+
+def _ring_depth(n: int) -> int:
+    """The slots of a fixed-dt trajectory on n points: at most RING_ROWS rows
+    of rfft and RING_FLOATS floats, an even count (the two sets of grid
+    buffers alternate along the ring), and never fewer than 2."""
+    rows = min(RING_ROWS, RING_FLOATS // (n + 2))
+    return max(2, rows - rows % 2)
+
+
 def simulate(
     u0: Field,
     params: ModelParams,
@@ -362,44 +450,57 @@ def simulate(
     """
     _check_run(t_end, steady_tol)
     check_count("record_every", record_every, 1)
-    stepper = _Stepper(u0.grid, params, dt)
-    advance, evaluate, change = stepper.advance, stepper.evaluate, stepper.change
+    stepper = _Stepper(u0.grid, params, dt, depth=_ring_depth(u0.grid.n_points))
+    advance, produce, change, energies = (
+        stepper.advance, stepper.produce, stepper.change, stepper.energies)
     fixed = stepper.factors(dt)
-    n_steps = int(np.ceil(t_end / dt))
+    n_steps = _step_budget(t_end, dt)
+    block = stepper.depth - 1  # steps between two energy flushes
     detect = steady_tol > 0.0  # the rate is >= 0, so a threshold <= 0 never fires
 
     p = stepper.start(u0.values)  # one state: 1-d arrays, 0-d extremes
     if error := exp_range_error(max(p.top.item(), -p.bottom.item())):
         raise error
-    evaluate(p)
-    records = []  # (t, mass, J, max u, min u)
+    # the states since the last flush, the flushed one first: max u, the
+    # mean of e^(u - max u), and which of them are recorded
+    tops, means, marks = [p.top.item()], [produce(p)], []
+    records, recorded = [], []  # (t, mass, max u, min u); J
     max_increment = 0.0
     converged = False
     step = 0
 
     def record(t, s):
-        records.append((t, float(s.values.mean()), s.energy, s.top.item(), s.bottom.item()))
+        records.append((t, float(s.values.mean()), s.top.item(), s.bottom.item()))
+        marks.append(len(tops) - 1)
 
     record(0.0, p)
-    while step < n_steps:
-        new = advance(p, fixed)
-        step += 1
-        top, bottom = new.top.item(), new.bottom.item()
-        if not (top <= EXP_GUARD and bottom >= -EXP_GUARD):  # NaN fails this too
-            raise _refusal(top, bottom, u0.grid, p.values, step * dt, "simulation")
-        evaluate(new)
-        if new.energy - p.energy > max_increment:  # max() without its call
-            max_increment = new.energy - p.energy
-        if detect:
-            converged = change(new, p).item() / dt < steady_tol
-        p = new
-        if step % record_every == 0 or step == n_steps or converged:
-            record(step * dt, p)
-        if converged:
-            break
+    while step < n_steps and not converged:
+        for _ in range(min(block, n_steps - step)):
+            new = advance(p, fixed)
+            step += 1
+            top, bottom = new.top.item(), new.bottom.item()
+            if not (top <= EXP_GUARD and bottom >= -EXP_GUARD):  # NaN fails this too
+                raise _refusal(top, bottom, u0.grid, p.values, step * dt, "simulation")
+            tops.append(top)
+            means.append(produce(new))
+            if detect:
+                converged = change(new, p).item() / dt < steady_tol
+            p = new
+            if step % record_every == 0 or step == n_steps or converged:
+                record(step * dt, p)
+            if converged:
+                break
+        # the flush: J of the states stepped since the last one, their
+        # largest increment (fmax skips a NaN, as the comparison does) and
+        # those of the records
+        energy = energies(p, tops, means)
+        max_increment = max(max_increment, np.fmax.reduce(energy[1:] - energy[:-1]).item())
+        recorded += energy[marks].tolist()
+        tops[:], means[:], marks[:] = tops[-1:], means[-1:], []
 
+    times, masses, max_values, min_values = map(np.asarray, zip(*records))
     return TrajectorySummary(
-        *map(np.asarray, zip(*records)),  # times, masses, energies, max_values, min_values
+        times, masses, np.asarray(recorded), max_values, min_values,
         final_state=Field(u0.grid, p.values),
         step_count=step,
         converged=converged,
@@ -447,7 +548,7 @@ def _relax_stack(
     non-finite or trips the exp() guard is rejected and halved, never below
     dt; a step of length dt that goes non-finite or trips the guard ends
     the row with ``simulate``'s refusal of it.  The budget is
-    ceil(t_end / dt) steps, accepted plus rejected, which is what
+    ``_step_budget(t_end, dt)`` steps, accepted plus rejected, which is what
     ``simulate`` takes to reach t_end: near sharp peaks the contraction per
     step saturates once the step is long, so a flow-time budget would run
     out without converging.
@@ -474,7 +575,7 @@ def _relax_stack(
     rows, p = _survivors(stepper, p, rows, results)
     if rows:
         stepper.evaluate(p)
-    for _ in range(int(np.ceil(t_end / dt))):
+    for _ in range(_step_budget(t_end, dt)):
         if not rows:
             break
         steps = [row.h for row in rows]

@@ -41,7 +41,7 @@ from ._operators import (
     shifted_exp,
     synthesize_even,
 )
-from .dynamics import _relax_stack
+from .dynamics import _relax_stack, _step_budget
 from .errors import (
     ConfigurationError, ConvergenceError, MechmorphError, ResolutionError, SingularJacobianError,
 )
@@ -329,7 +329,7 @@ def relax_to_steady(
     beyond round-off or leave the exp() range is rejected and halved,
     never below dt; a step of length dt that leaves it raises the error
     :func:`mechmorph.dynamics.simulate` refuses it with.  t_end / dt is a
-    budget of steps, not a flow time: at most ceil(t_end / dt) steps,
+    budget of steps, not a flow time: at most t_end / dt steps, rounded up,
     accepted or rejected, the number a fixed-dt flow takes to reach t_end.
     steady_tol is the detector threshold on max|u_{n+1}-u_n|/h; a looser
     value hands over to Newton earlier, and a value <= 0, which could never
@@ -356,7 +356,7 @@ def _handoff(
     relaxed, converged, counters = flow
     if not converged:
         raise ConvergenceError(
-            f"gradient flow not steady within {int(np.ceil(t_end / dt))} steps "
+            f"gradient flow not steady within {_step_budget(t_end, dt)} steps "
             f"(t = {counters['flow_time']:.6g}, detector {steady_tol:g})"
         )
     history = []

@@ -17,6 +17,7 @@ bit-identity references.  Mode-n branches are
 traced at D itself, in the cosine modes of the n-peaked field.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -696,7 +697,11 @@ def reference_simulate(u0, params, t_end, dt=1e-3, record_every=100, steady_tol=
     if record_every < 1:
         raise ConfigurationError(f"record_every must be >= 1, got {record_every}")
     stepper = ReferenceStepper(u0.grid, params, dt)
-    n_steps = int(np.ceil(t_end / dt))
+    # the least N with N dt >= t_end, a quotient within a few ulps of an
+    # integer counting as that integer
+    nearest = round(t_end / dt)
+    exact = nearest >= 1 and abs(t_end / dt - nearest) <= 4.0 * np.finfo(float).eps * nearest
+    n_steps = nearest if exact else math.ceil(t_end / dt)
 
     p = stepper.start(u0.values.copy())
     times, masses, energies, max_values, min_values = [], [], [], [], []

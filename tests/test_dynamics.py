@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 from typing import NamedTuple
 
@@ -15,6 +16,7 @@ from mechmorph._operators import bump_seed, even_noise
 from mechmorph.errors import (
     AmplitudeOverflowError,
     ConfigurationError,
+    ConvergenceError,
     DivergenceError,
     MechmorphError,
 )
@@ -401,6 +403,203 @@ def test_simulate_fails_like_reference_loop(monkeypatch, level, kappa, start, er
     if error is DivergenceError:
         assert new.value.t == ref.value.t
         assert np.array_equal(new.value.last_state.values, ref.value.last_state.values)
+
+
+def _assert_same_bytes(new, ref):
+    """Every field of two TrajectorySummary objects, byte for byte."""
+    for name in ("times", "masses", "energies", "max_values", "min_values"):
+        a, b = getattr(new, name), getattr(ref, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert new.final_state.values.tobytes() == ref.final_state.values.tobytes()
+    for name in ("step_count", "converged", "max_energy_increment"):
+        a, b = getattr(new, name), getattr(ref, name)
+        assert (type(a), repr(a)) == (type(b), repr(b)), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([32, 64, 256, 2048]),
+    D=st.floats(1e-3, 0.5),
+    kappa=st.floats(0.5, 8.0),
+    amplitude=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
+    dt=st.sampled_from([1e-3, 0.05]),
+    steps=st.integers(1, 4 * 63 + 2),
+    record_every=st.sampled_from([1, 7, 63, 64, 65, 200]),
+    steady_tol=st.sampled_from([0.0, 1e-9]),
+)
+# the detector fires at step 19, inside the first block
+@example(n=64, D=0.5, kappa=1.2, amplitude=1e-3, dt=0.05, steps=200, record_every=7,
+         steady_tol=1e-9)
+def test_block_energies_match_a_flush_after_every_step(
+    n, D, kappa, amplitude, dt, steps, record_every, steady_tol
+):
+    # a ring of two rows flushes J after every step: the blocks of the
+    # default ring must give the same bytes in every field
+    grid = mm.make_grid(n)
+    params = mm.ModelParams(D=D, kappa=kappa)
+    u0 = mm.Field(grid, kappa * (1.0 + amplitude * np.cos(2.0 * np.pi * grid.nodes)))
+    run = dict(t_end=steps * dt, dt=dt, record_every=record_every, steady_tol=steady_tol)
+    blocks = mm.simulate(u0, params, **run)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dynamics, "RING_ROWS", 2)
+        assert dynamics._ring_depth(n) == 2
+        each_step = mm.simulate(u0, params, **run)
+    _assert_same_bytes(blocks, each_step)
+    assert blocks.step_count == steps or blocks.converged
+
+
+def test_detector_stops_inside_a_block():
+    # the example above, checked to stop where it should: off the block
+    # boundaries and off the recording steps
+    params = mm.ModelParams(D=0.5, kappa=1.2)
+    grid = mm.make_grid(64)
+    u0 = mm.Field(grid, 1.2 * (1.0 + 1e-3 * np.cos(2.0 * np.pi * grid.nodes)))
+    summary = mm.simulate(u0, params, t_end=10.0, dt=0.05, record_every=7)
+    assert summary.converged
+    assert summary.step_count % (dynamics._ring_depth(64) - 1) != 0
+    assert summary.step_count % 7 != 0 and summary.times[-1] == summary.step_count * 0.05
+
+
+def test_largest_increment_counts_every_step_across_blocks(monkeypatch):
+    # with a record at every step the energies are every state's J, so the
+    # largest increment is their largest difference.  A rise put into the
+    # first state of each flushed block makes that the increment across the
+    # block boundary, which only the flush's first difference holds
+    grid = mm.make_grid(64)
+    params = mm.ModelParams(D=0.01, kappa=1.5)
+    u0 = perturbed_constant(grid, 1.5, amplitude=0.2)
+    run = dict(t_end=0.2, record_every=1, steady_tol=0.0)
+
+    def largest_difference(summary):
+        return max(0.0, float(np.max(np.diff(summary.energies))))
+
+    summary = mm.simulate(u0, params, **run)
+    assert summary.max_energy_increment == largest_difference(summary) == 0.0
+    bind = dynamics._Stepper._bind
+
+    def rising_bind(self):
+        bind(self)
+        energies = self.energies
+
+        def rising(end, tops, means):
+            energy = energies(end, tops, means)
+            energy[1] += 1.0
+            return energy
+
+        self.energies = rising
+
+    monkeypatch.setattr(dynamics._Stepper, "_bind", rising_bind)
+    summary = mm.simulate(u0, params, **run)
+    assert summary.step_count == 200
+    assert summary.max_energy_increment == largest_difference(summary) > 0.5
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(st.floats(1.0 / 8192.0, 1.0), st.floats(1e-300, 1e300)),
+                min_size=1, max_size=64))
+def test_log_over_an_array_matches_the_scalar_log(means):
+    # the block energies take np.log over the means of a block; the one-state
+    # and stacked steps take it of each mean alone
+    assert np.log(np.array(means)).tolist() == [float(np.log(m)) for m in means]
+
+
+@pytest.mark.parametrize("t_end, dt, steps", [
+    (0.07, 0.01, 7),  # 0.07 / 0.01 = 7.000000000000001
+    (0.3, 0.1, 3),  # 2.9999999999999996
+    (0.075, 0.01, 8),
+    (1e-12, 1e-3, 1),
+])
+def test_fixed_steps_reach_t_end_without_an_extra_step(t_end, dt, steps):
+    grid = mm.make_grid(64)
+    params = mm.ModelParams(D=0.01, kappa=1.5)
+    assert dynamics._step_budget(t_end, dt) == steps
+    u0 = perturbed_constant(grid, 1.5)
+    run = dict(t_end=t_end, dt=dt, record_every=1, steady_tol=0.0)
+    summary = mm.simulate(u0, params, **run)
+    assert summary.step_count == steps
+    assert summary.times[-1] == steps * dt
+    if t_end == 0.07:
+        assert summary.times[-1] == 0.07
+    _assert_same_trajectory(summary, reference_simulate(u0, params, **run))
+
+
+@given(k=st.integers(1, 10**6), dt=st.floats(1e-4, 0.5), part=st.floats(0.01, 0.99))
+def test_step_budget_is_the_least_count_that_reaches_t_end(k, dt, part):
+    # k dt, rounded, is reached in k steps; any t_end past it in k + 1
+    assert dynamics._step_budget(k * dt, dt) == k
+    assert dynamics._step_budget((k + part) * dt, dt) == k + 1
+
+
+def test_relaxation_budget_takes_the_same_count(monkeypatch):
+    grid = mm.make_grid(64)
+    params = mm.ModelParams(D=0.01, kappa=1.5)
+    calls = _record_steps(monkeypatch)
+    with pytest.raises(ConvergenceError, match="not steady within 7 steps"):
+        mm.relax_to_steady(perturbed_constant(grid, 1.5), params, dt=0.01, t_end=0.07)
+    assert len(calls) == 7
+
+
+@pytest.mark.parametrize("poison_at", [64, 130, 200])
+def test_divergence_after_several_blocks_matches_the_reference(monkeypatch, poison_at):
+    # a NaN put into the density before step poison_at makes that step
+    # diverge, past one or more blocks of 63 steps: the refusal carries the
+    # state before it (the peak of the same start outgrows the exp() range
+    # at step 211 unpoisoned, which test_simulate_fails_like_reference_loop
+    # checks)
+    grid = mm.make_grid(64)
+    params = mm.ModelParams(D=1e-3, kappa=100.0)
+    u0 = mm.Field(grid, 100.0 * (1.0 + 0.1 * np.random.default_rng(0).standard_normal(64)))
+    new_steps = _record_steps(monkeypatch)
+    ref_steps = _record_reference_steps(monkeypatch)
+    bind, reference_advance = dynamics._Stepper._bind, oracles.ReferenceStepper.advance
+
+    def poisoning_bind(self):
+        bind(self)
+        advance = self.advance
+
+        def poisoned(p, step):
+            if len(new_steps) == poison_at - 1:
+                p.density[0] = math.nan
+            return advance(p, step)
+
+        self.advance = poisoned
+
+    def poisoned_reference(self, p, h):
+        if len(ref_steps) == poison_at - 1:
+            p.density[0] = math.nan
+        return reference_advance(self, p, h)
+
+    monkeypatch.setattr(dynamics._Stepper, "_bind", poisoning_bind)
+    monkeypatch.setattr(oracles.ReferenceStepper, "advance", poisoned_reference)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DivergenceError) as new:
+            mm.simulate(u0, params, t_end=10.0, steady_tol=0.0)
+        with pytest.raises(DivergenceError) as ref:
+            reference_simulate(u0, params, t_end=10.0, steady_tol=0.0)
+    assert str(new.value) == str(ref.value)
+    assert len(new_steps) == len(ref_steps) == poison_at
+    assert new.value.t == ref.value.t == poison_at * 1e-3
+    assert np.array_equal(new.value.last_state.values, ref.value.last_state.values)
+    assert np.isfinite(new.value.last_state.values).all()
+
+
+def test_trajectory_memory_stays_within_the_ring_bound():
+    # at n = 8192 the ring holds 6 rows; 64 rows would take 8.4 MB.  Besides
+    # the ring and its weighted product, a trajectory holds about 17 floats
+    # per grid point (17.5 at n = 8192 before the ring)
+    n = 8192
+    grid = mm.make_grid(n)
+    params = mm.ModelParams(D=0.01, kappa=1.5)
+    u0 = perturbed_constant(grid, 1.5)
+    mm.simulate(u0, params, t_end=0.01)  # FFT plans and caches
+    assert dynamics._ring_depth(n) * (n + 2) <= dynamics.RING_FLOATS
+    tracemalloc.start()
+    try:
+        mm.simulate(u0, params, t_end=0.05, record_every=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (2 * dynamics.RING_FLOATS + 20 * n)
 
 
 def _with_specials(data, n):
